@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 from . import kepler as kepler_mod
 from .errors import RevolveError
-from .expr import ExpressionError, Expression, evaluate, parse
+from .expr import ExpressionError, Expression, bind, evaluate, parse
 from .monotone import (
     AlternationViolationError,
     HypothesisReport,
@@ -38,6 +38,7 @@ from .numerics import (
     NoSignChangeError,
     NonFiniteEvaluationError,
     Tolerances,
+    uniform_grid,
 )
 from .volume import (
     AXIS_X,
@@ -268,13 +269,10 @@ def _write_csv(config: RunConfig, curve: Expression, interval: Interval) -> None
         return
     if config.samples < 1:
         raise _UsageError("--samples must be at least 1")
-    n = config.samples
-    step = interval.width / n
+    fn = bind(curve, config.variable, config.parameters)
     with open(config.csv_path, "w", encoding="utf-8") as handle:
-        for i in range(n + 1):
-            x = interval.hi if i == n else interval.lo + i * step
-            y = evaluate(curve, {**config.parameters, config.variable: x})
-            handle.write(f"{x:.15g},{y:.15g}\n")
+        for x in uniform_grid(interval.lo, interval.hi, config.samples):
+            handle.write(f"{x:.15g},{fn(x):.15g}\n")
 
 
 def _emit(payload: dict, config: RunConfig, text: str) -> None:
@@ -359,8 +357,8 @@ def _run_partition(config: RunConfig) -> int:
     interval = _interval(config)
     _write_csv(config, curve, interval)
     part = partition(curve, interval, config.tol, config.parameters)
-    f_a = evaluate(curve, {**config.parameters, config.variable: interval.lo})
-    f_b = evaluate(curve, {**config.parameters, config.variable: interval.hi})
+    fn = bind(curve, config.variable, config.parameters)
+    f_a, f_b = fn(interval.lo), fn(interval.hi)
     try:
         verdict: bool | None = check_lemma1(part, f_a, f_b)
         detail = ("interior extremum count "

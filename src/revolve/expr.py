@@ -535,7 +535,8 @@ _PREC_ATOM = 5
 def _prec(e: Expression) -> int:
     match e:
         case Const(value):
-            return _PREC_ATOM if value >= 0.0 else _PREC_NEG
+            # a -0.0 literal prints as "-0.0", which binds like a negation
+            return _PREC_ATOM if math.copysign(1.0, value) > 0.0 else _PREC_NEG
         case PiConst() | Var() | Param() | Call():
             return _PREC_ATOM
         case Neg():

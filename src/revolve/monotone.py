@@ -15,7 +15,8 @@ from typing import Iterator, Mapping
 
 from .errors import RevolveError
 from .expr import Expression, bind, differentiate, the_variable
-from .numerics import Interval, Tolerances, find_root_bracketed, scan_sign_changes
+from .numerics import (Interval, Tolerances, find_root_bracketed,
+                       scan_sign_changes, uniform_grid)
 
 __all__ = [
     "AlternationViolationError",
@@ -37,7 +38,8 @@ __all__ = [
 INCREASING = "increasing"
 DECREASING = "decreasing"
 
-# Roundoff slack when checking nonnegativity at a zero boundary.
+# Roundoff slack when checking nonnegativity at a zero boundary; the volume
+# methods apply the same floor.
 _NONNEG_FLOOR = -1e-12
 
 RULE_ENDPOINTS_EQUAL = "endpoints-equal"
@@ -101,13 +103,16 @@ class HypothesisReport:
 
     ``c`` and ``d`` are the smaller and larger endpoint values of the
     curve; ``violations`` is a sequence of ``(rule, location)`` pairs and
-    ``satisfied`` holds exactly when it is empty.
+    ``satisfied`` holds exactly when it is empty.  ``partition`` is the
+    monotone partition the validation computed, or ``None`` when it could
+    not be built.
     """
 
     satisfied: bool
     c: float
     d: float
     violations: tuple[tuple[str, float], ...]
+    partition: MonotonePartition | None = None
 
     def __post_init__(self):
         if self.satisfied != (not self.violations):
@@ -254,9 +259,7 @@ def validate_revolution_hypotheses(f: Expression, interval: Interval,
 
     # nonnegativity on a dense grid plus all breakpoints
     worst_x, worst_v = interval.lo, f_a
-    step = interval.width / nonneg_grid_n
-    for i in range(nonneg_grid_n + 1):
-        x = interval.hi if i == nonneg_grid_n else interval.lo + i * step
+    for x in uniform_grid(interval.lo, interval.hi, nonneg_grid_n):
         v = fn(x)
         if v < worst_v:
             worst_x, worst_v = x, v
@@ -272,4 +275,4 @@ def validate_revolution_hypotheses(f: Expression, interval: Interval,
             if not c < v < d:
                 violations.append((RULE_MULTIPLE_INTERSECTION, x))
 
-    return HypothesisReport(not violations, c, d, tuple(violations))
+    return HypothesisReport(not violations, c, d, tuple(violations), part)

@@ -14,7 +14,7 @@ import heapq
 import math
 import sys
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator
 
 from .errors import RevolveError
 
@@ -32,6 +32,7 @@ __all__ = [
     "kronrod_panel",
     "newton_solve",
     "scan_sign_changes",
+    "uniform_grid",
 ]
 
 _EPS = sys.float_info.epsilon
@@ -356,6 +357,15 @@ def find_root_bracketed(f: Callable[[float], float], lo: float, hi: float,
         f"[{min(b, c)!r}, {max(b, c)!r}]")
 
 
+def uniform_grid(lo: float, hi: float, n: int) -> Iterator[float]:
+    """The ``n + 1`` abscissae of ``n`` equal cells on [lo, hi], ending at
+    ``hi`` exactly."""
+    step = (hi - lo) / n
+    for i in range(n):
+        yield lo + i * step
+    yield hi
+
+
 def scan_sign_changes(f: Callable[[float], float], a: float, b: float,
                       grid_n: int = 1024) -> list[Interval]:
     """Scan a uniform grid for sign changes of ``f`` and return bracket
@@ -368,14 +378,10 @@ def scan_sign_changes(f: Callable[[float], float], a: float, b: float,
     """
     if grid_n < 2:
         raise ValueError("grid_n must be at least 2")
-    a = float(a)
-    b = float(b)
-    step = (b - a) / grid_n
     brackets: list[Interval] = []
     last_x: float | None = None
     last_neg = False
-    for i in range(grid_n + 1):
-        x = b if i == grid_n else a + i * step
+    for x in uniform_grid(float(a), float(b), grid_n):
         v = _checked(f, x)
         if v == 0.0:
             continue
@@ -392,10 +398,12 @@ def newton_solve(f: Callable[[float], float], fprime: Callable[[float], float],
                  tol: Tolerances | None = None) -> RootResult:
     """Newton iteration with optional bracket safeguarding.
 
-    Any step that leaves the bracket, or meets a derivative below 1e-14 in
-    magnitude, is replaced by one bisection step on the bracket (which is
-    kept up to date from every residual evaluation).  Without a bracket
-    such steps abort instead.
+    With a bracket (kept up to date from every residual evaluation), one
+    bisection step replaces the Newton step whenever that step would leave
+    the bracket, the derivative is below 1e-14 in magnitude, or |f(x)| has
+    not fallen below 0.9 times its value two iterations earlier; the last
+    rule breaks Newton cycles that bounce between the ends of the bracket.
+    Without a bracket the first two cases abort instead.
     """
     tol = tol or Tolerances()
     lo = hi = flo = fhi = 0.0
@@ -410,6 +418,8 @@ def newton_solve(f: Callable[[float], float], fprime: Callable[[float], float],
 
     x = float(x0)
     fell_back = False
+    # |f| one and two iterations back
+    last = before_last = math.inf
     for iteration in range(tol.max_iter + 1):
         fx = _checked(f, x)
         if have_bracket and lo <= x <= hi:
@@ -421,8 +431,10 @@ def newton_solve(f: Callable[[float], float], fprime: Callable[[float], float],
             method = "newton-with-bisection-fallback" if fell_back else "newton"
             return RootResult(x, fx, iteration, method)
 
+        stalled = have_bracket and abs(fx) >= 0.9 * before_last
+        before_last, last = last, abs(fx)
         dfx = fprime(x)
-        step_ok = math.isfinite(dfx) and abs(dfx) >= 1e-14
+        step_ok = not stalled and math.isfinite(dfx) and abs(dfx) >= 1e-14
         if step_ok:
             candidate = x - fx / dfx
             if have_bracket and not (lo <= candidate <= hi):

@@ -21,6 +21,11 @@ boundary terms, never by numerically inverting the curve; the direct disk
 route does invert.  Keeping that asymmetry is what makes cross-validation
 meaningful.
 
+Cross-validation also reports ``shell-complement``: the bounding cylinders
+minus the shell volume.  Its shell integral is the formula's own quadrature
+(same integrand, interval and tolerances give the same bits), so that row
+checks the cylinder arithmetic and sign correction, not the quadrature.
+
 Reported volumes follow the convention that the region extends to the
 rotation axis: rotation about the y-axis takes the region bounded by
 x = 0, the two horizontal endpoint lines, and the curve; rotation about
@@ -30,12 +35,13 @@ the x-axis is the mirror image.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Mapping
+from dataclasses import dataclass, field, replace
+from typing import Callable, Iterable, Mapping
 
 from .errors import RevolveError
 from .expr import Expression, bind, differentiate, the_variable
 from .monotone import (
+    _NONNEG_FLOOR,
     HypothesisReport,
     MonotonePartition,
     critical_points,
@@ -48,6 +54,7 @@ from .numerics import (
     Tolerances,
     integrate,
     newton_solve,
+    uniform_grid,
 )
 
 __all__ = [
@@ -82,9 +89,6 @@ ROLE_X_OF_Y = "x-of-y"
 METHODS = ("shell", "disk", "theorem1", "theorem2", "theorem3", "piecewise", "all")
 
 WARN_NOT_CONVERGED = "quadrature-not-converged"
-
-# Roundoff slack for nonnegativity checks (matches the hypothesis layer).
-_NONNEG_FLOOR = -1e-12
 
 
 class NegativeCurveError(RevolveError):
@@ -171,16 +175,6 @@ def _curve_function(curve: Expression, parameters: Mapping[str, float] | None
     return bind(curve, var or "_", parameters), var
 
 
-def _check_nonnegative(fn: Callable[[float], float], interval: Interval,
-                       grid_n: int = 4096) -> None:
-    step = interval.width / grid_n
-    for i in range(grid_n + 1):
-        x = interval.hi if i == grid_n else interval.lo + i * step
-        v = fn(x)
-        if v < _NONNEG_FLOOR:
-            raise NegativeCurveError(x, v)
-
-
 def _clamp(raw: float, err: float) -> float:
     # volumes are nonnegative; absorb quadrature roundoff at zero
     if raw < 0.0 and -raw <= max(err, 1e-12):
@@ -188,25 +182,64 @@ def _clamp(raw: float, err: float) -> float:
     return raw
 
 
+def _sign(h_lo: float, h_hi: float) -> int:
+    # the boundary-term formulas' orientation correction sgn(h_hi - h_lo)
+    return 1 if h_hi > h_lo else -1
+
+
 def _parts_value(fn: Callable[[float], float], lo: float, hi: float,
-                 tol: Tolerances) -> tuple[float, float, int, QuadratureResult]:
+                 h_lo: float, h_hi: float, tol: Tolerances
+                 ) -> tuple[float, float, QuadratureResult]:
     """Boundary-term evaluation shared by every formula tier.
 
-    Returns ``(value, error_estimate, sign_factor, quadrature)`` for
-    sgn(h(hi)-h(lo)) * {pi*[hi^2 h(hi) - lo^2 h(lo)] - 2*pi*Int t*h(t) dt}.
+    Returns ``(value, error_estimate, quadrature)`` for
+    sgn(h_hi-h_lo) * {pi*[hi^2 h_hi - lo^2 h_lo] - 2*pi*Int t*h(t) dt},
+    given the endpoint values ``h_lo = h(lo)`` and ``h_hi = h(hi)``.
     """
-    h_lo = fn(lo)
-    h_hi = fn(hi)
-    sign = 1 if h_hi > h_lo else -1
     quad = integrate(lambda t: t * fn(t), lo, hi, tol)
     boundary = math.pi * (hi * hi * h_hi - lo * lo * h_lo)
-    raw = sign * (boundary - 2.0 * math.pi * quad.value)
+    raw = _sign(h_lo, h_hi) * (boundary - 2.0 * math.pi * quad.value)
     err = 2.0 * math.pi * quad.error_estimate
-    return _clamp(raw, err), err, sign, quad
+    return _clamp(raw, err), err, quad
+
+
+def _disk_value(radius: Callable[[float], float], lo: float, hi: float,
+                tol: Tolerances) -> tuple[float, float, QuadratureResult]:
+    """``(value, error_estimate, quadrature)`` for pi*Int r(t)^2 dt."""
+    quad = integrate(lambda t: radius(t) ** 2, lo, hi, tol)
+    err = math.pi * quad.error_estimate
+    return _clamp(math.pi * quad.value, err), err, quad
+
+
+def _alternating_sum(parts: Iterable[tuple[float, float, QuadratureResult]]
+                     ) -> tuple[float, float, list[QuadratureResult]]:
+    """Sum per-piece ``(volume, error_estimate, quadrature)`` triples with
+    signs (-1)^i, as the piecewise formulas prescribe."""
+    total = 0.0
+    err = 0.0
+    quads = []
+    for i, (piece_value, piece_err, quad) in enumerate(parts):
+        total += piece_value if i % 2 == 0 else -piece_value
+        err += piece_err
+        quads.append(quad)
+    return _clamp(total, err), err, quads
 
 
 def _quad_warnings(*quads: QuadratureResult) -> list[str]:
     return [WARN_NOT_CONVERGED] if any(not q.converged for q in quads) else []
+
+
+def _method_report(method: str, value: float, err: float,
+                   *quads: QuadratureResult, sign: int = 1,
+                   partition: MonotonePartition | None = None) -> VolumeReport:
+    return VolumeReport(
+        value=value,
+        method=method,
+        error_estimate=err,
+        sign_factor=sign,
+        partition=partition,
+        warnings=tuple(_quad_warnings(*quads)),
+    )
 
 
 def _inverse_on_piece(fn: Callable[[float], float],
@@ -244,15 +277,36 @@ def shell_volume(curve: Expression, interval: Interval,
     if interval.lo < 0.0:
         raise ValueError("shell quadrature requires an interval within [0, inf)")
     fn, _ = _curve_function(curve, parameters)
-    _check_nonnegative(fn, interval)
+    for x in uniform_grid(interval.lo, interval.hi, 4096):
+        v = fn(x)
+        if v < _NONNEG_FLOOR:
+            raise NegativeCurveError(x, v)
     quad = integrate(lambda x: x * fn(x), interval.lo, interval.hi, tol)
-    return VolumeReport(
-        value=_clamp(2.0 * math.pi * quad.value, 2.0 * math.pi * quad.error_estimate),
-        method="shell",
-        error_estimate=2.0 * math.pi * quad.error_estimate,
-        sign_factor=1,
-        warnings=tuple(_quad_warnings(quad)),
-    )
+    err = 2.0 * math.pi * quad.error_estimate
+    return _method_report("shell", _clamp(2.0 * math.pi * quad.value, err),
+                          err, quad)
+
+
+def _disk_volume(curve: Expression, role: str, inverted_role: str,
+                 lo: float, hi: float, tol: Tolerances | None,
+                 parameters: Mapping[str, float] | None,
+                 curve_interval: Interval | None) -> VolumeReport:
+    """pi*Int r(t)^2 dt over [lo, hi], where the radius r is the curve
+    itself or, for ``inverted_role``, its numeric inverse on
+    ``curve_interval``."""
+    tol = tol or Tolerances()
+    if role == inverted_role:
+        if critical_points(curve, curve_interval, tol, parameters):
+            raise NotInvertibleError(
+                "curve is not strictly monotone on its interval")
+        fn, var = _curve_function(curve, parameters)
+        derivative = bind(differentiate(curve, var), var, parameters)
+        radius = _inverse_on_piece(fn, derivative, curve_interval, tol)
+    elif role in (ROLE_Y_OF_X, ROLE_X_OF_Y):
+        radius, _ = _curve_function(curve, parameters)
+    else:
+        raise ValueError(f"unknown curve role {role!r}")
+    return _method_report("disk", *_disk_value(radius, lo, hi, tol))
 
 
 def disk_volume_y_axis(curve: Expression, role: str, c: float, d: float,
@@ -266,32 +320,12 @@ def disk_volume_y_axis(curve: Expression, role: str, c: float, d: float,
     strictly monotone on ``x_interval``, and each quadrature node solves
     f(x) = y with the interval as bracket.
     """
-    tol = tol or Tolerances()
     if not c < d:
         raise ValueError("disk quadrature requires c < d")
-    if role == ROLE_X_OF_Y:
-        fn, _ = _curve_function(curve, parameters)
-        quad = integrate(lambda y: fn(y) ** 2, c, d, tol)
-    elif role == ROLE_Y_OF_X:
-        if x_interval is None:
-            raise ValueError("role 'y-of-x' requires the curve's x interval")
-        if critical_points(curve, x_interval, tol, parameters):
-            raise NotInvertibleError(
-                "curve is not strictly monotone on its interval")
-        fn, var = _curve_function(curve, parameters)
-        derivative = bind(differentiate(curve, var), var, parameters)
-        g = _inverse_on_piece(fn, derivative, x_interval, tol)
-        quad = integrate(lambda y: g(y) ** 2, c, d, tol)
-    else:
-        raise ValueError(f"unknown curve role {role!r}")
-    err = math.pi * quad.error_estimate
-    return VolumeReport(
-        value=_clamp(math.pi * quad.value, err),
-        method="disk",
-        error_estimate=err,
-        sign_factor=1,
-        warnings=tuple(_quad_warnings(quad)),
-    )
+    if role == ROLE_Y_OF_X and x_interval is None:
+        raise ValueError("role 'y-of-x' requires the curve's x interval")
+    return _disk_volume(curve, role, ROLE_Y_OF_X, c, d, tol, parameters,
+                        x_interval)
 
 
 def disk_volume_x_axis(curve: Expression, role: str, a: float, b: float,
@@ -300,42 +334,16 @@ def disk_volume_x_axis(curve: Expression, role: str, a: float, b: float,
                        y_interval: Interval | None = None) -> VolumeReport:
     """Disk quadrature pi*Int f(x)^2 dx about the x-axis (mirror of
     :func:`disk_volume_y_axis`)."""
-    tol = tol or Tolerances()
     if not a < b:
         raise ValueError("disk quadrature requires a < b")
-    if role == ROLE_Y_OF_X:
-        fn, _ = _curve_function(curve, parameters)
-        quad = integrate(lambda x: fn(x) ** 2, a, b, tol)
-    elif role == ROLE_X_OF_Y:
-        if y_interval is None:
-            raise ValueError("role 'x-of-y' requires the curve's y interval")
-        if critical_points(curve, y_interval, tol, parameters):
-            raise NotInvertibleError(
-                "curve is not strictly monotone on its interval")
-        fn, var = _curve_function(curve, parameters)
-        derivative = bind(differentiate(curve, var), var, parameters)
-        f = _inverse_on_piece(fn, derivative, y_interval, tol)
-        quad = integrate(lambda x: f(x) ** 2, a, b, tol)
-    else:
-        raise ValueError(f"unknown curve role {role!r}")
-    err = math.pi * quad.error_estimate
-    return VolumeReport(
-        value=_clamp(math.pi * quad.value, err),
-        method="disk",
-        error_estimate=err,
-        sign_factor=1,
-        warnings=tuple(_quad_warnings(quad)),
-    )
+    if role == ROLE_X_OF_Y and y_interval is None:
+        raise ValueError("role 'x-of-y' requires the curve's y interval")
+    return _disk_volume(curve, role, ROLE_X_OF_Y, a, b, tol, parameters,
+                        y_interval)
 
 
 # ---------------------------------------------------------------------------
 # Boundary-term formulas
-
-def _require_monotone(curve: Expression, interval: Interval, tol: Tolerances,
-                      parameters: Mapping[str, float] | None) -> None:
-    if critical_points(curve, interval, tol, parameters):
-        raise NotMonotoneError("curve has interior extrema on the interval")
-
 
 def theorem1_y(curve: Expression, interval: Interval,
                tol: Tolerances | None = None,
@@ -344,12 +352,16 @@ def theorem1_y(curve: Expression, interval: Interval,
     rotated about the y-axis.
 
         sgn(f(b)-f(a)) * {pi*[b^2 f(b) - a^2 f(a)] - 2*pi*Int x*f(x) dx}
+
+    ``theorem1_x``, its mirror for x = g(y) about the x-axis, is this same
+    function: only the axis labels differ.
     """
     tol = tol or Tolerances()
     if interval.lo < 0.0:
         raise ValueError("the boundary-term formula requires an interval "
                          "within [0, inf)")
-    _require_monotone(curve, interval, tol, parameters)
+    if critical_points(curve, interval, tol, parameters):
+        raise NotMonotoneError("curve has interior extrema on the interval")
     fn, _ = _curve_function(curve, parameters)
     f_lo, f_hi = fn(interval.lo), fn(interval.hi)
     if f_lo == f_hi:
@@ -357,32 +369,38 @@ def theorem1_y(curve: Expression, interval: Interval,
     if min(f_lo, f_hi) < _NONNEG_FLOOR:
         raise NegativeCurveError(
             interval.lo if f_lo < f_hi else interval.hi, min(f_lo, f_hi))
-    value, err, sign, quad = _parts_value(fn, interval.lo, interval.hi, tol)
-    return VolumeReport(
-        value=value,
-        method="theorem1",
-        error_estimate=err,
-        sign_factor=sign,
-        warnings=tuple(_quad_warnings(quad)),
-    )
+    return _method_report(
+        "theorem1", *_parts_value(fn, interval.lo, interval.hi, f_lo, f_hi, tol),
+        sign=_sign(f_lo, f_hi))
 
 
-def theorem1_x(curve: Expression, interval: Interval,
-               tol: Tolerances | None = None,
-               parameters: Mapping[str, float] | None = None) -> VolumeReport:
-    """Mirror of :func:`theorem1_y`: strictly monotone x = g(y) rotated
-    about the x-axis.
+theorem1_x = theorem1_y
 
-        sgn(g(d)-g(c)) * {pi*[d^2 g(d) - c^2 g(c)] - 2*pi*Int y*g(y) dy}
+
+def _theorem2(curve: Expression, interval: Interval, tol: Tolerances | None,
+              parameters: Mapping[str, float] | None, tag: str
+              ) -> tuple[VolumeReport, Callable[[float], float],
+                         tuple[float, ...], QuadratureResult]:
+    """The validated boundary-term formula over the whole interval.
+
+    Besides the report, returns what cross-validation reuses: the bound
+    curve, its values at the partition's breakpoints, and the quadrature.
     """
-    report = theorem1_y(curve, interval, tol, parameters)
-    return VolumeReport(
-        value=report.value,
-        method="theorem1",
-        error_estimate=report.error_estimate,
-        sign_factor=report.sign_factor,
-        warnings=report.warnings,
-    )
+    tol = tol or Tolerances()
+    if interval.lo < 0.0:
+        raise ValueError("the boundary-term formula requires an interval "
+                         "within [0, inf)")
+    report = validate_revolution_hypotheses(curve, interval, tol, parameters)
+    if not report.satisfied:
+        raise HypothesisViolationError(report)
+    fn, _ = _curve_function(curve, parameters)
+    # the extremum values are fn's own results at the interior breakpoints
+    ends = (fn(interval.lo), *report.partition.extremum_values, fn(interval.hi))
+    value, err, quad = _parts_value(fn, interval.lo, interval.hi,
+                                    ends[0], ends[-1], tol)
+    primary = _method_report(tag, value, err, quad, sign=_sign(ends[0], ends[-1]),
+                             partition=report.partition)
+    return primary, fn, ends, quad
 
 
 def theorem2_y(curve: Expression, interval: Interval,
@@ -395,24 +413,7 @@ def theorem2_y(curve: Expression, interval: Interval,
     monotone input this degenerates to :func:`theorem1_y` exactly: both
     run the same code path, so the results agree bit for bit.
     """
-    tol = tol or Tolerances()
-    if interval.lo < 0.0:
-        raise ValueError("the boundary-term formula requires an interval "
-                         "within [0, inf)")
-    report = validate_revolution_hypotheses(curve, interval, tol, parameters)
-    if not report.satisfied:
-        raise HypothesisViolationError(report)
-    part = partition(curve, interval, tol, parameters)
-    fn, _ = _curve_function(curve, parameters)
-    value, err, sign, quad = _parts_value(fn, interval.lo, interval.hi, tol)
-    return VolumeReport(
-        value=value,
-        method="theorem2",
-        error_estimate=err,
-        sign_factor=sign,
-        partition=part,
-        warnings=tuple(_quad_warnings(quad)),
-    )
+    return _theorem2(curve, interval, tol, parameters, "theorem2")[0]
 
 
 def theorem3_x(curve: Expression, interval: Interval,
@@ -420,15 +421,16 @@ def theorem3_x(curve: Expression, interval: Interval,
                parameters: Mapping[str, float] | None = None) -> VolumeReport:
     """Mirror of :func:`theorem2_y`: piecewise-monotone x = g(y) rotated
     about the x-axis."""
-    report = theorem2_y(curve, interval, tol, parameters)
-    return VolumeReport(
-        value=report.value,
-        method="theorem3",
-        error_estimate=report.error_estimate,
-        sign_factor=report.sign_factor,
-        partition=report.partition,
-        warnings=report.warnings,
-    )
+    return _theorem2(curve, interval, tol, parameters, "theorem3")[0]
+
+
+def _piecewise_value(fn: Callable[[float], float], p: MonotonePartition,
+                     ends: tuple[float, ...], tol: Tolerances
+                     ) -> tuple[float, float, list[QuadratureResult]]:
+    # ``ends`` holds the curve's value at every breakpoint of ``p``
+    return _alternating_sum(
+        _parts_value(fn, piece.lo, piece.hi, h_lo, h_hi, tol)
+        for (piece, _), h_lo, h_hi in zip(p.pieces(), ends, ends[1:]))
 
 
 def piecewise_signed_sum(curve: Expression, p: MonotonePartition,
@@ -447,26 +449,10 @@ def piecewise_signed_sum(curve: Expression, p: MonotonePartition,
     if not report.satisfied:
         raise HypothesisViolationError(report)
     fn, _ = _curve_function(curve, parameters)
-
-    total = 0.0
-    err = 0.0
-    quads = []
-    for i, (piece, _direction) in enumerate(p.pieces()):
-        piece_value, piece_err, _sign, quad = _parts_value(
-            fn, piece.lo, piece.hi, tol)
-        total += piece_value if i % 2 == 0 else -piece_value
-        err += piece_err
-        quads.append(quad)
-
-    f_lo, f_hi = fn(span.lo), fn(span.hi)
-    return VolumeReport(
-        value=_clamp(total, err),
-        method="piecewise",
-        error_estimate=err,
-        sign_factor=1 if f_hi > f_lo else -1,
-        partition=p,
-        warnings=tuple(_quad_warnings(*quads)),
-    )
+    ends = tuple(fn(x) for x in p.breakpoints)
+    value, err, quads = _piecewise_value(fn, p, ends, tol)
+    return _method_report("piecewise", value, err, *quads,
+                          sign=_sign(ends[0], ends[-1]), partition=p)
 
 
 # ---------------------------------------------------------------------------
@@ -474,26 +460,19 @@ def piecewise_signed_sum(curve: Expression, p: MonotonePartition,
 
 def _disk_pieces_value(fn: Callable[[float], float],
                        derivative: Callable[[float], float],
-                       p: MonotonePartition, tol: Tolerances
+                       p: MonotonePartition, ends: tuple[float, ...],
+                       tol: Tolerances
                        ) -> tuple[float, float, list[QuadratureResult]]:
     """Alternating sum of per-piece disk volumes via numeric inversion.
 
     This is the fully independent route: a different integrand, taken in
-    the transverse variable, with the curve inverted per node.
+    the transverse variable, with the curve inverted per node.  ``ends``
+    holds the curve's value at every breakpoint.
     """
-    total = 0.0
-    err = 0.0
-    quads = []
-    for i, (piece, _direction) in enumerate(p.pieces()):
-        y0, y1 = fn(piece.lo), fn(piece.hi)
-        lo_y, hi_y = min(y0, y1), max(y0, y1)
-        g = _inverse_on_piece(fn, derivative, piece, tol)
-        quad = integrate(lambda y, g=g: g(y) ** 2, lo_y, hi_y, tol)
-        piece_value = math.pi * quad.value
-        total += piece_value if i % 2 == 0 else -piece_value
-        err += math.pi * quad.error_estimate
-        quads.append(quad)
-    return total, err, quads
+    return _alternating_sum(
+        _disk_value(_inverse_on_piece(fn, derivative, piece, tol),
+                    min(h_lo, h_hi), max(h_lo, h_hi), tol)
+        for (piece, _), h_lo, h_hi in zip(p.pieces(), ends, ends[1:]))
 
 
 def _pairwise_warnings(rows: list[tuple[str, float, float]],
@@ -519,56 +498,43 @@ def _cross_theorem_frame(problem: VolumeProblem) -> VolumeReport:
     directly (y-of-x about the y-axis, or x-of-y about the x-axis)."""
     tol = problem.tol
     interval = problem.interval
-    primary_tag = "theorem2" if problem.axis == AXIS_Y else "theorem3"
     if interval.lo < 0.0:
         raise ValueError("the boundary-term formulas require an interval "
                          "within [0, inf)")
-
-    report = validate_revolution_hypotheses(
-        problem.curve, interval, tol, problem.parameters)
-    if not report.satisfied:
-        raise HypothesisViolationError(report)
-    part = partition(problem.curve, interval, tol, problem.parameters)
-    fn, var = _curve_function(problem.curve, problem.parameters)
+    primary, fn, ends, quad = _theorem2(
+        problem.curve, interval, tol, problem.parameters,
+        "theorem2" if problem.axis == AXIS_Y else "theorem3")
+    part = primary.partition
+    value, err = primary.value, primary.error_estimate
+    var = the_variable(problem.curve)
     derivative = bind(differentiate(problem.curve, var), var, problem.parameters)
-
-    value, err, sign, quad = _parts_value(fn, interval.lo, interval.hi, tol)
-    rows: list[tuple[str, float, float]] = [(primary_tag, value, err)]
-    quads = [quad]
+    rows: list[tuple[str, float, float]] = [(primary.method, value, err)]
 
     if part.interior_count == 0:
         # the formulas coincide on monotone input; record the tier anyway
         rows.append(("theorem1", value, err))
 
-    piecewise = piecewise_signed_sum(problem.curve, part, tol, problem.parameters)
-    rows.append(("piecewise", piecewise.value, piecewise.error_estimate))
+    piecewise_value, piecewise_err, piecewise_quads = _piecewise_value(
+        fn, part, ends, tol)
+    rows.append(("piecewise", piecewise_value, piecewise_err))
 
-    disk_value, disk_err, disk_quads = _disk_pieces_value(fn, derivative, part, tol)
-    rows.append(("disk", _clamp(disk_value, disk_err), disk_err))
-    quads.extend(disk_quads)
+    disk_value, disk_err, disk_quads = _disk_pieces_value(
+        fn, derivative, part, ends, tol)
+    rows.append(("disk", disk_value, disk_err))
 
     # complement through the bounding cylinders: the region between the
-    # curve and its own axis plus this region fill sgn-corrected cylinders
-    shell = shell_volume(problem.curve, interval, tol, problem.parameters)
-    h_lo, h_hi = fn(interval.lo), fn(interval.hi)
-    boundary = math.pi * (interval.hi ** 2 * h_hi - interval.lo ** 2 * h_lo)
-    complement = sign * (boundary - shell.value)
+    # curve and its own axis plus this region fill sgn-corrected cylinders.
+    # Its shell integral is the primary's quadrature, so this row checks the
+    # cylinder arithmetic, not the quadrature.
+    shell_value = _clamp(2.0 * math.pi * quad.value, err)
+    boundary = math.pi * (interval.hi ** 2 * ends[-1] - interval.lo ** 2 * ends[0])
     rows.append(("shell-complement",
-                 _clamp(complement, shell.error_estimate),
-                 shell.error_estimate))
+                 _clamp(primary.sign_factor * (boundary - shell_value), err), err))
 
-    warnings = _quad_warnings(*quads) + list(piecewise.warnings) + \
-        list(shell.warnings) + _pairwise_warnings(rows, tol)
+    warnings = _quad_warnings(quad, *piecewise_quads, *disk_quads) + \
+        _pairwise_warnings(rows, tol)
     cross = tuple((name, v, abs(v - value)) for name, v, _ in rows[1:])
-    return VolumeReport(
-        value=value,
-        method=primary_tag,
-        error_estimate=err,
-        sign_factor=sign,
-        partition=part,
-        cross_checks=cross,
-        warnings=tuple(dict.fromkeys(warnings)),
-    )
+    return replace(primary, cross_checks=cross, warnings=tuple(warnings))
 
 
 def _cross_disk_frame(problem: VolumeProblem) -> VolumeReport:
@@ -584,15 +550,12 @@ def _cross_disk_frame(problem: VolumeProblem) -> VolumeReport:
     fn, var = _curve_function(problem.curve, problem.parameters)
     derivative = bind(differentiate(problem.curve, var), var, problem.parameters)
 
-    quad = integrate(lambda t: fn(t) ** 2, interval.lo, interval.hi, tol)
-    value = _clamp(math.pi * quad.value, math.pi * quad.error_estimate)
-    err = math.pi * quad.error_estimate
+    value, err, quad = _disk_value(fn, interval.lo, interval.hi, tol)
     rows: list[tuple[str, float, float]] = [("disk", value, err)]
     quads = [quad]
     warnings: list[str] = []
 
     h_lo, h_hi = fn(interval.lo), fn(interval.hi)
-    sign = 1 if h_hi > h_lo else -1
     mirror_tag = "theorem1" if problem.axis == AXIS_Y else "theorem3"
 
     if h_lo == h_hi or critical_points(problem.curve, interval, tol,
@@ -600,17 +563,13 @@ def _cross_disk_frame(problem: VolumeProblem) -> VolumeReport:
         warnings.append(
             "curve is not strictly monotone: no independent formula route")
     else:
-        # boundary-term formula on the inverse curve, one inversion per node
-        t_lo, t_hi = min(h_lo, h_hi), max(h_lo, h_hi)
-        inv_lo = interval.lo if h_lo < h_hi else interval.hi
-        inv_hi = interval.hi if h_lo < h_hi else interval.lo
+        # boundary-term formula on the inverse curve, one inversion per
+        # node: its variable spans the curve's values, and its values at
+        # the ends of that span are the interval's ends
         inverse = _inverse_on_piece(fn, derivative, interval, tol)
-        inv_quad = integrate(lambda t: t * inverse(t), t_lo, t_hi, tol)
-        boundary = math.pi * (t_hi ** 2 * inv_hi - t_lo ** 2 * inv_lo)
-        inv_sign = 1 if inv_hi > inv_lo else -1
-        inv_err = 2.0 * math.pi * inv_quad.error_estimate
-        inv_value = _clamp(
-            inv_sign * (boundary - 2.0 * math.pi * inv_quad.value), inv_err)
+        lo, hi = interval.lo, interval.hi
+        limits = (h_lo, h_hi, lo, hi) if h_lo < h_hi else (h_hi, h_lo, hi, lo)
+        inv_value, inv_err, inv_quad = _parts_value(inverse, *limits, tol)
         rows.append((mirror_tag, inv_value, inv_err))
         quads.append(inv_quad)
 
@@ -620,10 +579,15 @@ def _cross_disk_frame(problem: VolumeProblem) -> VolumeReport:
         value=value,
         method="disk",
         error_estimate=err,
-        sign_factor=sign if h_lo != h_hi else 1,
+        sign_factor=_sign(h_lo, h_hi) if h_lo != h_hi else 1,
         cross_checks=cross,
-        warnings=tuple(dict.fromkeys(warnings)),
+        warnings=tuple(warnings),
     )
+
+
+def _formula_frame(problem: VolumeProblem) -> bool:
+    # the curve is given along the axis perpendicular to the rotation axis
+    return (problem.axis == AXIS_Y) == (problem.curve_role == ROLE_Y_OF_X)
 
 
 def cross_validate(problem: VolumeProblem) -> VolumeReport:
@@ -637,9 +601,7 @@ def cross_validate(problem: VolumeProblem) -> VolumeReport:
     """
     if problem.method != "all":
         raise ValueError("cross_validate requires method='all'")
-    direct = (problem.axis == AXIS_Y and problem.curve_role == ROLE_Y_OF_X) or \
-             (problem.axis == AXIS_X and problem.curve_role == ROLE_X_OF_Y)
-    if direct:
+    if _formula_frame(problem):
         return _cross_theorem_frame(problem)
     return _cross_disk_frame(problem)
 
@@ -653,36 +615,33 @@ def solve(problem: VolumeProblem) -> VolumeReport:
     axis, role = problem.axis, problem.curve_role
     curve, interval = problem.curve, problem.interval
     tol, params = problem.tol, problem.parameters
+    formula_frame = _formula_frame(problem)
 
     if method == "all":
         return cross_validate(problem)
+    if method in ("shell", "piecewise") and not formula_frame:
+        raise ValueError(f"{method} needs the curve expressed along the "
+                         "perpendicular axis")
     if method == "shell":
-        if (axis == AXIS_Y) != (role == ROLE_Y_OF_X):
-            raise ValueError("shell needs the curve expressed along the "
-                             "perpendicular axis")
         return shell_volume(curve, interval, tol, params)
+    if method == "piecewise":
+        part = partition(curve, interval, tol, params)
+        return piecewise_signed_sum(curve, part, tol, params)
     if method == "disk":
         fn, _ = _curve_function(curve, params)
         lo_v, hi_v = fn(interval.lo), fn(interval.hi)
-        c, d = min(lo_v, hi_v), max(lo_v, hi_v)
-        if axis == AXIS_Y:
-            if role == ROLE_X_OF_Y:
-                return disk_volume_y_axis(curve, role, interval.lo, interval.hi,
-                                          tol, params)
-            return disk_volume_y_axis(curve, role, c, d, tol, params,
-                                      x_interval=interval)
-        if role == ROLE_Y_OF_X:
-            return disk_volume_x_axis(curve, role, interval.lo, interval.hi,
-                                      tol, params)
-        return disk_volume_x_axis(curve, role, c, d, tol, params,
-                                  y_interval=interval)
+        disk = disk_volume_y_axis if axis == AXIS_Y else disk_volume_x_axis
+        if formula_frame:
+            # the radius is the inverse curve, over the curve's value range
+            return disk(curve, role, min(lo_v, hi_v), max(lo_v, hi_v), tol,
+                        params, interval)
+        return disk(curve, role, interval.lo, interval.hi, tol, params)
     if method == "theorem1":
-        if axis == AXIS_Y and role == ROLE_Y_OF_X:
-            return theorem1_y(curve, interval, tol, params)
-        if axis == AXIS_X and role == ROLE_X_OF_Y:
-            return theorem1_x(curve, interval, tol, params)
-        raise ValueError("theorem1 applies to y-of-x curves about the y-axis "
-                         "or x-of-y curves about the x-axis")
+        if not formula_frame:
+            raise ValueError("theorem1 applies to y-of-x curves about the "
+                             "y-axis or x-of-y curves about the x-axis")
+        theorem1 = theorem1_y if axis == AXIS_Y else theorem1_x
+        return theorem1(curve, interval, tol, params)
     if method == "theorem2":
         if axis != AXIS_Y or role != ROLE_Y_OF_X:
             raise ValueError("theorem2 applies to y-of-x curves about the y-axis")
@@ -691,10 +650,4 @@ def solve(problem: VolumeProblem) -> VolumeReport:
         if axis != AXIS_X or role != ROLE_X_OF_Y:
             raise ValueError("theorem3 applies to x-of-y curves about the x-axis")
         return theorem3_x(curve, interval, tol, params)
-    if method == "piecewise":
-        if (axis == AXIS_Y) != (role == ROLE_Y_OF_X):
-            raise ValueError("piecewise needs the curve expressed along the "
-                             "perpendicular axis")
-        part = partition(curve, interval, tol, params)
-        return piecewise_signed_sum(curve, part, tol, params)
     raise ValueError(f"unknown method {method!r}")

@@ -4,7 +4,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from revolve.expr import (
     PI,
@@ -254,6 +254,7 @@ def _trees():
 
 
 @given(_trees())
+@example(BinOp("^", Const(-0.0), PI))
 def test_print_parse_round_trip(tree):
     text = unparse(tree)
     assert parse(text, variable="x", parameters=("eps",)) == tree

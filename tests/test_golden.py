@@ -17,11 +17,8 @@ import os
 import pathlib
 import sys
 
-sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent))
-
-from corpus import CURVES  # noqa: E402
-
-from revolve.cli import ENV_DEFAULT_TOL, main  # noqa: E402
+from corpus import CURVES
+from revolve.cli import ENV_DEFAULT_TOL, main
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden" / "cli_corpus.json"
 

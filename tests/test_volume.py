@@ -6,7 +6,7 @@ import random
 import pytest
 
 from revolve.expr import BinOp, Const, parse
-from revolve.kepler import KeplerCurve
+from revolve.kepler import KeplerCurve, reference_volumes
 from revolve.monotone import partition
 from revolve.numerics import Interval
 from revolve.volume import (
@@ -274,6 +274,24 @@ class TestCrossValidate:
         assert names == ["theorem1", "piecewise", "disk", "shell-complement"]
         for name, value, delta in report.cross_checks:
             assert delta <= 1e-8 * report.value, name
+
+    @pytest.mark.parametrize("axis, role, var", [(AXIS_Y, ROLE_X_OF_Y, "y"),
+                                                 (AXIS_X, ROLE_Y_OF_X, "x")])
+    def test_kepler_inversion_at_cycling_eccentricity(self, axis, role, var):
+        # at this eccentricity, Newton seeded from the previous quadrature
+        # node bounced between the ends of its bracket until it ran out of
+        # iterations
+        kepler = KeplerCurve(0.4946)
+        curve = parse(f"{var} - eps*sin({var})", variable=var,
+                      parameters=("eps",))
+        problem = VolumeProblem(curve=curve, interval=FULL, curve_role=role,
+                                axis=axis, method="all",
+                                parameters={"eps": kepler.eccentricity})
+        report = cross_validate(problem)
+        assert report.method == "disk"
+        v_y, _ = reference_volumes(kepler)
+        assert report.value == pytest.approx(v_y, rel=1e-10)
+        assert report.warnings == ()
 
     def test_cone_all_methods_agree(self):
         problem = VolumeProblem(curve=LINE, interval=Interval(0.0, 1.0),
