@@ -1,4 +1,5 @@
-"""Curve expression language: parsing, evaluation, symbolic differentiation.
+"""Curve expression language: parsing, evaluation, compilation, symbolic
+differentiation.
 
 The grammar is closed on purpose -- sin, cos, arccos, sqrt, the constant
 ``pi``, one free variable, and any number of named parameters.  Keeping
@@ -333,8 +334,10 @@ def parse(source: str, variable: str | None = None,
 # Evaluation
 
 def evaluate(e: Expression, bindings: Bindings | None = None) -> float:
-    """Evaluate ``e`` in IEEE double precision.
+    """Evaluate ``e`` in IEEE double precision by walking the tree.
 
+    This is the reference evaluator: :func:`bind` compiles the same
+    operations in the same order and must agree with it bit for bit.
     Every variable and parameter must be present in ``bindings``; there are
     no defaults.
     """
@@ -560,6 +563,9 @@ def unparse(e: Expression) -> str:
     structurally."""
     match e:
         case Const(value):
+            if math.isinf(value):
+                # "inf" is no literal of the grammar; 1e999 parses to inf
+                return "1e999" if value > 0.0 else "-1e999"
             return repr(value)
         case PiConst():
             return "pi"
@@ -612,12 +618,120 @@ def the_variable(e: Expression) -> str | None:
 
 def bind(e: Expression, variable: str,
          parameters: Bindings | None = None) -> Callable[[float], float]:
-    """Close ``e`` over ``parameters`` and return a plain ``float -> float``
-    function of ``variable``.  The returned callable is pure and safe for
-    concurrent use."""
-    params = dict(parameters or {})
+    """Compile ``e``, closed over ``parameters``, into a plain
+    ``float -> float`` function of ``variable``.
 
-    def f(x: float) -> float:
-        return _eval(e, {**params, variable: x})
+    The tree is lowered once to straight-line Python source and compiled;
+    the result computes exactly what :func:`evaluate` computes, bit for bit
+    and error for error.  A name with no value raises
+    ``UnboundIdentifierError`` only when a call reaches it.  The returned
+    callable is pure and safe for concurrent use.
+    """
+    return _Compiler(variable, dict(parameters or {})).compile(e)
 
-    return f
+
+# Each domain check the reference evaluator makes, as a condition on the
+# operands {0} (and {1}); when it holds, the reference operation raises.
+_DOMAIN_CHECKS = {
+    "arccos": "not -1.0 <= {0} <= 1.0",
+    "sqrt": "{0} < 0.0",
+    "/": "{1} == 0.0",
+    "^": "{0} < 0.0 and {1} != floor({1}) or {0} == 0.0 and {1} < 0.0",
+}
+
+
+class _Compiler:
+    """Lowers one tree to ``def f(x): ...`` with one temporary per node,
+    emitted in ``_eval``'s order: operands, then the domain check, then the
+    operation.  A failed check calls the reference operation, which raises
+    the reference error.  Constants and parameter values live in the
+    function's namespace by name, never as printed literals."""
+
+    def __init__(self, variable: str, params: dict[str, object]):
+        self.variable = variable
+        self.params = params
+        self.namespace: dict[str, object] = {
+            "__builtins__": {}, "float": float, "floor": math.floor,
+            "OverflowError": OverflowError,
+            "pi": math.pi, "sin": math.sin, "cos": math.cos,
+            "arccos": math.acos, "sqrt": math.sqrt,
+            "_apply": _apply, "_binary": _binary,
+            "UnboundIdentifierError": UnboundIdentifierError,
+        }
+        self.lines: list[str] = []
+        self.locals: dict[str, str] = {}  # identifier -> name of its float
+        self.count = 0
+
+    def compile(self, e: Expression) -> Callable[[float], float]:
+        result = self._emit(e)
+        source = "def f(x):\n" + "".join(
+            f"    {line}\n" for line in (*self.lines, f"return {result}"))
+        exec(compile(source, "<revolve.expr.bind>", "exec"), self.namespace)
+        # f's globals are the namespace: without the pop, f and the
+        # namespace form a cycle that only the cyclic collector frees
+        return self.namespace.pop("f")
+
+    def _name(self, prefix: str) -> str:
+        self.count += 1
+        return f"{prefix}{self.count}"
+
+    def _temp(self, code: str) -> str:
+        name = self._name("t")
+        self.lines.append(f"{name} = {code}")
+        return name
+
+    def _constant(self, value: object) -> str:
+        name = self._name("c")
+        self.namespace[name] = value
+        return name
+
+    def _check(self, op: str, reference: str, *operands: str) -> None:
+        check = _DOMAIN_CHECKS.get(op)
+        if check is not None:
+            args = ", ".join((repr(op), *operands))
+            self.lines.append(f"if {check.format(*operands)}: {reference}({args})")
+
+    def _lookup(self, name: str) -> str:
+        # _lookup coerces with float() on every reach; coercing once, at
+        # the first reach, gives the same values and the same first error
+        if name not in self.locals:
+            if name == self.variable:
+                self.locals[name] = self._temp("float(x)")
+            elif name in self.params:
+                raw = self.params[name]
+                try:
+                    self.locals[name] = self._constant(float(raw))
+                except (TypeError, ValueError, OverflowError):
+                    self.locals[name] = self._temp(f"float({self._constant(raw)})")
+            else:
+                self.lines.append(
+                    f"raise UnboundIdentifierError({self._constant(name)})")
+                return "None"  # unreachable after the raise
+        return self.locals[name]
+
+    def _emit(self, e: Expression) -> str:
+        match e:
+            case Const(value):
+                return self._constant(value)
+            case PiConst():
+                return "pi"
+            case Var(name) | Param(name):
+                return self._lookup(name)
+            case Neg(arg):
+                return self._temp(f"-{self._emit(arg)}")
+            case Call(func, arg) if func in FUNCTIONS:
+                a = self._emit(arg)
+                self._check(func, "_apply", a)
+                return self._temp(f"{func}({a})")
+            case BinOp(op, left, right) if op in ("+", "-", "*", "/"):
+                a, b = self._emit(left), self._emit(right)
+                self._check(op, "_binary", a, b)
+                return self._temp(f"{a} {op} {b}")
+            case BinOp("^", left, right):
+                a, b = self._emit(left), self._emit(right)
+                self._check("^", "_binary", a, b)
+                t = self._name("t")
+                self.lines += [f"try: {t} = {a} ** {b}",
+                               f"except OverflowError: _binary('^', {a}, {b})"]
+                return t
+        raise TypeError(f"not an expression node: {e!r}")

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Mapping
+from typing import Callable, Iterator, Mapping
 
 from .errors import RevolveError
 from .expr import Expression, bind, differentiate, the_variable
@@ -240,6 +240,25 @@ def validate_revolution_hypotheses(f: Expression, interval: Interval,
     Violations are data, not exceptions.
     """
     tol = tol or Tolerances()
+    return _validate(f, interval, tol, parameters, nonneg_grid_n,
+                     lambda: partition(f, interval, tol, parameters, grid_n))
+
+
+def _validate_with_partition(f: Expression, p: MonotonePartition,
+                              tol: Tolerances | None,
+                              parameters: Mapping[str, float] | None
+                              ) -> HypothesisReport:
+    """:func:`validate_revolution_hypotheses` over ``p``'s span, reusing
+    ``p`` instead of building the partition again.  ``p`` must be what
+    ``partition(f, span, tol, parameters)`` returns."""
+    span = Interval(p.breakpoints[0], p.breakpoints[-1])
+    return _validate(f, span, tol or Tolerances(), parameters, 4096, lambda: p)
+
+
+def _validate(f: Expression, interval: Interval, tol: Tolerances,
+              parameters: Mapping[str, float] | None, nonneg_grid_n: int,
+              build_partition: Callable[[], MonotonePartition]
+              ) -> HypothesisReport:
     var = the_variable(f)
     fn = bind(f, var or "_", parameters)
     f_a = fn(interval.lo)
@@ -253,7 +272,7 @@ def validate_revolution_hypotheses(f: Expression, interval: Interval,
     part: MonotonePartition | None = None
     if var is not None:
         try:
-            part = partition(f, interval, tol, parameters, grid_n)
+            part = build_partition()
         except AlternationViolationError:
             violations.append((RULE_ALTERNATION, interval.lo))
 

@@ -2,6 +2,7 @@
 
 import math
 import random
+import struct
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -255,6 +256,87 @@ def _trees():
 
 @given(_trees())
 @example(BinOp("^", Const(-0.0), PI))
+@example(Const(math.inf))
+@example(Const(-math.inf))
 def test_print_parse_round_trip(tree):
     text = unparse(tree)
     assert parse(text, variable="x", parameters=("eps",)) == tree
+
+
+def test_infinite_constants_print_as_parseable_literals():
+    assert unparse(parse("1e999")) == "1e999"
+    assert unparse(parse("-1e999")) == "-1e999"
+    x_plus_inf = parse("x + 1e999", variable="x")
+    assert parse(unparse(x_plus_inf), variable="x") == x_plus_inf
+
+
+# ---------------------------------------------------------------------------
+# Compiled evaluation (bind) against the reference (evaluate)
+
+def _outcome(call, *args):
+    """A call's result as comparable data: the value's bits, or the type and
+    message of the error it raised."""
+    try:
+        value = call(*args)
+    except Exception as exc:  # every error counts, not just DomainError
+        return type(exc), str(exc)
+    return struct.pack("<d", value)
+
+
+_points = st.one_of(
+    st.floats(),
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 2.0, 1e10, math.inf, math.nan]),
+)
+
+
+@given(_trees(), _points, st.none() | _points)
+@example(BinOp("^", Const(-0.0), PI), 1.0, None)
+@example(Const(math.inf), 1.0, None)
+@example(Call("arccos", Var("x")), 2.0, None)
+@example(Call("sqrt", Var("x")), -1.0, None)
+@example(BinOp("/", Const(1.0), Var("x")), 0.0, None)
+@example(BinOp("/", Const(1.0), Var("x")), -0.0, None)
+@example(BinOp("^", Var("x"), Const(0.5)), -4.0, None)
+@example(BinOp("^", Var("x"), Const(-1.0)), 0.0, None)
+@example(BinOp("^", Var("x"), Const(400.0)), 1e10, None)
+@example(BinOp("*", Param("eps"), Var("x")), 1.0, None)
+@example(differentiate(BinOp("+", Var("x"), Param("eps")), "x"), 1.0, None)
+@example(BinOp("+", Call("sqrt", Const(-1.0)), Param("eps")), 1.0, None)
+def test_compiled_matches_reference(tree, x, eps):
+    """``bind`` agrees with ``evaluate`` bit for bit, -0.0 and NaN included,
+    and raises the same error with the same message.  ``eps=None`` leaves the
+    parameter unbound."""
+    params = {} if eps is None else {"eps": eps}
+    fn = bind(tree, "x", params)  # an unbound name must not raise here
+    assert _outcome(fn, x) == _outcome(evaluate, tree, {**params, "x": x})
+
+
+@pytest.mark.parametrize("name,text,var,params,lo,hi", CURVES)
+def test_compiled_corpus_matches_reference(name, text, var, params, lo, hi):
+    e = parse(text, variable=var, parameters=params.keys())
+    for tree in (e, differentiate(e, var)):
+        fn = bind(tree, var, params)
+        for i in range(257):
+            x = lo + (hi - lo) * i / 256
+            assert _outcome(fn, x) == _outcome(evaluate, tree, {**params, var: x})
+
+
+def test_unbound_parameter_raises_on_the_call_not_on_bind():
+    fn = bind(parse("c*x", variable="x", parameters=("c",)), "x", {})
+    with pytest.raises(UnboundIdentifierError, match="'c'"):
+        fn(1.0)
+    derivative = differentiate(parse("x + c", variable="x", parameters=("c",)), "x")
+    assert bind(derivative, "x", {})(2.0) == 1.0
+
+
+def test_uncoercible_parameter_raises_on_the_call_like_evaluate():
+    e = parse("c*x", variable="x", parameters=("c",))
+    fn = bind(e, "x", {"c": "oops"})
+    assert _outcome(fn, 1.0) == _outcome(evaluate, e, {"c": "oops", "x": 1.0})
+    assert _outcome(fn, 1.0)[0] is ValueError
+
+
+def test_bind_coerces_the_variable_like_evaluate():
+    e = parse("x^2.0", variable="x")
+    assert bind(e, "x")(3) == evaluate(e, {"x": 3}) == 9.0
+    assert type(bind(e, "x")(3)) is float

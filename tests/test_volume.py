@@ -5,9 +5,11 @@ import random
 
 import pytest
 
+import revolve.monotone
+import revolve.volume
 from revolve.expr import BinOp, Const, parse
 from revolve.kepler import KeplerCurve, reference_volumes
-from revolve.monotone import partition
+from revolve.monotone import AlternationViolationError, partition
 from revolve.numerics import Interval
 from revolve.volume import (
     AXIS_X,
@@ -348,6 +350,26 @@ class TestSolveDispatch:
         with pytest.raises(ValueError):
             VolumeReport(value=1.0, method="disk", error_estimate=0.0,
                          sign_factor=0)
+
+    @pytest.mark.parametrize("method", ["piecewise", "theorem2", "all"])
+    def test_one_partition_per_request(self, method, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return partition(*args, **kwargs)
+
+        monkeypatch.setattr(revolve.monotone, "partition", counted)
+        monkeypatch.setattr(revolve.volume, "partition", counted)
+        solve(VolumeProblem(curve=RAMP_WAVE, interval=FULL, method=method))
+        assert len(calls) == 1
+
+    def test_piecewise_reports_the_partition_error_first(self):
+        # validation would turn this into a HypothesisViolationError
+        flat = VolumeProblem(curve=parse("2 + 0*x", variable="x"),
+                             interval=Interval(0.0, 1.0), method="piecewise")
+        with pytest.raises(AlternationViolationError):
+            solve(flat)
 
 
 class TestProperties:
