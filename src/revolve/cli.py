@@ -6,6 +6,12 @@ Subcommands: ``volume`` (compute and cross-check a volume of revolution),
 human-readable text or JSON; curve samples can be exported as CSV for
 plotting.
 
+Each subparser registers its handler with ``set_defaults``; ``main`` calls
+it with the parsed ``argparse.Namespace``, so a new flag touches only the
+parser and the handler that reads it.  Every usage error prints one
+``error: ...`` line to stderr; argparse's own errors print the usage line
+first.
+
 Exit codes: 0 success, 1 usage or parse error, 2 hypothesis violation,
 3 numeric non-convergence.
 """
@@ -17,7 +23,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
 
 from . import kepler as kepler_mod
 from .errors import RevolveError
@@ -56,7 +61,7 @@ from .volume import (
     solve,
 )
 
-__all__ = ["RunConfig", "main", "run"]
+__all__ = ["main"]
 
 ENV_DEFAULT_TOL = "REVOLVE_DEFAULT_TOL"
 
@@ -81,27 +86,6 @@ _NUMERIC_ERRORS = (
 )
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Everything one invocation needs."""
-
-    subcommand: str
-    curve: str = ""
-    variable: str = "x"
-    interval_text: tuple[str, str] = ("0", "1")
-    axis: str = AXIS_Y
-    method: str = "all"
-    role: str | None = None
-    parameters: dict[str, float] = field(default_factory=dict)
-    tol: Tolerances = field(default_factory=Tolerances)
-    as_json: bool = False
-    csv_path: str | None = None
-    samples: int = 512
-    eps: float | None = None
-    forward_at: float | None = None
-    invert_at: float | None = None
-
-
 class _UsageError(Exception):
     pass
 
@@ -124,7 +108,16 @@ def _build_parser() -> _Parser:
                                  "several ways and cross-checked.")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def add_curve_options(p, with_method=False):
+    def add_tolerance_options(p):
+        p.add_argument("--abs-tol", type=float, default=None)
+        p.add_argument("--rel-tol", type=float, default=None)
+        p.add_argument("--residual-tol", type=float, default=None)
+        p.add_argument("--max-depth", type=int, default=None)
+        p.add_argument("--max-iter", type=int, default=None)
+        p.add_argument("--json", action="store_true", help="emit JSON")
+
+    def add_curve_options(p, handler, with_method=False):
+        p.set_defaults(handler=handler)
         p.add_argument("--curve", required=True, help="curve expression text")
         p.add_argument("--var", default="x", help="free variable name (default x)")
         p.add_argument("--interval", nargs=2, required=True,
@@ -141,36 +134,27 @@ def _build_parser() -> _Parser:
                            default=None,
                            help="how to read the curve; inferred from --var "
                                 "when omitted")
-        p.add_argument("--abs-tol", type=float, default=None)
-        p.add_argument("--rel-tol", type=float, default=None)
-        p.add_argument("--residual-tol", type=float, default=None)
-        p.add_argument("--max-depth", type=int, default=None)
-        p.add_argument("--max-iter", type=int, default=None)
-        p.add_argument("--json", action="store_true", help="emit JSON")
+        add_tolerance_options(p)
         p.add_argument("--csv", default=None, metavar="PATH",
                        help="export curve samples as CSV")
         p.add_argument("--samples", type=int, default=512,
                        help="CSV sample count (default 512)")
 
     add_curve_options(sub.add_parser("volume", help="compute a volume"),
-                      with_method=True)
+                      _run_volume, with_method=True)
     add_curve_options(sub.add_parser(
-        "partition", help="monotone pieces and parity verdict"))
+        "partition", help="monotone pieces and parity verdict"), _run_partition)
     add_curve_options(sub.add_parser(
-        "verify", help="check the revolution hypotheses"))
+        "verify", help="check the revolution hypotheses"), _run_verify)
 
     kp = sub.add_parser("kepler", help="Kepler curve family evaluations")
+    kp.set_defaults(handler=_run_kepler)
     kp.add_argument("--eps", type=float, required=True, help="eccentricity")
     kp.add_argument("--forward", type=float, default=None, metavar="Y",
                     help="evaluate the forward map at Y")
     kp.add_argument("--invert", type=float, default=None, metavar="X",
                     help="invert the curve at X")
-    kp.add_argument("--abs-tol", type=float, default=None)
-    kp.add_argument("--rel-tol", type=float, default=None)
-    kp.add_argument("--residual-tol", type=float, default=None)
-    kp.add_argument("--max-depth", type=int, default=None)
-    kp.add_argument("--max-iter", type=int, default=None)
-    kp.add_argument("--json", action="store_true", help="emit JSON")
+    add_tolerance_options(kp)
     return parser
 
 
@@ -210,36 +194,6 @@ def _parameters(pairs: list[str]) -> dict[str, float]:
     return out
 
 
-def _config_from_args(argv: list[str] | None) -> RunConfig:
-    ns = _build_parser().parse_args(argv)
-    if ns.subcommand == "kepler":
-        return RunConfig(
-            subcommand="kepler",
-            tol=_tolerances(ns),
-            as_json=ns.json,
-            eps=ns.eps,
-            forward_at=ns.forward,
-            invert_at=ns.invert,
-        )
-    role = getattr(ns, "role", None)
-    if role is None:
-        role = ROLE_X_OF_Y if ns.var == "y" else ROLE_Y_OF_X
-    return RunConfig(
-        subcommand=ns.subcommand,
-        curve=ns.curve,
-        variable=ns.var,
-        interval_text=tuple(ns.interval),
-        axis=AXIS_Y if getattr(ns, "axis", "y") == "y" else AXIS_X,
-        method=getattr(ns, "method", "all"),
-        role=role,
-        parameters=_parameters(ns.param),
-        tol=_tolerances(ns),
-        as_json=ns.json,
-        csv_path=ns.csv,
-        samples=ns.samples,
-    )
-
-
 # ---------------------------------------------------------------------------
 # Shared pieces
 
@@ -250,33 +204,30 @@ def _parse_bound(text: str) -> float:
     return value
 
 
-def _interval(config: RunConfig) -> Interval:
-    lo = _parse_bound(config.interval_text[0])
-    hi = _parse_bound(config.interval_text[1])
+def _curve_inputs(ns: argparse.Namespace
+                  ) -> tuple[Expression, Interval, dict[str, float], Tolerances]:
+    """The shared start of ``volume``/``partition``/``verify``: parse the
+    parameters, tolerances, curve and interval in that order, then write
+    the ``--csv`` export if one was asked for."""
+    parameters = _parameters(ns.param)
+    tol = _tolerances(ns)
+    curve = parse(ns.curve, variable=ns.var, parameters=parameters.keys())
+    lo, hi = _parse_bound(ns.interval[0]), _parse_bound(ns.interval[1])
     if not lo < hi:
-        raise _UsageError(
-            f"interval bounds must satisfy lo < hi: {lo!r}, {hi!r}")
-    return Interval(lo, hi)
+        raise _UsageError(f"interval bounds must satisfy lo < hi: {lo!r}, {hi!r}")
+    interval = Interval(lo, hi)
+    if ns.csv is not None:
+        if ns.samples < 1:
+            raise _UsageError("--samples must be at least 1")
+        fn = bind(curve, ns.var, parameters)
+        with open(ns.csv, "w", encoding="utf-8") as handle:
+            for x in uniform_grid(lo, hi, ns.samples):
+                handle.write(f"{x:.15g},{fn(x):.15g}\n")
+    return curve, interval, parameters, tol
 
 
-def _curve(config: RunConfig) -> Expression:
-    return parse(config.curve, variable=config.variable,
-                 parameters=config.parameters.keys())
-
-
-def _write_csv(config: RunConfig, curve: Expression, interval: Interval) -> None:
-    if config.csv_path is None:
-        return
-    if config.samples < 1:
-        raise _UsageError("--samples must be at least 1")
-    fn = bind(curve, config.variable, config.parameters)
-    with open(config.csv_path, "w", encoding="utf-8") as handle:
-        for x in uniform_grid(interval.lo, interval.hi, config.samples):
-            handle.write(f"{x:.15g},{fn(x):.15g}\n")
-
-
-def _emit(payload: dict, config: RunConfig, text: str) -> None:
-    if config.as_json:
+def _emit(payload: dict, ns: argparse.Namespace, text: str) -> None:
+    if ns.json:
         print(json.dumps(payload, indent=2))
     else:
         print(text, end="")
@@ -332,32 +283,28 @@ def _report_text(report: VolumeReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _run_volume(config: RunConfig) -> int:
-    curve = _curve(config)
-    interval = _interval(config)
-    _write_csv(config, curve, interval)
+def _run_volume(ns: argparse.Namespace) -> int:
+    curve, interval, parameters, tol = _curve_inputs(ns)
     problem = VolumeProblem(
         curve=curve,
         interval=interval,
-        curve_role=config.role or ROLE_Y_OF_X,
-        axis=config.axis,
-        method=config.method,
-        tol=config.tol,
-        parameters=config.parameters,
+        curve_role=ns.role or (ROLE_X_OF_Y if ns.var == "y" else ROLE_Y_OF_X),
+        axis=AXIS_Y if ns.axis == "y" else AXIS_X,
+        method=ns.method,
+        tol=tol,
+        parameters=parameters,
     )
     report = solve(problem)
-    _emit(_report_payload(report), config, _report_text(report))
+    _emit(_report_payload(report), ns, _report_text(report))
     if any(w.startswith(WARN_NOT_CONVERGED) for w in report.warnings):
         return EXIT_NUMERIC
     return EXIT_OK
 
 
-def _run_partition(config: RunConfig) -> int:
-    curve = _curve(config)
-    interval = _interval(config)
-    _write_csv(config, curve, interval)
-    part = partition(curve, interval, config.tol, config.parameters)
-    fn = bind(curve, config.variable, config.parameters)
+def _run_partition(ns: argparse.Namespace) -> int:
+    curve, interval, parameters, tol = _curve_inputs(ns)
+    part = partition(curve, interval, tol, parameters)
+    fn = bind(curve, ns.var, parameters)
     f_a, f_b = fn(interval.lo), fn(interval.hi)
     try:
         verdict: bool | None = check_lemma1(part, f_a, f_b)
@@ -378,7 +325,7 @@ def _run_partition(config: RunConfig) -> int:
         + ", ".join(f"{v:.12g}" for v in part.extremum_values) + "]",
         f"parity: {verdict} ({detail})",
     ]
-    _emit(payload, config, "\n".join(lines) + "\n")
+    _emit(payload, ns, "\n".join(lines) + "\n")
     return EXIT_OK
 
 
@@ -394,12 +341,9 @@ def _verify_payload(report: HypothesisReport) -> dict:
     }
 
 
-def _run_verify(config: RunConfig) -> int:
-    curve = _curve(config)
-    interval = _interval(config)
-    _write_csv(config, curve, interval)
-    report = validate_revolution_hypotheses(
-        curve, interval, config.tol, config.parameters)
+def _run_verify(ns: argparse.Namespace) -> int:
+    curve, interval, parameters, tol = _curve_inputs(ns)
+    report = validate_revolution_hypotheses(curve, interval, tol, parameters)
     lines = [
         f"satisfied: {report.satisfied}",
         f"c: {report.c:.12g}",
@@ -410,13 +354,14 @@ def _run_verify(config: RunConfig) -> int:
         lines.extend(f"  {rule} at {loc:.12g}" for rule, loc in report.violations)
     else:
         lines.append("violations: (none)")
-    _emit(_verify_payload(report), config, "\n".join(lines) + "\n")
+    _emit(_verify_payload(report), ns, "\n".join(lines) + "\n")
     return EXIT_OK if report.satisfied else EXIT_HYPOTHESIS
 
 
-def _run_kepler(config: RunConfig) -> int:
+def _run_kepler(ns: argparse.Namespace) -> int:
+    tol = _tolerances(ns)
     try:
-        curve = kepler_mod.KeplerCurve(config.eps)
+        curve = kepler_mod.KeplerCurve(ns.eps)
     except ValueError as exc:
         raise _UsageError(str(exc))
     v_y, v_x = kepler_mod.reference_volumes(curve)
@@ -424,42 +369,28 @@ def _run_kepler(config: RunConfig) -> int:
                      "forward": None, "inverse": None,
                      "reference_volumes": {"v_y": v_y, "v_x": v_x}}
     lines = [f"eccentricity: {curve.eccentricity:.12g}"]
-    if config.forward_at is not None:
-        x = kepler_mod.forward(curve, config.forward_at)
-        payload["forward"] = {"y": config.forward_at, "x": x}
-        lines.append(f"forward({config.forward_at:.12g}) = {x:.12g}")
-    if config.invert_at is not None:
-        y = kepler_mod.inverse(curve, config.invert_at, config.tol)
-        residual = kepler_mod.forward(curve, y) - config.invert_at
-        payload["inverse"] = {"x": config.invert_at, "y": y,
-                              "residual": residual}
-        lines.append(f"inverse({config.invert_at:.12g}) = {y:.12g}")
+    if ns.forward is not None:
+        x = kepler_mod.forward(curve, ns.forward)
+        payload["forward"] = {"y": ns.forward, "x": x}
+        lines.append(f"forward({ns.forward:.12g}) = {x:.12g}")
+    if ns.invert is not None:
+        y = kepler_mod.inverse(curve, ns.invert, tol)
+        residual = kepler_mod.forward(curve, y) - ns.invert
+        payload["inverse"] = {"x": ns.invert, "y": y, "residual": residual}
+        lines.append(f"inverse({ns.invert:.12g}) = {y:.12g}")
     lines.append(f"reference_volumes: v_y = {v_y:.12g}, v_x = {v_x:.12g}")
-    _emit(payload, config, "\n".join(lines) + "\n")
+    _emit(payload, ns, "\n".join(lines) + "\n")
     return EXIT_OK
-
-
-def run(config: RunConfig) -> int:
-    """Execute one parsed invocation and return its exit status."""
-    if config.subcommand == "volume":
-        return _run_volume(config)
-    if config.subcommand == "partition":
-        return _run_partition(config)
-    if config.subcommand == "verify":
-        return _run_verify(config)
-    if config.subcommand == "kepler":
-        return _run_kepler(config)
-    raise _UsageError(f"unknown subcommand {config.subcommand!r}")
 
 
 def main(argv: list[str] | None = None) -> int:
     """Console entry point; returns the process exit status."""
     try:
-        config = _config_from_args(argv)
+        ns = _build_parser().parse_args(argv)
     except _UsageError:
-        return EXIT_USAGE
+        return EXIT_USAGE  # the parser has printed its usage and message
     try:
-        return run(config)
+        return ns.handler(ns)
     except _UsageError as exc:
         _fail(str(exc))
         return EXIT_USAGE

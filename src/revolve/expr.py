@@ -467,9 +467,19 @@ def _is_const(e: Expression, value: float) -> bool:
     return isinstance(e, Const) and e.value == value
 
 
-def _add(a: Expression, b: Expression) -> Expression:
+def _fold(op: str, a: Expression, b: Expression) -> Const | None:
+    """``a op b`` as one constant when both operands are constants, unless
+    the result is NaN: no literal spells NaN, so it would not print back."""
     if isinstance(a, Const) and isinstance(b, Const):
-        return Const(a.value + b.value)
+        value = _binary(op, a.value, b.value)
+        if not math.isnan(value):
+            return Const(value)
+    return None
+
+
+def _add(a: Expression, b: Expression) -> Expression:
+    if (folded := _fold("+", a, b)) is not None:
+        return folded
     if _is_const(a, 0.0):
         return b
     if _is_const(b, 0.0):
@@ -478,8 +488,8 @@ def _add(a: Expression, b: Expression) -> Expression:
 
 
 def _sub(a: Expression, b: Expression) -> Expression:
-    if isinstance(a, Const) and isinstance(b, Const):
-        return Const(a.value - b.value)
+    if (folded := _fold("-", a, b)) is not None:
+        return folded
     if _is_const(b, 0.0):
         return a
     if _is_const(a, 0.0):
@@ -488,8 +498,8 @@ def _sub(a: Expression, b: Expression) -> Expression:
 
 
 def _mul(a: Expression, b: Expression) -> Expression:
-    if isinstance(a, Const) and isinstance(b, Const):
-        return Const(a.value * b.value)
+    if (folded := _fold("*", a, b)) is not None:
+        return folded
     if _is_const(a, 0.0) or _is_const(b, 0.0):
         return Const(0.0)
     if _is_const(a, 1.0):
@@ -504,8 +514,8 @@ def _div(a: Expression, b: Expression) -> Expression:
         return Const(0.0)
     if _is_const(b, 1.0):
         return a
-    if isinstance(a, Const) and isinstance(b, Const) and b.value != 0.0:
-        return Const(a.value / b.value)
+    if not _is_const(b, 0.0) and (folded := _fold("/", a, b)) is not None:
+        return folded
     return BinOp("/", a, b)
 
 

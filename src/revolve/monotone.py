@@ -42,6 +42,11 @@ DECREASING = "decreasing"
 # methods apply the same floor.
 _NONNEG_FLOOR = -1e-12
 
+# Cells of the derivative sign-change scan, and of the uniform grid on which
+# nonnegativity is checked (here and by the volume methods).
+_SCAN_CELLS = 1024
+_NONNEG_CELLS = 4096
+
 RULE_ENDPOINTS_EQUAL = "endpoints-equal"
 RULE_NEGATIVE_VALUE = "negative-value"
 RULE_MULTIPLE_INTERSECTION = "multiple-intersection"
@@ -121,11 +126,10 @@ class HypothesisReport:
 
 def critical_points(f: Expression, interval: Interval,
                     tol: Tolerances | None = None,
-                    parameters: Mapping[str, float] | None = None,
-                    grid_n: int = 1024) -> list[float]:
+                    parameters: Mapping[str, float] | None = None) -> list[float]:
     """Interior points where the derivative of ``f`` changes sign.
 
-    Sign changes are located on a ``grid_n``-cell scan and refined by
+    Sign changes are located on a 1024-cell scan and refined by
     bracketed root finding; results are sorted and deduplicated within
     ``abs_tol``.
     """
@@ -137,7 +141,8 @@ def critical_points(f: Expression, interval: Interval,
         return []
     derivative = bind(differentiate(f, var), var, parameters)
     roots = []
-    for bracket in scan_sign_changes(derivative, interval.lo, interval.hi, grid_n):
+    for bracket in scan_sign_changes(derivative, interval.lo, interval.hi,
+                                     _SCAN_CELLS):
         roots.append(find_root_bracketed(derivative, bracket.lo, bracket.hi, tol).root)
     roots.sort()
     edge = max(tol.abs_tol, 4.0 * _spacing(interval))
@@ -158,8 +163,7 @@ def _spacing(interval: Interval) -> float:
 
 def partition(f: Expression, interval: Interval,
               tol: Tolerances | None = None,
-              parameters: Mapping[str, float] | None = None,
-              grid_n: int = 1024) -> MonotonePartition:
+              parameters: Mapping[str, float] | None = None) -> MonotonePartition:
     """Split ``interval`` into strictly monotone pieces of ``f``.
 
     Piece direction comes from the derivative sign at the piece midpoint;
@@ -167,7 +171,7 @@ def partition(f: Expression, interval: Interval,
     is raised.
     """
     tol = tol or Tolerances()
-    points = critical_points(f, interval, tol, parameters, grid_n)
+    points = critical_points(f, interval, tol, parameters)
     breakpoints = (interval.lo, *points, interval.hi)
     var = the_variable(f)
     if var is None:
@@ -223,15 +227,14 @@ def check_lemma1(p: MonotonePartition, f_a: float, f_b: float) -> bool:
 
 def validate_revolution_hypotheses(f: Expression, interval: Interval,
                                    tol: Tolerances | None = None,
-                                   parameters: Mapping[str, float] | None = None,
-                                   grid_n: int = 1024,
-                                   nonneg_grid_n: int = 4096) -> HypothesisReport:
+                                   parameters: Mapping[str, float] | None = None
+                                   ) -> HypothesisReport:
     """Check that the curve supports the piecewise volume formulas.
 
     Rules checked, each yielding a ``(rule, location)`` violation:
 
     * endpoint values differ beyond tolerance;
-    * the curve is nonnegative on a dense grid (within roundoff slack);
+    * the curve is nonnegative on a 4096-cell grid (within roundoff slack);
     * every interior extremum value lies strictly between the endpoint
       values, which for piecewise strictly monotone curves is equivalent
       to the top and bottom boundary lines meeting the curve only once;
@@ -240,8 +243,8 @@ def validate_revolution_hypotheses(f: Expression, interval: Interval,
     Violations are data, not exceptions.
     """
     tol = tol or Tolerances()
-    return _validate(f, interval, tol, parameters, nonneg_grid_n,
-                     lambda: partition(f, interval, tol, parameters, grid_n))
+    return _validate(f, interval, tol, parameters,
+                     lambda: partition(f, interval, tol, parameters))
 
 
 def _validate_with_partition(f: Expression, p: MonotonePartition,
@@ -252,11 +255,11 @@ def _validate_with_partition(f: Expression, p: MonotonePartition,
     ``p`` instead of building the partition again.  ``p`` must be what
     ``partition(f, span, tol, parameters)`` returns."""
     span = Interval(p.breakpoints[0], p.breakpoints[-1])
-    return _validate(f, span, tol or Tolerances(), parameters, 4096, lambda: p)
+    return _validate(f, span, tol or Tolerances(), parameters, lambda: p)
 
 
 def _validate(f: Expression, interval: Interval, tol: Tolerances,
-              parameters: Mapping[str, float] | None, nonneg_grid_n: int,
+              parameters: Mapping[str, float] | None,
               build_partition: Callable[[], MonotonePartition]
               ) -> HypothesisReport:
     var = the_variable(f)
@@ -278,7 +281,7 @@ def _validate(f: Expression, interval: Interval, tol: Tolerances,
 
     # nonnegativity on a dense grid plus all breakpoints
     worst_x, worst_v = interval.lo, f_a
-    for x in uniform_grid(interval.lo, interval.hi, nonneg_grid_n):
+    for x in uniform_grid(interval.lo, interval.hi, _NONNEG_CELLS):
         v = fn(x)
         if v < worst_v:
             worst_x, worst_v = x, v

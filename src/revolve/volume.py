@@ -41,6 +41,7 @@ from typing import Callable, Iterable, Mapping
 from .errors import RevolveError
 from .expr import Expression, bind, differentiate, the_variable
 from .monotone import (
+    _NONNEG_CELLS,
     _NONNEG_FLOOR,
     HypothesisReport,
     MonotonePartition,
@@ -278,7 +279,7 @@ def shell_volume(curve: Expression, interval: Interval,
     if interval.lo < 0.0:
         raise ValueError("shell quadrature requires an interval within [0, inf)")
     fn, _ = _curve_function(curve, parameters)
-    for x in uniform_grid(interval.lo, interval.hi, 4096):
+    for x in uniform_grid(interval.lo, interval.hi, _NONNEG_CELLS):
         v = fn(x)
         if v < _NONNEG_FLOOR:
             raise NegativeCurveError(x, v)
@@ -443,18 +444,13 @@ def piecewise_signed_sum(curve: Expression, p: MonotonePartition,
     Piece i contributes (-1)^i times its own (nonnegative) volume; the
     telescoping of the boundary terms makes the total equal the
     single-formula value, which is exactly what cross-validation checks.
+
+    ``p`` must be the curve's partition of its span, as
+    ``partition(curve, span, tol, parameters)`` returns it: the revolution
+    hypotheses are validated against ``p``, not against a fresh partition.
     """
     tol = tol or Tolerances()
-    span = Interval(p.breakpoints[0], p.breakpoints[-1])
-    report = validate_revolution_hypotheses(curve, span, tol, parameters)
-    return _piecewise_report(curve, p, report, tol, parameters)
-
-
-def _piecewise_report(curve: Expression, p: MonotonePartition,
-                      report: HypothesisReport, tol: Tolerances | None,
-                      parameters: Mapping[str, float] | None) -> VolumeReport:
-    # piecewise_signed_sum after its validation; solve validates with the
-    # partition it has already built instead
+    report = _validate_with_partition(curve, p, tol, parameters)
     if not report.satisfied:
         raise HypothesisViolationError(report)
     fn, _ = _curve_function(curve, parameters)
@@ -635,10 +631,9 @@ def solve(problem: VolumeProblem) -> VolumeReport:
         return shell_volume(curve, interval, tol, params)
     if method == "piecewise":
         # partition first, so a malformed curve reports the partition's
-        # error; the validation then reuses this partition
-        part = partition(curve, interval, tol, params)
-        report = _validate_with_partition(curve, part, tol, params)
-        return _piecewise_report(curve, part, report, tol, params)
+        # error rather than a hypothesis violation
+        return piecewise_signed_sum(curve, partition(curve, interval, tol, params),
+                                    tol, params)
     if method == "disk":
         fn, _ = _curve_function(curve, params)
         lo_v, hi_v = fn(interval.lo), fn(interval.hi)

@@ -16,6 +16,11 @@ def run_cli(capsys, argv):
     return code, captured.out, captured.err
 
 
+def assert_one_error_line(err):
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), err
+
+
 VOLUME_ARGS = ["volume", "--curve", "x/pi + sin(x)", "--var", "x",
                "--interval", "0", "2*pi", "--axis", "y", "--method", "all"]
 
@@ -86,6 +91,16 @@ class TestVolume:
     def test_unknown_option_exit_code(self, capsys):
         code, _, _ = run_cli(capsys, VOLUME_ARGS + ["--bogus"])
         assert code == 1
+
+    @pytest.mark.parametrize("extra", [
+        ["--param", "foo"],
+        ["--param", "eps=abc"],
+        ["--rel-tol", "-1"],
+    ])
+    def test_bad_parameter_or_tolerance_prints_one_error_line(self, capsys, extra):
+        code, _, err = run_cli(capsys, VOLUME_ARGS + extra)
+        assert code == 1
+        assert_one_error_line(err)
 
     def test_bad_interval_exit_code(self, capsys):
         code, _, err = run_cli(capsys, [
@@ -205,6 +220,11 @@ class TestKepler:
         assert code == 1
         assert "eccentricity" in err
 
+    def test_bad_tolerance_prints_one_error_line(self, capsys):
+        code, _, err = run_cli(capsys, ["kepler", "--eps", "0.5", "--max-iter", "0"])
+        assert code == 1
+        assert_one_error_line(err)
+
 
 class TestEnvironmentDefaultTolerance:
     ARGS = ["volume", "--curve", "sin(100*y)", "--var", "y",
@@ -223,5 +243,6 @@ class TestEnvironmentDefaultTolerance:
 
     def test_invalid_env_value(self, capsys, monkeypatch):
         monkeypatch.setenv("REVOLVE_DEFAULT_TOL", "soon")
-        code, _, _ = run_cli(capsys, self.ARGS)
+        code, _, err = run_cli(capsys, self.ARGS)
         assert code == 1
+        assert_one_error_line(err)

@@ -238,6 +238,19 @@ class TestPiecewiseSignedSum:
         with pytest.raises(HypothesisViolationError):
             piecewise_signed_sum(SHIFTED_WAVE, part)
 
+    def test_validates_against_the_given_partition(self, monkeypatch):
+        part = partition(RAMP_WAVE, FULL)
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return partition(*args, **kwargs)
+
+        monkeypatch.setattr(revolve.monotone, "partition", counted)
+        monkeypatch.setattr(revolve.volume, "partition", counted)
+        piecewise_signed_sum(RAMP_WAVE, part)
+        assert len(calls) == 0
+
 
 class TestCrossValidate:
     def test_ramp_plus_wave_all_methods_agree(self):
