@@ -467,13 +467,13 @@ def _is_const(e: Expression, value: float) -> bool:
     return isinstance(e, Const) and e.value == value
 
 
-def _fold(op: str, a: Expression, b: Expression) -> Const | None:
-    """``a op b`` as one constant when both operands are constants, unless
-    the result is NaN: no literal spells NaN, so it would not print back."""
+def _fold(op: str, a: Expression, b: Expression) -> Expression | None:
+    """``a op b`` as one constant when both operands are constants, or as the
+    unfolded ``BinOp`` when that constant would be NaN: no literal spells NaN,
+    so it would not print back.  None when an operand is not a constant."""
     if isinstance(a, Const) and isinstance(b, Const):
         value = _binary(op, a.value, b.value)
-        if not math.isnan(value):
-            return Const(value)
+        return BinOp(op, a, b) if math.isnan(value) else Const(value)
     return None
 
 
