@@ -97,8 +97,10 @@ class Tolerances:
 
     def __post_init__(self):
         for name in ("abs_tol", "rel_tol", "residual_tol"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be strictly positive")
+            # an infinite tolerance makes every comparison against it pass,
+            # which later reads as equal endpoints or a flat curve
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be strictly positive and finite")
         if self.max_depth < 1:
             raise ValueError("max_depth must be at least 1")
         if self.max_iter < 1:

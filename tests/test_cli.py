@@ -96,6 +96,9 @@ class TestVolume:
         ["--param", "foo"],
         ["--param", "eps=abc"],
         ["--rel-tol", "-1"],
+        # an infinite tolerance used to pass as a hypothesis violation
+        ["--rel-tol", "inf"],
+        ["--residual-tol", "inf", "--method", "disk"],
     ])
     def test_bad_parameter_or_tolerance_prints_one_error_line(self, capsys, extra):
         code, _, err = run_cli(capsys, VOLUME_ARGS + extra)

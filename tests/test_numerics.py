@@ -68,6 +68,10 @@ class TestTolerances:
         {"abs_tol": 0.0},
         {"rel_tol": -1e-3},
         {"residual_tol": 0.0},
+        {"abs_tol": math.inf},
+        {"rel_tol": math.inf},
+        {"residual_tol": math.inf},
+        {"rel_tol": math.nan},
         {"max_depth": 0},
         {"max_iter": 0},
     ])
