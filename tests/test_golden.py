@@ -19,9 +19,11 @@ import io
 import json
 import os
 import pathlib
+import re
 import sys
 
 from corpus import CURVES
+from golden_diff import compare
 from revolve.cli import ENV_DEFAULT_TOL, main
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden" / "cli_corpus.json"
@@ -89,6 +91,60 @@ def test_cli_corpus_output_is_unchanged(monkeypatch):
     assert [e["argv"] for e in expected] == [a["argv"] for a in actual]
     changed = [a["argv"] for e, a in zip(expected, actual) if e != a]
     assert not changed, f"{len(changed)} invocations changed, first: {changed[0]}"
+
+
+def _moved(entry: dict, edit) -> tuple[list, list]:
+    changed = json.loads(json.dumps(entry))
+    edit(changed)
+    return compare([entry], [changed])
+
+
+def _edit_json(path: tuple, value):
+    def edit(entry):
+        payload = json.loads(entry["stdout"])
+        target = payload
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        entry["stdout"] = json.dumps(payload, indent=2) + "\n"
+    return edit
+
+
+def test_golden_diff_allows_only_inverted_disk_numbers(monkeypatch):
+    monkeypatch.setenv("COLUMNS", COLUMNS)
+    line = ["volume", "--curve", "x", "--var", "x", "--interval", "1.0", "2.0"]
+    formula = run_in_process([*line, "--axis", "y", "--role", "y-of-x",
+                              "--method", "all", "--json"])
+    inverted = run_in_process([*line, "--axis", "x", "--role", "x-of-y",
+                               "--method", "disk", "--json"])
+    direct = run_in_process([*line, "--axis", "x", "--role", "y-of-x",
+                             "--method", "disk", "--json"])
+    text = run_in_process([*line, "--axis", "y", "--role", "y-of-x",
+                           "--method", "all"])
+    rows = [row["method"] for row in json.loads(formula["stdout"])["cross_checks"]]
+    disk_row = rows.index("disk")
+
+    moved, problems = _moved(formula, _edit_json(
+        ("cross_checks", disk_row, "value"), 1.5))
+    assert [field for _, field, _, _ in moved] == ["disk.value"] and not problems
+    moved, problems = _moved(inverted, _edit_json(("error_estimate",), 1.0))
+    assert [field for _, field, _, _ in moved] == ["error_estimate"]
+    assert not problems
+    moved, problems = _moved(text, lambda e: e.update(stdout=re.sub(
+        r"(  disk .*= ).*", r"\g<1>9.999e-15", e["stdout"])))
+    assert [field for _, field, _, _ in moved] == ["disk.delta"]
+    assert not problems
+
+    for entry, edit in [
+            (formula, _edit_json(("value",), 1.5)),
+            (formula, _edit_json(("cross_checks", 0, "value"), 1.5)),
+            (formula, _edit_json(("warnings",), ["methods disagree"])),
+            (direct, _edit_json(("value",), 1.5)),
+            (inverted, lambda e: e.update(exit=3)),
+            (inverted, lambda e: e.update(stderr="warning\n")),
+            (text, lambda e: e.update(stdout=e["stdout"].replace(
+                "value: ", "value: 1", 1)))]:
+        assert _moved(entry, edit)[1], entry["argv"]
 
 
 if __name__ == "__main__":
