@@ -213,6 +213,33 @@ def _disk_value(radius: Callable[[float], float], lo: float, hi: float,
     return _clamp(math.pi * quad.value, err), err, quad
 
 
+def _inverse_disk_value(inverse: Callable[[float], float], lo: float,
+                        hi: float, tol: Tolerances
+                        ) -> tuple[float, float, QuadratureResult]:
+    """``(value, error_estimate, quadrature)`` for pi*Int g(y)^2 dy over
+    [lo, hi], where ``g`` is the numeric inverse of a monotone piece.
+
+    At an interior extremum g has a square-root end, so the integral is
+    taken in u over [0, 1] with y = lo + (hi-lo)*u^2*(3-2u) and
+    dy = 6*(hi-lo)*u*(1-u) du, which makes that end analytic in u.  Above
+    u = 1/2, y is measured back from ``hi``, so every node stays within
+    [lo, hi] and the inversion's bracket keeps its sign change.
+    """
+    width = hi - lo
+
+    def integrand(u: float) -> float:
+        v = 1.0 - u
+        if u <= 0.5:
+            y = lo + width * (u * u * (3.0 - 2.0 * u))
+        else:
+            y = hi - width * (v * v * (1.0 + 2.0 * u))
+        return inverse(y) ** 2 * (6.0 * width * u * v)
+
+    quad = integrate(integrand, 0.0, 1.0, tol)
+    err = math.pi * quad.error_estimate
+    return _clamp(math.pi * quad.value, err), err, quad
+
+
 def _alternating_sum(parts: Iterable[tuple[float, float, QuadratureResult]]
                      ) -> tuple[float, float, list[QuadratureResult]]:
     """Sum per-piece ``(volume, error_estimate, quadrature)`` triples with
@@ -303,11 +330,11 @@ def _disk_volume(curve: Expression, role: str, inverted_role: str,
                 "curve is not strictly monotone on its interval")
         fn, var = _curve_function(curve, parameters)
         derivative = bind(differentiate(curve, var), var, parameters)
-        radius = _inverse_on_piece(fn, derivative, curve_interval, tol)
-    elif role in (ROLE_Y_OF_X, ROLE_X_OF_Y):
-        radius, _ = _curve_function(curve, parameters)
-    else:
+        inverse = _inverse_on_piece(fn, derivative, curve_interval, tol)
+        return _method_report("disk", *_inverse_disk_value(inverse, lo, hi, tol))
+    if role not in (ROLE_Y_OF_X, ROLE_X_OF_Y):
         raise ValueError(f"unknown curve role {role!r}")
+    radius, _ = _curve_function(curve, parameters)
     return _method_report("disk", *_disk_value(radius, lo, hi, tol))
 
 
@@ -475,8 +502,8 @@ def _disk_pieces_value(fn: Callable[[float], float],
     holds the curve's value at every breakpoint.
     """
     return _alternating_sum(
-        _disk_value(_inverse_on_piece(fn, derivative, piece, tol),
-                    min(h_lo, h_hi), max(h_lo, h_hi), tol)
+        _inverse_disk_value(_inverse_on_piece(fn, derivative, piece, tol),
+                            min(h_lo, h_hi), max(h_lo, h_hi), tol)
         for (piece, _), h_lo, h_hi in zip(p.pieces(), ends, ends[1:]))
 
 
