@@ -21,6 +21,16 @@ boundary terms, never by numerically inverting the curve; the direct disk
 route does invert.  Keeping that asymmetry is what makes cross-validation
 meaningful.
 
+Where the disk radius is that numeric inverse, its integral is taken in
+u over [0, 1] with y = lo + (hi-lo)*u^2*(3-2u) rather than in y.  At an
+interior extremum f' = 0, so the inverse has a square-root end,
+g(y) ~ x_e +- sqrt((y - y_e)/c), which adaptive quadrature in y resolves
+only by bisecting toward it; in u that end is analytic.  The substitution
+only moves the quadrature nodes: each node is still inverted by Newton
+iteration on the curve itself, never through y = f(x) substituted
+analytically, so the disk row still computes a different integrand in the
+transverse variable and stays an independent check.
+
 Cross-validation also reports ``shell-complement``: the bounding cylinders
 minus the shell volume.  Its shell integral is the formula's own quadrature
 (same integrand, interval and tolerances give the same bits), so that row
@@ -223,7 +233,8 @@ def _inverse_disk_value(inverse: Callable[[float], float], lo: float,
     taken in u over [0, 1] with y = lo + (hi-lo)*u^2*(3-2u) and
     dy = 6*(hi-lo)*u*(1-u) du, which makes that end analytic in u.  Above
     u = 1/2, y is measured back from ``hi``, so every node stays within
-    [lo, hi] and the inversion's bracket keeps its sign change.
+    [lo, hi] and the inversion's bracket keeps its sign change; measured
+    from ``lo`` it need not (-3.0 + (0.1 - -3.0) rounds above 0.1).
     """
     width = hi - lo
 
@@ -277,8 +288,9 @@ def _inverse_on_piece(fn: Callable[[float], float],
     """Evaluator for the inverse of ``fn`` restricted to a monotone piece.
 
     Each call solves fn(t) = s by Newton iteration, bracketed by the piece
-    and seeded with the previous root.  On the flagship x/pi + sin(x) over
-    [0, 2*pi] that takes 4.6 iterations per call (10,857 over 2,355 calls).
+    and seeded with the previous root.  The flagship x/pi + sin(x) over
+    [0, 2*pi] makes 105 calls per cross-check, at 5.5 iterations per call
+    (574 in all).
     """
     seed = [piece.midpoint]
 
