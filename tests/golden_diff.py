@@ -80,7 +80,7 @@ def _json_moves(old: str, new: str) -> tuple[list, list]:
     """``(allowed, forbidden)`` lists of ``(field, old, new)``."""
     a, b = json.loads(old), json.loads(new)
     allowed, forbidden = [], []
-    for key in a.keys() | b.keys():
+    for key in dict.fromkeys([*a, *b]):
         if key == "cross_checks":
             continue
         if a.get(key) != b.get(key):
@@ -157,7 +157,8 @@ def compare(old_runs: list[dict], new_runs: list[dict]) -> tuple[list, list]:
 def _describe(argv: list[str], field: str, old: float, new: float) -> str:
     mode = "json" if "--json" in argv else "text"
     frame = f"{_option(argv, '--axis', 'y')}/{_option(argv, '--role')}"
-    params = " ".join(p for p in argv if p.startswith("eps="))
+    params = " ".join(argv[i + 1] for i, arg in enumerate(argv)
+                      if arg == "--param")
     line = (f"{_option(argv, '--curve')} {params} {frame} "
             f"--method {_option(argv, '--method')} [{mode}] {field}: "
             f"{old!r} -> {new!r}")
