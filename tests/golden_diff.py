@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import json
 import math
+import pathlib
 import re
 import sys
 
@@ -48,10 +49,11 @@ CLOSED_FORMS = {
     # g(s) = cos(s) from arccos(0.9) to arccos(-0.9)
     "arccos(x)": lambda p: PI * ((PI - 2.0 * math.acos(0.9)) / 2.0
                                  - 0.9 * math.sqrt(0.19)),
-    # f(3) = 2*sqrt(3) + 3, f(0.01) = 0.21, Int t*f(t) dt = 4/5 t^2.5 + t^3/3
+    # f(0.01) = 0.21, f(3) = 2*sqrt(3) + 3, Int t*f(t) dt = 0.8*t^2.5 + t^3/3
     "2*x^0.5 + x": lambda p: PI * (9.0 * (2.0 * math.sqrt(3.0) + 3.0)
-                                   - 1e-4 * 0.21)
-    - 2.0 * PI * ((0.8 * 3.0 ** 2.5 + 9.0) - (0.8 * 0.01 ** 2.5 + 1e-6 / 3.0)),
+                                   - 1e-4 * 0.21
+                                   - 2.0 * (0.8 * 3.0 ** 2.5 + 9.0
+                                            - 0.8 * 0.01 ** 2.5 - 1e-6 / 3.0)),
 }
 
 _NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
@@ -176,8 +178,9 @@ def main(argv: list[str]) -> int:
         print("usage: python tests/golden_diff.py OLD.json NEW.json",
               file=sys.stderr)
         return 2
-    old_runs, new_runs = (json.loads(open(path, encoding="utf-8").read())
-                          for path in argv)
+    old_runs, new_runs = (
+        json.loads(pathlib.Path(path).read_text(encoding="utf-8"))
+        for path in argv)
     moved, problems = compare(old_runs, new_runs)
     for args, field, old, new in moved:
         print(_describe(args, field, old, new))
