@@ -4,143 +4,20 @@ A text expression language describes a curve; adaptive Gauss-Kronrod
 quadrature, bracketed and Newton root finding, monotone partitioning, and
 sign-corrected boundary-term formulas then compute the volume of the
 revolved region several independent ways and compare the answers.
+
+The package exports every name in its library modules' ``__all__``; each
+module's list is the one place a public name is declared.
 """
 
-from .errors import RevolveError
-from .expr import (
-    PI,
-    BinOp,
-    Bindings,
-    Call,
-    Const,
-    DomainError,
-    Expression,
-    ExpressionError,
-    ExpressionSyntaxError,
-    Neg,
-    Param,
-    PiConst,
-    UnboundIdentifierError,
-    UnknownIdentifierError,
-    Var,
-    bind,
-    differentiate,
-    evaluate,
-    free_variables,
-    parse,
-    the_variable,
-    unparse,
-)
-from .kepler import KeplerCurve, forward, inverse, reference_volumes
-from .monotone import (
-    AlternationViolationError,
-    HypothesisReport,
-    MonotonePartition,
-    PreconditionViolatedError,
-    check_lemma1,
-    critical_points,
-    partition,
-    validate_revolution_hypotheses,
-)
-from .numerics import (
-    DivergedWithoutBracketError,
-    Interval,
-    MaxIterationsExceededError,
-    NoSignChangeError,
-    NonFiniteEvaluationError,
-    QuadratureResult,
-    RootResult,
-    Tolerances,
-    find_root_bracketed,
-    integrate,
-    kronrod_panel,
-    newton_solve,
-    scan_sign_changes,
-)
-from .volume import (
-    HypothesisViolationError,
-    NegativeCurveError,
-    NotInvertibleError,
-    NotMonotoneError,
-    VolumeProblem,
-    VolumeReport,
-    cross_validate,
-    disk_volume_x_axis,
-    disk_volume_y_axis,
-    piecewise_signed_sum,
-    shell_volume,
-    solve,
-    theorem1_x,
-    theorem1_y,
-    theorem2_y,
-    theorem3_x,
-)
+from . import errors, expr, kepler, monotone, numerics, volume
+from .errors import *
+from .expr import *
+from .kepler import *
+from .monotone import *
+from .numerics import *
+from .volume import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AlternationViolationError",
-    "BinOp",
-    "Bindings",
-    "Call",
-    "Const",
-    "DivergedWithoutBracketError",
-    "DomainError",
-    "Expression",
-    "ExpressionError",
-    "ExpressionSyntaxError",
-    "HypothesisReport",
-    "HypothesisViolationError",
-    "Interval",
-    "KeplerCurve",
-    "MaxIterationsExceededError",
-    "MonotonePartition",
-    "Neg",
-    "NegativeCurveError",
-    "NoSignChangeError",
-    "NonFiniteEvaluationError",
-    "NotInvertibleError",
-    "NotMonotoneError",
-    "PI",
-    "Param",
-    "PiConst",
-    "PreconditionViolatedError",
-    "QuadratureResult",
-    "RevolveError",
-    "RootResult",
-    "Tolerances",
-    "UnboundIdentifierError",
-    "UnknownIdentifierError",
-    "Var",
-    "VolumeProblem",
-    "VolumeReport",
-    "bind",
-    "check_lemma1",
-    "critical_points",
-    "cross_validate",
-    "differentiate",
-    "disk_volume_x_axis",
-    "disk_volume_y_axis",
-    "evaluate",
-    "find_root_bracketed",
-    "forward",
-    "free_variables",
-    "integrate",
-    "inverse",
-    "kronrod_panel",
-    "newton_solve",
-    "parse",
-    "partition",
-    "piecewise_signed_sum",
-    "reference_volumes",
-    "scan_sign_changes",
-    "shell_volume",
-    "solve",
-    "the_variable",
-    "theorem1_x",
-    "theorem1_y",
-    "theorem2_y",
-    "theorem3_x",
-    "unparse",
-    "validate_revolution_hypotheses",
-]
+__all__ = [name for module in (errors, expr, kepler, monotone, numerics, volume)
+           for name in module.__all__]

@@ -191,6 +191,8 @@ def _parameters(pairs: list[str]) -> dict[str, float]:
             out[name] = float(text)
         except ValueError:
             raise _UsageError(f"parameter {name!r} has non-numeric value {text!r}")
+        if not math.isfinite(out[name]):
+            raise _UsageError(f"parameter {name!r} is not finite: {text!r}")
     return out
 
 

@@ -5,6 +5,9 @@ A partition's interior breakpoints are the curve's local extrema: zeros of
 the derivative at which the derivative changes sign.  Zeros without a sign
 change (such as the derivative of x^3 at 0) do not break strict
 monotonicity and are deliberately excluded.
+
+A piece's direction is sgn(f(hi) - f(lo)) of its end values, as the paper
+orients a curve; the derivative serves only to find the breakpoints.
 """
 
 from __future__ import annotations
@@ -87,10 +90,11 @@ class MonotonePartition:
         for d in self.directions:
             if d not in (INCREASING, DECREASING):
                 raise ValueError(f"unknown direction tag {d!r}")
-        for prev, nxt in zip(self.directions, self.directions[1:]):
+        for x, prev, nxt in zip(self.breakpoints[1:], self.directions,
+                                self.directions[1:]):
             if prev == nxt:
                 raise AlternationViolationError(
-                    f"consecutive pieces share direction {prev!r}")
+                    f"pieces adjacent at {x!r} share direction {prev!r}")
 
     @property
     def interior_count(self) -> int:
@@ -166,9 +170,10 @@ def partition(f: Expression, interval: Interval,
               parameters: Mapping[str, float] | None = None) -> MonotonePartition:
     """Split ``interval`` into strictly monotone pieces of ``f``.
 
-    Piece direction comes from the derivative sign at the piece midpoint;
-    directions must strictly alternate or ``AlternationViolationError``
-    is raised.
+    A piece is increasing when f(hi) > f(lo) and decreasing when
+    f(hi) < f(lo); equal or unordered (NaN) end values raise
+    ``AlternationViolationError``, and so do adjacent pieces that share a
+    direction.
     """
     tol = tol or Tolerances()
     points = critical_points(f, interval, tol, parameters)
@@ -178,27 +183,16 @@ def partition(f: Expression, interval: Interval,
         raise AlternationViolationError(
             "a constant expression has no strictly monotone pieces")
     fn = bind(f, var, parameters)
-    derivative = bind(differentiate(f, var), var, parameters)
+    values = [fn(x) for x in breakpoints]
 
     directions = []
-    for lo, hi in zip(breakpoints, breakpoints[1:]):
-        mid = 0.5 * (lo + hi)
-        slope = derivative(mid)
-        if slope == 0.0:
-            # tangential midpoint; fall back to the endpoint values
-            slope = fn(hi) - fn(lo)
-        if slope == 0.0:
+    for lo, hi, v_lo, v_hi in zip(breakpoints, breakpoints[1:],
+                                  values, values[1:]):
+        if not (v_lo < v_hi or v_lo > v_hi):  # equal, or NaN
             raise AlternationViolationError(
                 f"piece [{lo!r}, {hi!r}] is not strictly monotone")
-        directions.append(INCREASING if slope > 0.0 else DECREASING)
-    for (lo, hi), prev, nxt in zip(zip(breakpoints, breakpoints[1:]),
-                                   directions, directions[1:]):
-        if prev == nxt:
-            raise AlternationViolationError(
-                f"pieces adjacent at {hi!r} share direction {prev!r}")
-
-    values = tuple(fn(x) for x in points)
-    return MonotonePartition(breakpoints, tuple(directions), values)
+        directions.append(INCREASING if v_hi > v_lo else DECREASING)
+    return MonotonePartition(breakpoints, tuple(directions), tuple(values[1:-1]))
 
 
 def check_lemma1(p: MonotonePartition, f_a: float, f_b: float) -> bool:

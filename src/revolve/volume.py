@@ -592,7 +592,6 @@ def _cross_disk_frame(problem: VolumeProblem) -> VolumeReport:
     tol = problem.tol
     interval = problem.interval
     fn, var = _curve_function(problem.curve, problem.parameters)
-    derivative = bind(differentiate(problem.curve, var), var, problem.parameters)
 
     value, err, quad = _disk_value(fn, interval.lo, interval.hi, tol)
     rows: list[tuple[str, float, float]] = [("disk", value, err)]
@@ -610,6 +609,8 @@ def _cross_disk_frame(problem: VolumeProblem) -> VolumeReport:
         # boundary-term formula on the inverse curve, one inversion per
         # node: its variable spans the curve's values, and its values at
         # the ends of that span are the interval's ends
+        derivative = bind(differentiate(problem.curve, var), var,
+                          problem.parameters)
         inverse = _inverse_on_piece(fn, derivative, interval, tol)
         lo, hi = interval.lo, interval.hi
         limits = (h_lo, h_hi, lo, hi) if h_lo < h_hi else (h_hi, h_lo, hi, lo)
@@ -674,11 +675,11 @@ def solve(problem: VolumeProblem) -> VolumeReport:
         return piecewise_signed_sum(curve, partition(curve, interval, tol, params),
                                     tol, params)
     if method == "disk":
-        fn, _ = _curve_function(curve, params)
-        lo_v, hi_v = fn(interval.lo), fn(interval.hi)
         disk = disk_volume_y_axis if axis == AXIS_Y else disk_volume_x_axis
         if formula_frame:
             # the radius is the inverse curve, over the curve's value range
+            fn, _ = _curve_function(curve, params)
+            lo_v, hi_v = fn(interval.lo), fn(interval.hi)
             return disk(curve, role, min(lo_v, hi_v), max(lo_v, hi_v), tol,
                         params, interval)
         return disk(curve, role, interval.lo, interval.hi, tol, params)

@@ -99,6 +99,9 @@ class TestVolume:
         # an infinite tolerance used to pass as a hypothesis violation
         ["--rel-tol", "inf"],
         ["--residual-tol", "inf", "--method", "disk"],
+        # a non-finite parameter is rejected before it reaches the numerics
+        ["--param", "eps=nan"],
+        ["--param", "eps=inf"],
     ])
     def test_bad_parameter_or_tolerance_prints_one_error_line(self, capsys, extra):
         code, _, err = run_cli(capsys, VOLUME_ARGS + extra)
@@ -180,6 +183,14 @@ class TestPartition:
 
 
 class TestVerify:
+    def test_non_finite_parameter_is_a_usage_error(self, capsys):
+        # NaN would otherwise pass every comparison-based rule unnoticed
+        code, out, err = run_cli(capsys, [
+            "verify", "--curve", "x+eps", "--param", "eps=nan",
+            "--interval", "1", "2"])
+        assert code == 1 and out == ""
+        assert_one_error_line(err)
+
     def test_violation_exit_code(self, capsys):
         code, out, _ = run_cli(capsys, [
             "verify", "--curve", "1 + sin(x)", "--interval", "0", "3*pi/2"])

@@ -105,6 +105,22 @@ class TestPartition:
                 else:
                     assert s < 1e-9
 
+    @pytest.mark.parametrize("name,text,var,params,lo,hi", CURVES)
+    def test_piece_directions_follow_breakpoint_values(self, name, text, var,
+                                                       params, lo, hi):
+        curve = parse(text, variable=var, parameters=params.keys())
+        part = partition(curve, Interval(lo, hi), parameters=params)
+        fn = bind(curve, var, params)
+        for piece, direction in part.pieces():
+            rising = fn(piece.hi) > fn(piece.lo)
+            assert direction == (INCREASING if rising else DECREASING)
+
+    def test_nan_values_have_no_direction(self):
+        # NaN end values order neither way, although the slope is 1
+        curve = parse("x + eps", variable="x", parameters=("eps",))
+        with pytest.raises(AlternationViolationError, match="not strictly"):
+            partition(curve, Interval(1.0, 2.0), parameters={"eps": math.nan})
+
     def test_idempotent_on_monotone_piece(self):
         part = partition(parse("x^2", variable="x"), Interval(0.5, 2.0))
         assert part.breakpoints == (0.5, 2.0)

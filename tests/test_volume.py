@@ -7,7 +7,7 @@ import pytest
 
 import revolve.monotone
 import revolve.volume
-from revolve.expr import BinOp, Const, parse
+from revolve.expr import BinOp, Const, bind, parse
 from revolve.kepler import KeplerCurve, reference_volumes
 from revolve.monotone import AlternationViolationError, partition
 from revolve.numerics import Interval, newton_solve
@@ -389,6 +389,28 @@ class TestSolveDispatch:
         monkeypatch.setattr(revolve.volume, "newton_solve", counted)
         solve(VolumeProblem(curve=RAMP_WAVE, interval=FULL, method="all"))
         assert 0 < len(calls) <= 150
+
+    @pytest.mark.parametrize("axis, method, budget", [
+        (AXIS_Y, "all", 5),
+        (AXIS_Y, "theorem2", 4),
+        (AXIS_Y, "piecewise", 4),
+        # transverse frame: the curve is the disk radius itself
+        (AXIS_X, "disk", 1),
+    ])
+    def test_compile_budget(self, axis, method, budget, monkeypatch):
+        # each bind compiles f or f'; partition's f' is compiled only by
+        # critical_points, and no route compiles what it does not evaluate
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return bind(*args, **kwargs)
+
+        monkeypatch.setattr(revolve.monotone, "bind", counted)
+        monkeypatch.setattr(revolve.volume, "bind", counted)
+        solve(VolumeProblem(curve=RAMP_WAVE, interval=FULL, axis=axis,
+                            method=method))
+        assert 0 < len(calls) <= budget
 
     def test_piecewise_reports_the_partition_error_first(self):
         # validation would turn this into a HypothesisViolationError
