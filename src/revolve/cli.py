@@ -26,7 +26,7 @@ import sys
 
 from . import kepler as kepler_mod
 from .errors import RevolveError
-from .expr import ExpressionError, Expression, bind, evaluate, parse
+from .expr import ExpressionError, Expression, evaluate, parse
 from .monotone import (
     AlternationViolationError,
     HypothesisReport,
@@ -58,6 +58,8 @@ from .volume import (
     VolumeProblem,
     VolumeReport,
     WARN_NOT_CONVERGED,
+    _curve_function,
+    _derivative_function,
     solve,
 )
 
@@ -221,7 +223,7 @@ def _curve_inputs(ns: argparse.Namespace
     if ns.csv is not None:
         if ns.samples < 1:
             raise _UsageError("--samples must be at least 1")
-        fn = bind(curve, ns.var, parameters)
+        fn = _curve_function(curve, parameters)
         with open(ns.csv, "w", encoding="utf-8") as handle:
             for x in uniform_grid(lo, hi, ns.samples):
                 handle.write(f"{x:.15g},{fn(x):.15g}\n")
@@ -305,8 +307,8 @@ def _run_volume(ns: argparse.Namespace) -> int:
 
 def _run_partition(ns: argparse.Namespace) -> int:
     curve, interval, parameters, tol = _curve_inputs(ns)
-    part = partition(curve, interval, tol, parameters)
-    fn = bind(curve, ns.var, parameters)
+    fn = _curve_function(curve, parameters)
+    part = partition(fn, _derivative_function(curve, parameters), interval, tol)
     f_a, f_b = fn(interval.lo), fn(interval.hi)
     try:
         verdict: bool | None = check_lemma1(part, f_a, f_b)
@@ -345,7 +347,9 @@ def _verify_payload(report: HypothesisReport) -> dict:
 
 def _run_verify(ns: argparse.Namespace) -> int:
     curve, interval, parameters, tol = _curve_inputs(ns)
-    report = validate_revolution_hypotheses(curve, interval, tol, parameters)
+    report = validate_revolution_hypotheses(
+        _curve_function(curve, parameters),
+        _derivative_function(curve, parameters), interval, tol)
     lines = [
         f"satisfied: {report.satisfied}",
         f"c: {report.c:.12g}",
@@ -362,6 +366,9 @@ def _run_verify(ns: argparse.Namespace) -> int:
 
 def _run_kepler(ns: argparse.Namespace) -> int:
     tol = _tolerances(ns)
+    for flag, value in (("--forward", ns.forward), ("--invert", ns.invert)):
+        if value is not None and not math.isfinite(value):
+            raise _UsageError(f"{flag} is not finite: {value!r}")
     try:
         curve = kepler_mod.KeplerCurve(ns.eps)
     except ValueError as exc:

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 
 from .expr import Expression, parse
-from .numerics import Interval, RootResult, Tolerances, newton_solve
+from .numerics import Interval, Tolerances, newton_solve
 
 __all__ = ["KeplerCurve", "forward", "inverse", "reference_volumes"]
 
@@ -53,11 +53,6 @@ def inverse(curve: KeplerCurve, x: float,
     the bracket [x - eps, x + eps] is always valid because
     |y - x| = eps*|sin(y)| <= eps.
     """
-    return _inverse_result(curve, x, tol).root
-
-
-def _inverse_result(curve: KeplerCurve, x: float,
-                    tol: Tolerances | None = None) -> RootResult:
     e = curve.eccentricity
 
     def residual(y: float) -> float:
@@ -68,7 +63,7 @@ def _inverse_result(curve: KeplerCurve, x: float,
 
     seed = x + e * math.sin(x)
     return newton_solve(residual, slope, seed,
-                        bracket=Interval(x - e, x + e), tol=tol)
+                        bracket=Interval(x - e, x + e), tol=tol).root
 
 
 def reference_volumes(curve: KeplerCurve) -> tuple[float, float]:

@@ -1,6 +1,10 @@
 """Partition curves into strictly monotone pieces and validate the
 hypotheses the volume formulas rely on.
 
+Every analysis takes the curve as a ``float -> float`` function and, where
+it needs one, its derivative; callers compile each once (``revolve.volume``
+and the CLI do) and pass both to every analysis.
+
 A partition's interior breakpoints are the curve's local extrema: zeros of
 the derivative at which the derivative changes sign.  Zeros without a sign
 change (such as the derivative of x^3 at 0) do not break strict
@@ -14,10 +18,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, Mapping
+from typing import Callable, Iterator
 
 from .errors import RevolveError
-from .expr import Expression, bind, differentiate, the_variable
+# Unused here: bench/tracer.py's Tracer.install patches these two names on
+# this module, so they stay until the tracer stops wrapping them.
+from .expr import bind, differentiate  # noqa: F401
 from .numerics import (Interval, Tolerances, find_root_bracketed,
                        scan_sign_changes, uniform_grid)
 
@@ -128,10 +134,9 @@ class HypothesisReport:
             raise ValueError("satisfied flag inconsistent with violations")
 
 
-def critical_points(f: Expression, interval: Interval,
-                    tol: Tolerances | None = None,
-                    parameters: Mapping[str, float] | None = None) -> list[float]:
-    """Interior points where the derivative of ``f`` changes sign.
+def critical_points(derivative: Callable[[float], float], interval: Interval,
+                    tol: Tolerances | None = None) -> list[float]:
+    """Interior points where ``derivative`` changes sign.
 
     Sign changes are located on a 1024-cell scan and refined by
     bracketed root finding; results are sorted and deduplicated within
@@ -140,16 +145,13 @@ def critical_points(f: Expression, interval: Interval,
     tol = tol or Tolerances()
     if interval.width <= 0.0:
         raise ValueError("interval must be non-degenerate")
-    var = the_variable(f)
-    if var is None:
-        return []
-    derivative = bind(differentiate(f, var), var, parameters)
     roots = []
     for bracket in scan_sign_changes(derivative, interval.lo, interval.hi,
                                      _SCAN_CELLS):
         roots.append(find_root_bracketed(derivative, bracket.lo, bracket.hi, tol).root)
     roots.sort()
-    edge = max(tol.abs_tol, 4.0 * _spacing(interval))
+    scale = max(abs(interval.lo), abs(interval.hi), 1.0)
+    edge = max(tol.abs_tol, 4.0 * math.ulp(scale))
     deduped: list[float] = []
     for r in roots:
         if r <= interval.lo + edge or r >= interval.hi - edge:
@@ -160,29 +162,20 @@ def critical_points(f: Expression, interval: Interval,
     return deduped
 
 
-def _spacing(interval: Interval) -> float:
-    scale = max(abs(interval.lo), abs(interval.hi), 1.0)
-    return math.ulp(scale)
+def partition(fn: Callable[[float], float],
+              derivative: Callable[[float], float], interval: Interval,
+              tol: Tolerances | None = None) -> MonotonePartition:
+    """Split ``interval`` into strictly monotone pieces of ``fn``, breaking
+    it where ``derivative`` changes sign.
 
-
-def partition(f: Expression, interval: Interval,
-              tol: Tolerances | None = None,
-              parameters: Mapping[str, float] | None = None) -> MonotonePartition:
-    """Split ``interval`` into strictly monotone pieces of ``f``.
-
-    A piece is increasing when f(hi) > f(lo) and decreasing when
-    f(hi) < f(lo); equal or unordered (NaN) end values raise
+    A piece is increasing when fn(hi) > fn(lo) and decreasing when
+    fn(hi) < fn(lo); equal or unordered (NaN) end values raise
     ``AlternationViolationError``, and so do adjacent pieces that share a
-    direction.
+    direction.  A constant curve is one piece with equal end values.
     """
     tol = tol or Tolerances()
-    points = critical_points(f, interval, tol, parameters)
+    points = critical_points(derivative, interval, tol)
     breakpoints = (interval.lo, *points, interval.hi)
-    var = the_variable(f)
-    if var is None:
-        raise AlternationViolationError(
-            "a constant expression has no strictly monotone pieces")
-    fn = bind(f, var, parameters)
     values = [fn(x) for x in breakpoints]
 
     directions = []
@@ -219,11 +212,13 @@ def check_lemma1(p: MonotonePartition, f_a: float, f_b: float) -> bool:
     return p.directions[0] == expected and p.directions[-1] == expected
 
 
-def validate_revolution_hypotheses(f: Expression, interval: Interval,
-                                   tol: Tolerances | None = None,
-                                   parameters: Mapping[str, float] | None = None
+def validate_revolution_hypotheses(fn: Callable[[float], float],
+                                   derivative: Callable[[float], float],
+                                   interval: Interval,
+                                   tol: Tolerances | None = None
                                    ) -> HypothesisReport:
-    """Check that the curve supports the piecewise volume formulas.
+    """Check that the curve ``fn``, with derivative ``derivative``,
+    supports the piecewise volume formulas.
 
     Rules checked, each yielding a ``(rule, location)`` violation:
 
@@ -232,32 +227,28 @@ def validate_revolution_hypotheses(f: Expression, interval: Interval,
     * every interior extremum value lies strictly between the endpoint
       values, which for piecewise strictly monotone curves is equivalent
       to the top and bottom boundary lines meeting the curve only once;
-    * piece directions strictly alternate.
+    * piece directions strictly alternate, and every piece is strictly
+      monotone (so a constant curve fails this rule too).
 
     Violations are data, not exceptions.
     """
     tol = tol or Tolerances()
-    return _validate(f, interval, tol, parameters,
-                     lambda: partition(f, interval, tol, parameters))
+    return _validate(fn, interval, tol,
+                     lambda: partition(fn, derivative, interval, tol))
 
 
-def _validate_with_partition(f: Expression, p: MonotonePartition,
-                              tol: Tolerances | None,
-                              parameters: Mapping[str, float] | None
-                              ) -> HypothesisReport:
+def _validate_with_partition(fn: Callable[[float], float], p: MonotonePartition,
+                             tol: Tolerances | None) -> HypothesisReport:
     """:func:`validate_revolution_hypotheses` over ``p``'s span, reusing
     ``p`` instead of building the partition again.  ``p`` must be what
-    ``partition(f, span, tol, parameters)`` returns."""
+    ``partition(fn, derivative, span, tol)`` returns."""
     span = Interval(p.breakpoints[0], p.breakpoints[-1])
-    return _validate(f, span, tol or Tolerances(), parameters, lambda: p)
+    return _validate(fn, span, tol or Tolerances(), lambda: p)
 
 
-def _validate(f: Expression, interval: Interval, tol: Tolerances,
-              parameters: Mapping[str, float] | None,
+def _validate(fn: Callable[[float], float], interval: Interval, tol: Tolerances,
               build_partition: Callable[[], MonotonePartition]
               ) -> HypothesisReport:
-    var = the_variable(f)
-    fn = bind(f, var or "_", parameters)
     f_a = fn(interval.lo)
     f_b = fn(interval.hi)
     c, d = min(f_a, f_b), max(f_a, f_b)
@@ -267,28 +258,26 @@ def _validate(f: Expression, interval: Interval, tol: Tolerances,
         violations.append((RULE_ENDPOINTS_EQUAL, interval.lo))
 
     part: MonotonePartition | None = None
-    if var is not None:
-        try:
-            part = build_partition()
-        except AlternationViolationError:
-            violations.append((RULE_ALTERNATION, interval.lo))
+    try:
+        part = build_partition()
+    except AlternationViolationError:
+        violations.append((RULE_ALTERNATION, interval.lo))
 
+    extrema = (list(zip(part.breakpoints[1:-1], part.extremum_values))
+               if part is not None else [])
     # nonnegativity on a dense grid plus all breakpoints
     worst_x, worst_v = interval.lo, f_a
     for x in uniform_grid(interval.lo, interval.hi, _NONNEG_CELLS):
         v = fn(x)
         if v < worst_v:
             worst_x, worst_v = x, v
-    if part is not None:
-        for x, v in zip(part.breakpoints[1:-1], part.extremum_values):
-            if v < worst_v:
-                worst_x, worst_v = x, v
+    for x, v in extrema:
+        if v < worst_v:
+            worst_x, worst_v = x, v
     if worst_v < _NONNEG_FLOOR:
         violations.append((RULE_NEGATIVE_VALUE, worst_x))
 
-    if part is not None:
-        for x, v in zip(part.breakpoints[1:-1], part.extremum_values):
-            if not c < v < d:
-                violations.append((RULE_MULTIPLE_INTERSECTION, x))
+    violations.extend((RULE_MULTIPLE_INTERSECTION, x) for x, v in extrema
+                      if not c < v < d)
 
     return HypothesisReport(not violations, c, d, tuple(violations), part)

@@ -181,10 +181,18 @@ class VolumeReport:
 # ---------------------------------------------------------------------------
 # Internal helpers
 
+# The only compile sites: an entry point compiles f once, and f' only where
+# it is evaluated, and hands both functions down.
 def _curve_function(curve: Expression, parameters: Mapping[str, float] | None
-                    ) -> tuple[Callable[[float], float], str | None]:
-    var = the_variable(curve)
-    return bind(curve, var or "_", parameters), var
+                    ) -> Callable[[float], float]:
+    return bind(curve, the_variable(curve) or "_", parameters)
+
+
+def _derivative_function(curve: Expression,
+                         parameters: Mapping[str, float] | None
+                         ) -> Callable[[float], float]:
+    var = the_variable(curve) or "_"
+    return bind(differentiate(curve, var), var, parameters)
 
 
 def _clamp(raw: float, err: float) -> float:
@@ -317,7 +325,7 @@ def shell_volume(curve: Expression, interval: Interval,
     tol = tol or Tolerances()
     if interval.lo < 0.0:
         raise ValueError("shell quadrature requires an interval within [0, inf)")
-    fn, _ = _curve_function(curve, parameters)
+    fn = _curve_function(curve, parameters)
     for x in uniform_grid(interval.lo, interval.hi, _NONNEG_CELLS):
         v = fn(x)
         if v < _NONNEG_FLOOR:
@@ -337,16 +345,16 @@ def _disk_volume(curve: Expression, role: str, inverted_role: str,
     ``curve_interval``."""
     tol = tol or Tolerances()
     if role == inverted_role:
-        if critical_points(curve, curve_interval, tol, parameters):
+        derivative = _derivative_function(curve, parameters)
+        if critical_points(derivative, curve_interval, tol):
             raise NotInvertibleError(
                 "curve is not strictly monotone on its interval")
-        fn, var = _curve_function(curve, parameters)
-        derivative = bind(differentiate(curve, var), var, parameters)
+        fn = _curve_function(curve, parameters)
         inverse = _inverse_on_piece(fn, derivative, curve_interval, tol)
         return _method_report("disk", *_inverse_disk_value(inverse, lo, hi, tol))
     if role not in (ROLE_Y_OF_X, ROLE_X_OF_Y):
         raise ValueError(f"unknown curve role {role!r}")
-    radius, _ = _curve_function(curve, parameters)
+    radius = _curve_function(curve, parameters)
     return _method_report("disk", *_disk_value(radius, lo, hi, tol))
 
 
@@ -401,9 +409,9 @@ def theorem1_y(curve: Expression, interval: Interval,
     if interval.lo < 0.0:
         raise ValueError("the boundary-term formula requires an interval "
                          "within [0, inf)")
-    if critical_points(curve, interval, tol, parameters):
+    if critical_points(_derivative_function(curve, parameters), interval, tol):
         raise NotMonotoneError("curve has interior extrema on the interval")
-    fn, _ = _curve_function(curve, parameters)
+    fn = _curve_function(curve, parameters)
     f_lo, f_hi = fn(interval.lo), fn(interval.hi)
     if f_lo == f_hi:
         raise NotMonotoneError("endpoint values are equal")
@@ -421,27 +429,29 @@ theorem1_x = theorem1_y
 def _theorem2(curve: Expression, interval: Interval, tol: Tolerances | None,
               parameters: Mapping[str, float] | None, tag: str
               ) -> tuple[VolumeReport, Callable[[float], float],
-                         tuple[float, ...], QuadratureResult]:
+                         Callable[[float], float], tuple[float, ...],
+                         QuadratureResult]:
     """The validated boundary-term formula over the whole interval.
 
     Besides the report, returns what cross-validation reuses: the bound
-    curve, its values at the partition's breakpoints, and the quadrature.
+    curve, its derivative, its breakpoint values, and the quadrature.
     """
     tol = tol or Tolerances()
     if interval.lo < 0.0:
         raise ValueError("the boundary-term formula requires an interval "
                          "within [0, inf)")
-    report = validate_revolution_hypotheses(curve, interval, tol, parameters)
+    fn = _curve_function(curve, parameters)
+    derivative = _derivative_function(curve, parameters)
+    report = validate_revolution_hypotheses(fn, derivative, interval, tol)
     if not report.satisfied:
         raise HypothesisViolationError(report)
-    fn, _ = _curve_function(curve, parameters)
     # the extremum values are fn's own results at the interior breakpoints
     ends = (fn(interval.lo), *report.partition.extremum_values, fn(interval.hi))
     value, err, quad = _parts_value(fn, interval.lo, interval.hi,
                                     ends[0], ends[-1], tol)
     primary = _method_report(tag, value, err, quad, sign=_sign(ends[0], ends[-1]),
                              partition=report.partition)
-    return primary, fn, ends, quad
+    return primary, fn, derivative, ends, quad
 
 
 def theorem2_y(curve: Expression, interval: Interval,
@@ -484,15 +494,15 @@ def piecewise_signed_sum(curve: Expression, p: MonotonePartition,
     telescoping of the boundary terms makes the total equal the
     single-formula value, which is exactly what cross-validation checks.
 
-    ``p`` must be the curve's partition of its span, as
-    ``partition(curve, span, tol, parameters)`` returns it: the revolution
-    hypotheses are validated against ``p``, not against a fresh partition.
+    ``p`` must be ``partition``'s result for the curve, bound with
+    ``parameters``, over its span: the revolution hypotheses are validated
+    against ``p``, not against a fresh partition.
     """
     tol = tol or Tolerances()
-    report = _validate_with_partition(curve, p, tol, parameters)
+    fn = _curve_function(curve, parameters)
+    report = _validate_with_partition(fn, p, tol)
     if not report.satisfied:
         raise HypothesisViolationError(report)
-    fn, _ = _curve_function(curve, parameters)
     ends = tuple(fn(x) for x in p.breakpoints)
     value, err, quads = _piecewise_value(fn, p, ends, tol)
     return _method_report("piecewise", value, err, *quads,
@@ -545,13 +555,11 @@ def _cross_theorem_frame(problem: VolumeProblem) -> VolumeReport:
     if interval.lo < 0.0:
         raise ValueError("the boundary-term formulas require an interval "
                          "within [0, inf)")
-    primary, fn, ends, quad = _theorem2(
+    primary, fn, derivative, ends, quad = _theorem2(
         problem.curve, interval, tol, problem.parameters,
         "theorem2" if problem.axis == AXIS_Y else "theorem3")
     part = primary.partition
     value, err = primary.value, primary.error_estimate
-    var = the_variable(problem.curve)
-    derivative = bind(differentiate(problem.curve, var), var, problem.parameters)
     rows: list[tuple[str, float, float]] = [(primary.method, value, err)]
 
     if part.interior_count == 0:
@@ -591,7 +599,7 @@ def _cross_disk_frame(problem: VolumeProblem) -> VolumeReport:
     """
     tol = problem.tol
     interval = problem.interval
-    fn, var = _curve_function(problem.curve, problem.parameters)
+    fn = _curve_function(problem.curve, problem.parameters)
 
     value, err, quad = _disk_value(fn, interval.lo, interval.hi, tol)
     rows: list[tuple[str, float, float]] = [("disk", value, err)]
@@ -601,16 +609,15 @@ def _cross_disk_frame(problem: VolumeProblem) -> VolumeReport:
     h_lo, h_hi = fn(interval.lo), fn(interval.hi)
     mirror_tag = "theorem1" if problem.axis == AXIS_Y else "theorem3"
 
-    if h_lo == h_hi or critical_points(problem.curve, interval, tol,
-                                       problem.parameters):
+    derivative = (None if h_lo == h_hi
+                  else _derivative_function(problem.curve, problem.parameters))
+    if derivative is None or critical_points(derivative, interval, tol):
         warnings.append(
             "curve is not strictly monotone: no independent formula route")
     else:
         # boundary-term formula on the inverse curve, one inversion per
         # node: its variable spans the curve's values, and its values at
         # the ends of that span are the interval's ends
-        derivative = bind(differentiate(problem.curve, var), var,
-                          problem.parameters)
         inverse = _inverse_on_piece(fn, derivative, interval, tol)
         lo, hi = interval.lo, interval.hi
         limits = (h_lo, h_hi, lo, hi) if h_lo < h_hi else (h_hi, h_lo, hi, lo)
@@ -672,13 +679,14 @@ def solve(problem: VolumeProblem) -> VolumeReport:
     if method == "piecewise":
         # partition first, so a malformed curve reports the partition's
         # error rather than a hypothesis violation
-        return piecewise_signed_sum(curve, partition(curve, interval, tol, params),
-                                    tol, params)
+        part = partition(_curve_function(curve, params),
+                         _derivative_function(curve, params), interval, tol)
+        return piecewise_signed_sum(curve, part, tol, params)
     if method == "disk":
         disk = disk_volume_y_axis if axis == AXIS_Y else disk_volume_x_axis
         if formula_frame:
             # the radius is the inverse curve, over the curve's value range
-            fn, _ = _curve_function(curve, params)
+            fn = _curve_function(curve, params)
             lo_v, hi_v = fn(interval.lo), fn(interval.hi)
             return disk(curve, role, min(lo_v, hi_v), max(lo_v, hi_v), tol,
                         params, interval)

@@ -7,6 +7,8 @@ central finite differences stay well defined.
 
 import math
 
+from revolve.expr import bind, differentiate, the_variable
+
 TWO_PI = 2.0 * math.pi
 
 CURVES = [
@@ -25,3 +27,11 @@ CURVES = [
     ("inverse-cosine", "arccos(x)", "x", {}, -0.9, 0.9),
     ("scaled-power", "2*x^0.5 + x", "x", {}, 0.01, 3.0),
 ]
+
+
+def compiled(curve, parameters=None):
+    """``(fn, derivative)``: the parsed ``curve`` and its derivative bound
+    with ``parameters``, the two functions the monotone analyses take."""
+    var = the_variable(curve) or "_"
+    return (bind(curve, var, parameters),
+            bind(differentiate(curve, var), var, parameters))

@@ -29,7 +29,7 @@ from revolve.volume import (
     theorem1_y,
     theorem2_y,
 )
-from corpus import CURVES
+from corpus import CURVES, compiled
 
 PI = math.pi
 TWO_PI = 2.0 * math.pi
@@ -48,7 +48,7 @@ def test_criterion_1_flagship_curve_reproduction():
 
     start = time.perf_counter()
     formula = theorem2_y(curve, FULL)
-    pieces = piecewise_signed_sum(curve, partition(curve, FULL))
+    pieces = piecewise_signed_sum(curve, partition(*compiled(curve), FULL))
     elapsed = time.perf_counter() - start
 
     formula_rel = abs(formula.value - expected) / expected
@@ -136,16 +136,16 @@ def test_criterion_5_parity_of_accepted_curves():
     accepted = 0
     for name, text, var, params, lo, hi in CURVES:
         curve = parse(text, variable=var, parameters=params.keys())
-        report = validate_revolution_hypotheses(curve, Interval(lo, hi),
-                                                parameters=params)
+        report = validate_revolution_hypotheses(*compiled(curve, params),
+                                                Interval(lo, hi))
         if not report.satisfied:
             continue
         accepted += 1
-        part = partition(curve, Interval(lo, hi), parameters=params)
+        part = partition(*compiled(curve, params), Interval(lo, hi))
         assert part.interior_count % 2 == 0, name
 
     rejected = validate_revolution_hypotheses(
-        parse("1 + sin(x)", variable="x"), Interval(0.0, 1.5 * PI))
+        *compiled(parse("1 + sin(x)", variable="x")), Interval(0.0, 1.5 * PI))
     counterexample_rejected = (
         not rejected.satisfied
         and RULE_MULTIPLE_INTERSECTION in [r for r, _ in rejected.violations])

@@ -209,6 +209,21 @@ class TestVerify:
         assert payload["violations"] == []
 
 
+class TestConstantCurve:
+    # a variable-free curve is analysed as the constant function it is
+    @pytest.mark.parametrize("subcommand, expected", [
+        ("partition", "error: piece [0.0, 1.0] is not strictly monotone\n"),
+        ("verify", "  endpoints-equal at 0\n  alternation at 0\n"),
+    ])
+    def test_matches_zero_slope_curve(self, capsys, subcommand, expected):
+        bare, zero_slope = (
+            run_cli(capsys, [subcommand, "--curve", text, "--interval", "0", "1"])
+            for text in ("2", "2 + 0*x"))
+        assert bare == zero_slope
+        code, out, err = bare
+        assert code == 2 and expected in out + err
+
+
 class TestKepler:
     def test_invert(self, capsys):
         code, out, _ = run_cli(capsys, ["kepler", "--eps", "0.5",
@@ -238,6 +253,17 @@ class TestKepler:
         code, _, err = run_cli(capsys, ["kepler", "--eps", "0.5", "--max-iter", "0"])
         assert code == 1
         assert_one_error_line(err)
+
+    @pytest.mark.parametrize("flag", ["--forward", "--invert"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_value_is_a_usage_error(self, capsys, flag, value):
+        # NaN printed as JSON NaN, inf failed inside math, and the inverse
+        # of NaN blamed its bracket
+        code, out, err = run_cli(capsys, [
+            "kepler", "--eps", "0.5", f"{flag}={value}", "--json"])
+        assert code == 1 and out == ""
+        assert_one_error_line(err)
+        assert flag in err and "not finite" in err
 
 
 class TestEnvironmentDefaultTolerance:

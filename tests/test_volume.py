@@ -33,6 +33,7 @@ from revolve.volume import (
     theorem2_y,
     theorem3_x,
 )
+from corpus import compiled
 
 PI = math.pi
 TWO_PI = 2.0 * math.pi
@@ -216,30 +217,30 @@ class TestTheorem3:
 
 class TestPiecewiseSignedSum:
     def test_ramp_plus_wave_matches_formula(self):
-        part = partition(RAMP_WAVE, FULL)
+        part = partition(*compiled(RAMP_WAVE), FULL)
         report = piecewise_signed_sum(RAMP_WAVE, part)
         formula = theorem2_y(RAMP_WAVE, FULL)
         assert report.value == pytest.approx(formula.value, rel=1e-10)
         assert report.partition is part
 
     def test_single_piece(self):
-        part = partition(LINE, Interval(1.0, 2.0))
+        part = partition(*compiled(LINE), Interval(1.0, 2.0))
         report = piecewise_signed_sum(LINE, part)
         assert report.value == pytest.approx(7.0 * PI / 3.0, rel=1e-12)
 
     def test_decreasing_mirror_branch(self):
-        part = partition(MIRROR_WAVE, FULL)
+        part = partition(*compiled(MIRROR_WAVE), FULL)
         report = piecewise_signed_sum(MIRROR_WAVE, part)
         assert report.value == pytest.approx(RAMP_WAVE_VOLUME, rel=1e-10)
         assert report.sign_factor == -1
 
     def test_hypotheses_checked(self):
-        part = partition(SHIFTED_WAVE, Interval(0.0, 1.5 * PI))
+        part = partition(*compiled(SHIFTED_WAVE), Interval(0.0, 1.5 * PI))
         with pytest.raises(HypothesisViolationError):
             piecewise_signed_sum(SHIFTED_WAVE, part)
 
     def test_validates_against_the_given_partition(self, monkeypatch):
-        part = partition(RAMP_WAVE, FULL)
+        part = partition(*compiled(RAMP_WAVE), FULL)
         calls = []
 
         def counted(*args, **kwargs):
@@ -390,16 +391,23 @@ class TestSolveDispatch:
         solve(VolumeProblem(curve=RAMP_WAVE, interval=FULL, method="all"))
         assert 0 < len(calls) <= 150
 
-    @pytest.mark.parametrize("axis, method, budget", [
-        (AXIS_Y, "all", 5),
-        (AXIS_Y, "theorem2", 4),
-        (AXIS_Y, "piecewise", 4),
-        # transverse frame: the curve is the disk radius itself
-        (AXIS_X, "disk", 1),
+    @pytest.mark.parametrize("axis, method, curve, budget", [
+        (AXIS_Y, "all", "ramp-wave", 2),
+        (AXIS_Y, "theorem2", "ramp-wave", 2),
+        # theorem1 and the inverting disk route need a monotone curve
+        (AXIS_Y, "theorem1", "square", 2),
+        # piecewise_signed_sum and the disk routes are public entry points
+        # that compile f again after solve compiled it
+        (AXIS_Y, "piecewise", "ramp-wave", 3),
+        (AXIS_Y, "disk", "square", 3),
+        # transverse frame: f, plus f' once the end values differ
+        (AXIS_X, "all", "ramp-wave", 2),
+        # the curve is the disk radius itself
+        (AXIS_X, "disk", "ramp-wave", 1),
     ])
-    def test_compile_budget(self, axis, method, budget, monkeypatch):
-        # each bind compiles f or f'; partition's f' is compiled only by
-        # critical_points, and no route compiles what it does not evaluate
+    def test_compile_budget(self, axis, method, curve, budget, monkeypatch):
+        # each bind compiles f or f'; a request compiles each once and
+        # passes both down, and no route compiles what it does not evaluate
         calls = []
 
         def counted(*args, **kwargs):
@@ -408,7 +416,9 @@ class TestSolveDispatch:
 
         monkeypatch.setattr(revolve.monotone, "bind", counted)
         monkeypatch.setattr(revolve.volume, "bind", counted)
-        solve(VolumeProblem(curve=RAMP_WAVE, interval=FULL, axis=axis,
+        curve, interval = {"ramp-wave": (RAMP_WAVE, FULL),
+                           "square": (SQUARE, Interval(1.0, 2.0))}[curve]
+        solve(VolumeProblem(curve=curve, interval=interval, axis=axis,
                             method=method))
         assert 0 < len(calls) <= budget
 
