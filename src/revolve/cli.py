@@ -22,6 +22,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 
 from . import kepler as kepler_mod
@@ -93,6 +94,14 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse reads an argument that names no option as a value when
+        # this private matcher accepts it; the stock one takes only plain
+        # negative numbers, so "--interval -pi pi" failed.  Now any single
+        # dash does ("-h" matches its option first); "--name" stays an option.
+        self._negative_number_matcher = re.compile(r"-[^-]")
+
     # argparse exits with status 2 by default; usage errors must be 1 here
     def error(self, message):
         self.print_usage(sys.stderr)

@@ -23,9 +23,9 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping
 
+from ._record import record
 from .errors import RevolveError
 
 __all__ = [
@@ -105,19 +105,20 @@ class DomainError(ExpressionError):
 # AST nodes
 
 class Expression:
-    """Base class for expression nodes.  All nodes are frozen dataclasses,
-    so structural equality and hashing come for free."""
+    """Base class for expression nodes.  All nodes are frozen records
+    (``revolve._record``), so structural equality and hashing come for
+    free."""
 
     def __str__(self) -> str:
         return unparse(self)
 
 
-@dataclass(frozen=True)
+@record
 class Const(Expression):
     value: float
 
 
-@dataclass(frozen=True)
+@record
 class PiConst(Expression):
     """The named constant ``pi``."""
 
@@ -125,28 +126,28 @@ class PiConst(Expression):
 PI = PiConst()
 
 
-@dataclass(frozen=True)
+@record
 class Var(Expression):
     name: str
 
 
-@dataclass(frozen=True)
+@record
 class Param(Expression):
     name: str
 
 
-@dataclass(frozen=True)
+@record
 class Neg(Expression):
     arg: Expression
 
 
-@dataclass(frozen=True)
+@record
 class Call(Expression):
     func: str
     arg: Expression
 
 
-@dataclass(frozen=True)
+@record
 class BinOp(Expression):
     op: str
     left: Expression
@@ -156,7 +157,7 @@ class BinOp(Expression):
 # ---------------------------------------------------------------------------
 # Tokenizer
 
-@dataclass(frozen=True)
+@record
 class _Token:
     kind: str  # "number" | "ident" | "op" | "end"
     text: str

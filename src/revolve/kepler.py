@@ -12,8 +12,8 @@ adaptive quadrature in the test suite.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
+from ._record import record
 from .expr import Expression, parse
 from .numerics import Interval, Tolerances, newton_solve
 
@@ -22,7 +22,7 @@ __all__ = ["KeplerCurve", "forward", "inverse", "reference_volumes"]
 _MAX_ECCENTRICITY = 1.0 - 1e-6
 
 
-@dataclass(frozen=True)
+@record
 class KeplerCurve:
     """Curve x = y - eps*sin(y) with eccentricity eps in (0, 1)."""
 

@@ -17,9 +17,9 @@ orients a curve; the derivative serves only to find the breakpoints.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Iterator
 
+from ._record import record
 from .errors import RevolveError
 # Unused here: bench/tracer.py's Tracer.install patches these two names on
 # this module, so they stay until the tracer stops wrapping them.
@@ -71,7 +71,7 @@ class AlternationViolationError(RevolveError):
     signals a missed tangential-zero pathology."""
 
 
-@dataclass(frozen=True)
+@record
 class MonotonePartition:
     """Breakpoints of a curve's strictly monotone pieces.
 
@@ -112,7 +112,7 @@ class MonotonePartition:
             yield Interval(lo, hi), direction
 
 
-@dataclass(frozen=True)
+@record
 class HypothesisReport:
     """Outcome of the single-intersection / nonnegativity validation.
 

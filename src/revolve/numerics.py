@@ -13,9 +13,9 @@ from __future__ import annotations
 import heapq
 import math
 import sys
-from dataclasses import dataclass
 from typing import Callable, Iterator
 
+from ._record import record
 from .errors import RevolveError
 
 __all__ = [
@@ -60,7 +60,7 @@ class DivergedWithoutBracketError(RevolveError):
     """Newton iteration without a bracket left the finite domain."""
 
 
-@dataclass(frozen=True)
+@record
 class Interval:
     """Ordered pair of reals; ``lo <= hi`` always."""
 
@@ -85,7 +85,7 @@ class Interval:
         return self.lo <= x <= self.hi
 
 
-@dataclass(frozen=True)
+@record
 class Tolerances:
     """Accuracy knobs shared by the quadrature and root-finding layers."""
 
@@ -107,7 +107,7 @@ class Tolerances:
             raise ValueError("max_iter must be at least 1")
 
 
-@dataclass(frozen=True)
+@record
 class QuadratureResult:
     value: float
     error_estimate: float
@@ -115,7 +115,7 @@ class QuadratureResult:
     converged: bool
 
 
-@dataclass(frozen=True)
+@record
 class RootResult:
     root: float
     residual: float

@@ -45,9 +45,9 @@ the x-axis is the mirror image.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable, Mapping
 
+from ._record import factory, record
 from .errors import RevolveError
 from .expr import Expression, bind, differentiate, the_variable
 from .monotone import (
@@ -129,7 +129,7 @@ class HypothesisViolationError(RevolveError):
         super().__init__(f"revolution hypotheses violated: {rules}")
 
 
-@dataclass(frozen=True)
+@record
 class VolumeProblem:
     """One volume-of-revolution request.
 
@@ -143,8 +143,8 @@ class VolumeProblem:
     curve_role: str = ROLE_Y_OF_X
     axis: str = AXIS_Y
     method: str = "all"
-    tol: Tolerances = field(default_factory=Tolerances)
-    parameters: Mapping[str, float] = field(default_factory=dict)
+    tol: Tolerances = factory(Tolerances)
+    parameters: Mapping[str, float] = factory(dict)
 
     def __post_init__(self):
         if self.curve_role not in (ROLE_Y_OF_X, ROLE_X_OF_Y):
@@ -155,7 +155,7 @@ class VolumeProblem:
             raise ValueError(f"unknown method {self.method!r}")
 
 
-@dataclass(frozen=True)
+@record
 class VolumeReport:
     """Result of a volume computation.
 
@@ -586,7 +586,9 @@ def _cross_theorem_frame(problem: VolumeProblem) -> VolumeReport:
     warnings = _quad_warnings(quad, *piecewise_quads, *disk_quads) + \
         _pairwise_warnings(rows, tol)
     cross = tuple((name, v, abs(v - value)) for name, v, _ in rows[1:])
-    return replace(primary, cross_checks=cross, warnings=tuple(warnings))
+    return VolumeReport(value=value, method=primary.method, error_estimate=err,
+                        sign_factor=primary.sign_factor, partition=part,
+                        cross_checks=cross, warnings=tuple(warnings))
 
 
 def _cross_disk_frame(problem: VolumeProblem) -> VolumeReport:

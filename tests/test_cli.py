@@ -1,5 +1,6 @@
 """Command-line interface: output formats, exit codes, determinism."""
 
+import argparse
 import json
 import math
 
@@ -264,6 +265,59 @@ class TestKepler:
         assert code == 1 and out == ""
         assert_one_error_line(err)
         assert flag in err and "not finite" in err
+
+
+class TestDashValues:
+    """Values that begin with a dash: argparse used to read "-pi" or
+    "-1e-3" as an unknown option and print a usage error."""
+
+    @pytest.mark.parametrize("text, value", [
+        ("-pi", -PI),
+        ("-1e-3", -1e-3),
+        ("-2*pi", -2 * PI),
+        ("-(1/2)", -0.5),
+        ("-sqrt(2)", -math.sqrt(2)),
+    ])
+    def test_expression_lower_bound(self, capsys, text, value):
+        code, out, err = run_cli(capsys, [
+            "partition", "--curve", "x", "--interval", text, "1", "--json"])
+        assert (code, err) == (0, "")
+        assert json.loads(out)["breakpoints"] == [value, 1.0]
+
+    def test_verify_over_minus_pi_to_pi(self, capsys):
+        code, out, err = run_cli(capsys, [
+            "verify", "--curve", "x^2+1", "--interval", "-pi", "pi"])
+        assert (code, err) == (2, "")
+        assert out.startswith("satisfied: False\nc: 10.8696044011\n")
+        assert "endpoints-equal at -3.14159265359" in out
+
+    def test_negative_curve(self, capsys):
+        code, out, _ = run_cli(capsys, [
+            "partition", "--curve", "-x", "--interval", "0", "1", "--json"])
+        assert code == 0
+        assert json.loads(out)["directions"] == ["decreasing"]
+
+    @pytest.mark.parametrize("flag, key, field", [
+        ("--invert", "inverse", "x"),
+        ("--forward", "forward", "y"),
+    ])
+    def test_kepler_negative_argument(self, capsys, flag, key, field):
+        code, out, err = run_cli(capsys, [
+            "kepler", "--eps", "0.5", flag, "-1e-3", "--json"])
+        assert (code, err) == (0, "")
+        assert json.loads(out)[key][field] == -1e-3
+
+    def test_help_and_unknown_options_are_unchanged(self, capsys):
+        # the fix swaps argparse's private negative-number matcher; if a
+        # Python renames it, this fails instead of the bug returning quietly
+        assert hasattr(argparse.ArgumentParser(), "_negative_number_matcher")
+        with pytest.raises(SystemExit) as caught:
+            main(["volume", "-h"])
+        assert caught.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: revolve volume [-h]")
+        code, _, err = run_cli(capsys, VOLUME_ARGS + ["--interval", "--bogus"])
+        assert code == 1
+        assert err.endswith("error: argument --interval: expected 2 arguments\n")
 
 
 class TestEnvironmentDefaultTolerance:

@@ -1,4 +1,9 @@
-"""The package namespace: what ``import revolve`` exports."""
+"""The package namespace: what ``import revolve`` exports and loads."""
+
+import os
+import pathlib
+import subprocess
+import sys
 
 import revolve
 from revolve import errors, expr, kepler, monotone, numerics, volume
@@ -40,3 +45,41 @@ def test_listed_exports_still_import():
     assert len(LISTED_EXPORTS) == 64
     assert set(LISTED_EXPORTS) <= set(revolve.__all__)
     assert all(hasattr(revolve, name) for name in LISTED_EXPORTS)
+
+
+# ---------------------------------------------------------------------------
+# Start-up footprint: every CLI run is a fresh process, so what importing the
+# package loads is paid per run.  `dataclasses` and the `inspect` it imports
+# were among the largest of those costs, and revolve needs neither.
+
+SRC = pathlib.Path(revolve.__file__).resolve().parent.parent
+HEAVY = {"dataclasses", "inspect"}
+
+
+def _python(*args: str) -> subprocess.CompletedProcess:
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True,
+                          text=True, timeout=60, check=True)
+
+
+def _imported(*args: str) -> set[str]:
+    """Modules that ``python -X importtime ARGS`` imports."""
+    lines = _python("-X", "importtime", *args).stderr.splitlines()
+    return {line.rpartition("|")[2].strip() for line in lines
+            if line.startswith("import time:")}
+
+
+def test_importing_the_cli_loads_no_dataclasses():
+    code = ("import sys; before = set(sys.modules); import revolve.cli; "
+            "print(' '.join(sorted(set(sys.modules) - before)))")
+    added = set(_python("-c", code).stdout.split())
+    assert "revolve.cli" in added
+    assert not added & HEAVY
+
+
+def test_a_volume_run_loads_no_dataclasses():
+    baseline = _imported("-c", "pass")
+    run = _imported("-m", "revolve", "volume", "--curve", "x+1",
+                    "--interval", "0", "1", "--json")
+    assert "revolve.volume" in run
+    assert not (run - baseline) & HEAVY
