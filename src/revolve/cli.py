@@ -38,7 +38,6 @@ from .monotone import (
     validate_revolution_hypotheses,
 )
 from .numerics import (
-    DivergedWithoutBracketError,
     Interval,
     MaxIterationsExceededError,
     NoSignChangeError,
@@ -83,7 +82,6 @@ _HYPOTHESIS_ERRORS = (
 )
 _NUMERIC_ERRORS = (
     MaxIterationsExceededError,
-    DivergedWithoutBracketError,
     NonFiniteEvaluationError,
     NoSignChangeError,
 )
@@ -170,24 +168,17 @@ def _build_parser() -> _Parser:
 
 
 def _tolerances(ns: argparse.Namespace) -> Tolerances:
-    defaults = Tolerances()
-    rel_default = defaults.rel_tol
+    # each tolerance flag's dest is the Tolerances field of the same name
+    given = {name: getattr(ns, name) for name in Tolerances.__match_args__
+             if getattr(ns, name) is not None}
     env = os.environ.get(ENV_DEFAULT_TOL)
     if env is not None:
         try:
-            rel_default = float(env)
+            given.setdefault("rel_tol", float(env))
         except ValueError:
             raise _UsageError(f"{ENV_DEFAULT_TOL} is not a number: {env!r}")
     try:
-        return Tolerances(
-            abs_tol=ns.abs_tol if ns.abs_tol is not None else defaults.abs_tol,
-            rel_tol=ns.rel_tol if ns.rel_tol is not None else rel_default,
-            residual_tol=(ns.residual_tol if ns.residual_tol is not None
-                          else defaults.residual_tol),
-            max_depth=(ns.max_depth if ns.max_depth is not None
-                       else defaults.max_depth),
-            max_iter=ns.max_iter if ns.max_iter is not None else defaults.max_iter,
-        )
+        return Tolerances(**given)
     except ValueError as exc:
         raise _UsageError(str(exc))
 
@@ -423,10 +414,7 @@ def main(argv: list[str] | None = None) -> int:
     except _NUMERIC_ERRORS as exc:
         _fail(str(exc))
         return EXIT_NUMERIC
-    except (ExpressionError, ValueError) as exc:
-        _fail(str(exc))
-        return EXIT_USAGE
-    except OSError as exc:
+    except (ExpressionError, ValueError, OSError) as exc:
         _fail(str(exc))
         return EXIT_USAGE
     except RevolveError as exc:

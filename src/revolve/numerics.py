@@ -19,7 +19,6 @@ from ._record import record
 from .errors import RevolveError
 
 __all__ = [
-    "DivergedWithoutBracketError",
     "Interval",
     "MaxIterationsExceededError",
     "NoSignChangeError",
@@ -54,10 +53,6 @@ class NoSignChangeError(RevolveError):
 
 class MaxIterationsExceededError(RevolveError):
     """The iteration budget ran out before the residual converged."""
-
-
-class DivergedWithoutBracketError(RevolveError):
-    """Newton iteration without a bracket left the finite domain."""
 
 
 @record
@@ -396,27 +391,23 @@ def scan_sign_changes(f: Callable[[float], float], a: float, b: float,
 
 
 def newton_solve(f: Callable[[float], float], fprime: Callable[[float], float],
-                 x0: float, bracket: Interval | None = None,
+                 x0: float, bracket: Interval,
                  tol: Tolerances | None = None) -> RootResult:
-    """Newton iteration with optional bracket safeguarding.
+    """Newton iteration safeguarded by a bracket around the root.
 
-    With a bracket (kept up to date from every residual evaluation), one
+    The bracket is kept up to date from every residual evaluation.  One
     bisection step replaces the Newton step whenever that step would leave
     the bracket, the derivative is below 1e-14 in magnitude, or |f(x)| has
     not fallen below 0.9 times its value two iterations earlier; the last
     rule breaks Newton cycles that bounce between the ends of the bracket.
-    Without a bracket the first two cases abort instead.
     """
     tol = tol or Tolerances()
-    lo = hi = flo = fhi = 0.0
-    have_bracket = bracket is not None
-    if have_bracket:
-        lo, hi = bracket.lo, bracket.hi
-        flo = _checked(f, lo)
-        fhi = _checked(f, hi)
-        if flo * fhi > 0.0:
-            raise NoSignChangeError(
-                f"bracket [{lo!r}, {hi!r}] has no sign change")
+    lo, hi = bracket.lo, bracket.hi
+    flo = _checked(f, lo)
+    fhi = _checked(f, hi)
+    if flo * fhi > 0.0:
+        raise NoSignChangeError(
+            f"bracket [{lo!r}, {hi!r}] has no sign change")
 
     x = float(x0)
     fell_back = False
@@ -424,7 +415,7 @@ def newton_solve(f: Callable[[float], float], fprime: Callable[[float], float],
     last = before_last = math.inf
     for iteration in range(tol.max_iter + 1):
         fx = _checked(f, x)
-        if have_bracket and lo <= x <= hi:
+        if lo <= x <= hi:
             if (fx < 0.0) == (flo < 0.0):
                 lo, flo = x, fx
             else:
@@ -433,25 +424,18 @@ def newton_solve(f: Callable[[float], float], fprime: Callable[[float], float],
             method = "newton-with-bisection-fallback" if fell_back else "newton"
             return RootResult(x, fx, iteration, method)
 
-        stalled = have_bracket and abs(fx) >= 0.9 * before_last
+        stalled = abs(fx) >= 0.9 * before_last
         before_last, last = last, abs(fx)
         dfx = fprime(x)
         step_ok = not stalled and math.isfinite(dfx) and abs(dfx) >= 1e-14
         if step_ok:
             candidate = x - fx / dfx
-            if have_bracket and not (lo <= candidate <= hi):
-                step_ok = False
-            elif not math.isfinite(candidate):
-                step_ok = False
+            step_ok = lo <= candidate <= hi
         if step_ok:
             x = candidate
-        elif have_bracket:
+        else:
             x = 0.5 * (lo + hi)
             fell_back = True
-        else:
-            raise DivergedWithoutBracketError(
-                f"newton step failed at x={x!r} (derivative {dfx!r}) "
-                "and no bracket was supplied")
 
     raise MaxIterationsExceededError(
         f"no convergence in {tol.max_iter} iterations; last iterate {x!r}")

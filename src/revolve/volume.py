@@ -16,6 +16,13 @@ Four routes are implemented:
 * ``piecewise`` -- the alternating sum of per-piece boundary-term volumes,
                    whose telescoping must reproduce the ``theorem2`` value.
 
+Each method takes the curve compiled to a ``float -> float`` function
+(``revolve.expr.bind``) and, where it evaluates f', the compiled
+derivative, as the monotone analyses do.  ``solve`` and ``cross_validate``
+take a :class:`VolumeProblem` and compile its curve once.  The x-axis
+names ``theorem1_x`` and ``disk_volume_x_axis`` are the same functions as
+their y-axis mirrors: only the axis labels differ.
+
 The boundary-term formulas are evaluated with a single quadrature plus
 boundary terms, never by numerically inverting the curve; the direct disk
 route does invert.  Keeping that asymmetry is what makes cross-validation
@@ -181,8 +188,8 @@ class VolumeReport:
 # ---------------------------------------------------------------------------
 # Internal helpers
 
-# The only compile sites: an entry point compiles f once, and f' only where
-# it is evaluated, and hands both functions down.
+# The only compile sites: ``solve`` and the cross-validation frames compile
+# f once, and f' only where it is evaluated, and hand both functions down.
 def _curve_function(curve: Expression, parameters: Mapping[str, float] | None
                     ) -> Callable[[float], float]:
     return bind(curve, the_variable(curve) or "_", parameters)
@@ -314,9 +321,8 @@ def _inverse_on_piece(fn: Callable[[float], float],
 # ---------------------------------------------------------------------------
 # Direct quadrature methods
 
-def shell_volume(curve: Expression, interval: Interval,
-                 tol: Tolerances | None = None,
-                 parameters: Mapping[str, float] | None = None) -> VolumeReport:
+def shell_volume(fn: Callable[[float], float], interval: Interval,
+                 tol: Tolerances | None = None) -> VolumeReport:
     """Shell quadrature 2*pi*Int x*f(x) dx about the perpendicular axis.
 
     This is the volume of the region between the curve and its abscissa
@@ -325,7 +331,6 @@ def shell_volume(curve: Expression, interval: Interval,
     tol = tol or Tolerances()
     if interval.lo < 0.0:
         raise ValueError("shell quadrature requires an interval within [0, inf)")
-    fn = _curve_function(curve, parameters)
     for x in uniform_grid(interval.lo, interval.hi, _NONNEG_CELLS):
         v = fn(x)
         if v < _NONNEG_FLOOR:
@@ -336,67 +341,45 @@ def shell_volume(curve: Expression, interval: Interval,
                           err, quad)
 
 
-def _disk_volume(curve: Expression, role: str, inverted_role: str,
-                 lo: float, hi: float, tol: Tolerances | None,
-                 parameters: Mapping[str, float] | None,
-                 curve_interval: Interval | None) -> VolumeReport:
-    """pi*Int r(t)^2 dt over [lo, hi], where the radius r is the curve
-    itself or, for ``inverted_role``, its numeric inverse on
-    ``curve_interval``."""
-    tol = tol or Tolerances()
-    if role == inverted_role:
-        derivative = _derivative_function(curve, parameters)
-        if critical_points(derivative, curve_interval, tol):
-            raise NotInvertibleError(
-                "curve is not strictly monotone on its interval")
-        fn = _curve_function(curve, parameters)
-        inverse = _inverse_on_piece(fn, derivative, curve_interval, tol)
-        return _method_report("disk", *_inverse_disk_value(inverse, lo, hi, tol))
-    if role not in (ROLE_Y_OF_X, ROLE_X_OF_Y):
-        raise ValueError(f"unknown curve role {role!r}")
-    radius = _curve_function(curve, parameters)
-    return _method_report("disk", *_disk_value(radius, lo, hi, tol))
-
-
-def disk_volume_y_axis(curve: Expression, role: str, c: float, d: float,
+def disk_volume_y_axis(fn: Callable[[float], float], lo: float, hi: float,
                        tol: Tolerances | None = None,
-                       parameters: Mapping[str, float] | None = None,
-                       x_interval: Interval | None = None) -> VolumeReport:
-    """Disk quadrature pi*Int g(y)^2 dy about the y-axis.
+                       curve_interval: Interval | None = None,
+                       derivative: Callable[[float], float] | None = None
+                       ) -> VolumeReport:
+    """Disk quadrature pi*Int r(t)^2 dt over [lo, hi].
 
-    With ``role="x-of-y"`` the curve already gives the disk radius.  With
-    ``role="y-of-x"`` the curve is inverted numerically: it must be
-    strictly monotone on ``x_interval``, and each quadrature node solves
-    f(x) = y with the interval as bracket.
+    Without ``curve_interval``, ``fn`` is the disk radius itself (x = g(y)
+    about the y-axis).  With it, the curve is given the other way around
+    and is inverted numerically: it must be strictly monotone on
+    ``curve_interval``, whose image is [lo, hi], and each quadrature node
+    solves fn(t) = s by Newton iteration with ``derivative`` and the
+    interval as bracket.
+
+    ``disk_volume_x_axis``, its mirror for y = f(x) about the x-axis, is
+    this same function: only the axis labels differ.
     """
-    if not c < d:
-        raise ValueError("disk quadrature requires c < d")
-    if role == ROLE_Y_OF_X and x_interval is None:
-        raise ValueError("role 'y-of-x' requires the curve's x interval")
-    return _disk_volume(curve, role, ROLE_Y_OF_X, c, d, tol, parameters,
-                        x_interval)
+    if not lo < hi:
+        raise ValueError("disk quadrature requires lo < hi")
+    tol = tol or Tolerances()
+    if curve_interval is None:
+        return _method_report("disk", *_disk_value(fn, lo, hi, tol))
+    if derivative is None:
+        raise ValueError("inverting the curve requires its derivative")
+    if critical_points(derivative, curve_interval, tol):
+        raise NotInvertibleError("curve is not strictly monotone on its interval")
+    inverse = _inverse_on_piece(fn, derivative, curve_interval, tol)
+    return _method_report("disk", *_inverse_disk_value(inverse, lo, hi, tol))
 
 
-def disk_volume_x_axis(curve: Expression, role: str, a: float, b: float,
-                       tol: Tolerances | None = None,
-                       parameters: Mapping[str, float] | None = None,
-                       y_interval: Interval | None = None) -> VolumeReport:
-    """Disk quadrature pi*Int f(x)^2 dx about the x-axis (mirror of
-    :func:`disk_volume_y_axis`)."""
-    if not a < b:
-        raise ValueError("disk quadrature requires a < b")
-    if role == ROLE_X_OF_Y and y_interval is None:
-        raise ValueError("role 'x-of-y' requires the curve's y interval")
-    return _disk_volume(curve, role, ROLE_X_OF_Y, a, b, tol, parameters,
-                        y_interval)
+disk_volume_x_axis = disk_volume_y_axis
 
 
 # ---------------------------------------------------------------------------
 # Boundary-term formulas
 
-def theorem1_y(curve: Expression, interval: Interval,
-               tol: Tolerances | None = None,
-               parameters: Mapping[str, float] | None = None) -> VolumeReport:
+def theorem1_y(fn: Callable[[float], float],
+               derivative: Callable[[float], float], interval: Interval,
+               tol: Tolerances | None = None) -> VolumeReport:
     """Boundary-term formula for a strictly monotone curve y = f(x)
     rotated about the y-axis.
 
@@ -409,9 +392,8 @@ def theorem1_y(curve: Expression, interval: Interval,
     if interval.lo < 0.0:
         raise ValueError("the boundary-term formula requires an interval "
                          "within [0, inf)")
-    if critical_points(_derivative_function(curve, parameters), interval, tol):
+    if critical_points(derivative, interval, tol):
         raise NotMonotoneError("curve has interior extrema on the interval")
-    fn = _curve_function(curve, parameters)
     f_lo, f_hi = fn(interval.lo), fn(interval.hi)
     if f_lo == f_hi:
         raise NotMonotoneError("endpoint values are equal")
@@ -426,22 +408,19 @@ def theorem1_y(curve: Expression, interval: Interval,
 theorem1_x = theorem1_y
 
 
-def _theorem2(curve: Expression, interval: Interval, tol: Tolerances | None,
-              parameters: Mapping[str, float] | None, tag: str
-              ) -> tuple[VolumeReport, Callable[[float], float],
-                         Callable[[float], float], tuple[float, ...],
-                         QuadratureResult]:
+def _theorem2(fn: Callable[[float], float],
+              derivative: Callable[[float], float], interval: Interval,
+              tol: Tolerances | None, tag: str
+              ) -> tuple[VolumeReport, tuple[float, ...], QuadratureResult]:
     """The validated boundary-term formula over the whole interval.
 
-    Besides the report, returns what cross-validation reuses: the bound
-    curve, its derivative, its breakpoint values, and the quadrature.
+    Besides the report, returns what cross-validation reuses: the curve's
+    breakpoint values and the quadrature.
     """
     tol = tol or Tolerances()
     if interval.lo < 0.0:
         raise ValueError("the boundary-term formula requires an interval "
                          "within [0, inf)")
-    fn = _curve_function(curve, parameters)
-    derivative = _derivative_function(curve, parameters)
     report = validate_revolution_hypotheses(fn, derivative, interval, tol)
     if not report.satisfied:
         raise HypothesisViolationError(report)
@@ -451,12 +430,12 @@ def _theorem2(curve: Expression, interval: Interval, tol: Tolerances | None,
                                     ends[0], ends[-1], tol)
     primary = _method_report(tag, value, err, quad, sign=_sign(ends[0], ends[-1]),
                              partition=report.partition)
-    return primary, fn, derivative, ends, quad
+    return primary, ends, quad
 
 
-def theorem2_y(curve: Expression, interval: Interval,
-               tol: Tolerances | None = None,
-               parameters: Mapping[str, float] | None = None) -> VolumeReport:
+def theorem2_y(fn: Callable[[float], float],
+               derivative: Callable[[float], float], interval: Interval,
+               tol: Tolerances | None = None) -> VolumeReport:
     """Piecewise-monotone boundary-term formula about the y-axis.
 
     Validates the revolution hypotheses first (violations raise
@@ -464,15 +443,15 @@ def theorem2_y(curve: Expression, interval: Interval,
     monotone input this degenerates to :func:`theorem1_y` exactly: both
     run the same code path, so the results agree bit for bit.
     """
-    return _theorem2(curve, interval, tol, parameters, "theorem2")[0]
+    return _theorem2(fn, derivative, interval, tol, "theorem2")[0]
 
 
-def theorem3_x(curve: Expression, interval: Interval,
-               tol: Tolerances | None = None,
-               parameters: Mapping[str, float] | None = None) -> VolumeReport:
+def theorem3_x(fn: Callable[[float], float],
+               derivative: Callable[[float], float], interval: Interval,
+               tol: Tolerances | None = None) -> VolumeReport:
     """Mirror of :func:`theorem2_y`: piecewise-monotone x = g(y) rotated
     about the x-axis."""
-    return _theorem2(curve, interval, tol, parameters, "theorem3")[0]
+    return _theorem2(fn, derivative, interval, tol, "theorem3")[0]
 
 
 def _piecewise_value(fn: Callable[[float], float], p: MonotonePartition,
@@ -484,22 +463,19 @@ def _piecewise_value(fn: Callable[[float], float], p: MonotonePartition,
         for (piece, _), h_lo, h_hi in zip(p.pieces(), ends, ends[1:]))
 
 
-def piecewise_signed_sum(curve: Expression, p: MonotonePartition,
-                         tol: Tolerances | None = None,
-                         parameters: Mapping[str, float] | None = None
-                         ) -> VolumeReport:
+def piecewise_signed_sum(fn: Callable[[float], float], p: MonotonePartition,
+                         tol: Tolerances | None = None) -> VolumeReport:
     """Alternating sum of per-piece boundary-term volumes.
 
     Piece i contributes (-1)^i times its own (nonnegative) volume; the
     telescoping of the boundary terms makes the total equal the
     single-formula value, which is exactly what cross-validation checks.
 
-    ``p`` must be ``partition``'s result for the curve, bound with
-    ``parameters``, over its span: the revolution hypotheses are validated
-    against ``p``, not against a fresh partition.
+    ``p`` must be ``partition``'s result for ``fn`` over its span: the
+    revolution hypotheses are validated against ``p``, not against a fresh
+    partition.
     """
     tol = tol or Tolerances()
-    fn = _curve_function(curve, parameters)
     report = _validate_with_partition(fn, p, tol)
     if not report.satisfied:
         raise HypothesisViolationError(report)
@@ -555,8 +531,10 @@ def _cross_theorem_frame(problem: VolumeProblem) -> VolumeReport:
     if interval.lo < 0.0:
         raise ValueError("the boundary-term formulas require an interval "
                          "within [0, inf)")
-    primary, fn, derivative, ends, quad = _theorem2(
-        problem.curve, interval, tol, problem.parameters,
+    fn = _curve_function(problem.curve, problem.parameters)
+    derivative = _derivative_function(problem.curve, problem.parameters)
+    primary, ends, quad = _theorem2(
+        fn, derivative, interval, tol,
         "theorem2" if problem.axis == AXIS_Y else "theorem3")
     part = primary.partition
     value, err = primary.value, primary.error_estimate
@@ -664,11 +642,14 @@ def cross_validate(problem: VolumeProblem) -> VolumeReport:
 # Problem dispatch
 
 def solve(problem: VolumeProblem) -> VolumeReport:
-    """Dispatch a :class:`VolumeProblem` to the requested method."""
+    """Dispatch a :class:`VolumeProblem` to the requested method.
+
+    Every method/frame check runs before anything is compiled; then f is
+    compiled once, and f' only for the methods that evaluate it.
+    """
     method = problem.method
     axis, role = problem.axis, problem.curve_role
-    curve, interval = problem.curve, problem.interval
-    tol, params = problem.tol, problem.parameters
+    interval, tol = problem.interval, problem.tol
     formula_frame = _formula_frame(problem)
 
     if method == "all":
@@ -676,35 +657,33 @@ def solve(problem: VolumeProblem) -> VolumeReport:
     if method in ("shell", "piecewise") and not formula_frame:
         raise ValueError(f"{method} needs the curve expressed along the "
                          "perpendicular axis")
+    if method == "theorem1" and not formula_frame:
+        raise ValueError("theorem1 applies to y-of-x curves about the "
+                         "y-axis or x-of-y curves about the x-axis")
+    if method == "theorem2" and (axis != AXIS_Y or role != ROLE_Y_OF_X):
+        raise ValueError("theorem2 applies to y-of-x curves about the y-axis")
+    if method == "theorem3" and (axis != AXIS_X or role != ROLE_X_OF_Y):
+        raise ValueError("theorem3 applies to x-of-y curves about the x-axis")
+
+    fn = _curve_function(problem.curve, problem.parameters)
     if method == "shell":
-        return shell_volume(curve, interval, tol, params)
+        return shell_volume(fn, interval, tol)
+    if method == "disk" and not formula_frame:
+        # the curve is the disk radius itself
+        return disk_volume_y_axis(fn, interval.lo, interval.hi, tol)
+    derivative = _derivative_function(problem.curve, problem.parameters)
+    if method == "disk":
+        # the radius is the inverse curve, over the curve's value range
+        lo_v, hi_v = fn(interval.lo), fn(interval.hi)
+        return disk_volume_y_axis(fn, min(lo_v, hi_v), max(lo_v, hi_v), tol,
+                                  interval, derivative)
     if method == "piecewise":
         # partition first, so a malformed curve reports the partition's
         # error rather than a hypothesis violation
-        part = partition(_curve_function(curve, params),
-                         _derivative_function(curve, params), interval, tol)
-        return piecewise_signed_sum(curve, part, tol, params)
-    if method == "disk":
-        disk = disk_volume_y_axis if axis == AXIS_Y else disk_volume_x_axis
-        if formula_frame:
-            # the radius is the inverse curve, over the curve's value range
-            fn = _curve_function(curve, params)
-            lo_v, hi_v = fn(interval.lo), fn(interval.hi)
-            return disk(curve, role, min(lo_v, hi_v), max(lo_v, hi_v), tol,
-                        params, interval)
-        return disk(curve, role, interval.lo, interval.hi, tol, params)
+        return piecewise_signed_sum(
+            fn, partition(fn, derivative, interval, tol), tol)
     if method == "theorem1":
-        if not formula_frame:
-            raise ValueError("theorem1 applies to y-of-x curves about the "
-                             "y-axis or x-of-y curves about the x-axis")
-        theorem1 = theorem1_y if axis == AXIS_Y else theorem1_x
-        return theorem1(curve, interval, tol, params)
+        return theorem1_y(fn, derivative, interval, tol)
     if method == "theorem2":
-        if axis != AXIS_Y or role != ROLE_Y_OF_X:
-            raise ValueError("theorem2 applies to y-of-x curves about the y-axis")
-        return theorem2_y(curve, interval, tol, params)
-    if method == "theorem3":
-        if axis != AXIS_X or role != ROLE_X_OF_Y:
-            raise ValueError("theorem3 applies to x-of-y curves about the x-axis")
-        return theorem3_x(curve, interval, tol, params)
-    raise ValueError(f"unknown method {method!r}")
+        return theorem2_y(fn, derivative, interval, tol)
+    return theorem3_x(fn, derivative, interval, tol)

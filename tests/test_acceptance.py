@@ -20,8 +20,6 @@ from revolve.monotone import (
 )
 from revolve.numerics import Interval, integrate
 from revolve.volume import (
-    ROLE_X_OF_Y,
-    ROLE_Y_OF_X,
     disk_volume_x_axis,
     disk_volume_y_axis,
     piecewise_signed_sum,
@@ -47,8 +45,9 @@ def test_criterion_1_flagship_curve_reproduction():
     expected = 8.0 * PI ** 3 / 3.0 + 4.0 * PI ** 2
 
     start = time.perf_counter()
-    formula = theorem2_y(curve, FULL)
-    pieces = piecewise_signed_sum(curve, partition(*compiled(curve), FULL))
+    fn, derivative = compiled(curve)
+    formula = theorem2_y(fn, derivative, FULL)
+    pieces = piecewise_signed_sum(fn, partition(fn, derivative, FULL))
     elapsed = time.perf_counter() - start
 
     formula_rel = abs(formula.value - expected) / expected
@@ -64,8 +63,7 @@ def test_criterion_2_disk_volume_of_kepler_family():
     for eps in (0.1, 0.5, 0.9):
         curve, params = KeplerCurve(eps).as_expression()
         expected = 8.0 * PI ** 4 / 3.0 + (4.0 * eps + eps * eps) * PI ** 2
-        report = disk_volume_y_axis(curve, ROLE_X_OF_Y, 0.0, TWO_PI,
-                                    parameters=params)
+        report = disk_volume_y_axis(compiled(curve, params)[0], 0.0, TWO_PI)
         worst = max(worst, abs(report.value - expected) / expected)
     _report(2, worst <= 1e-8,
             f"disk volumes match 8pi^4/3 + (4e+e^2)pi^2 for e in "
@@ -76,15 +74,15 @@ def test_criterion_3_x_axis_volume_through_numeric_inversion():
     worst = 0.0
     slowest = 0.0
     for eps in (0.1, 0.5, 0.9):
-        curve, params = KeplerCurve(eps).as_expression()
+        fn, derivative = compiled(*KeplerCurve(eps).as_expression())
         expected = 8.0 * PI ** 4 / 3.0 - 4.0 * eps * PI ** 2
 
         start = time.perf_counter()
-        inverted = disk_volume_x_axis(curve, ROLE_X_OF_Y, 0.0, TWO_PI,
-                                      parameters=params, y_interval=FULL)
+        inverted = disk_volume_x_axis(fn, 0.0, TWO_PI, curve_interval=FULL,
+                                      derivative=derivative)
         elapsed = time.perf_counter() - start
         slowest = max(slowest, elapsed)
-        formula = theorem1_x(curve, FULL, parameters=params)
+        formula = theorem1_x(fn, derivative, FULL)
 
         worst = max(worst,
                     abs(inverted.value - expected) / expected,
@@ -119,13 +117,13 @@ def test_criterion_4_formula_vs_disk_on_random_monotone_cubics():
             offset = 0.2 + cubic(hi)
             text = f"{offset} - {slope}*x - {bow}*(x - {center})^3"
             end_a, end_b = offset - cubic(lo), 0.2
-        curve = parse(text, variable="x")
+        fn, derivative = compiled(parse(text, variable="x"))
 
-        formula = theorem1_y(curve, Interval(lo, hi))
+        formula = theorem1_y(fn, derivative, Interval(lo, hi))
         signs[formula.sign_factor] += 1
         c, d = min(end_a, end_b), max(end_a, end_b)
-        disk = disk_volume_y_axis(curve, ROLE_Y_OF_X, c, d,
-                                  x_interval=Interval(lo, hi))
+        disk = disk_volume_y_axis(fn, c, d, curve_interval=Interval(lo, hi),
+                                  derivative=derivative)
         worst = max(worst, abs(formula.value - disk.value) / formula.value)
     _report(4, worst <= 1e-8 and signs[1] == 100 and signs[-1] == 100,
             f"200 monotone cubics, worst |formula - disk| rel {worst:.2e}, "
@@ -167,8 +165,8 @@ def test_criterion_6_piecewise_formula_degenerates_exactly():
     exact = True
     for text, var, params, interval in fixtures:
         curve = parse(text, variable=var, parameters=params.keys())
-        one = theorem1_y(curve, interval, parameters=params)
-        two = theorem2_y(curve, interval, parameters=params)
+        one = theorem1_y(*compiled(curve, params), interval)
+        two = theorem2_y(*compiled(curve, params), interval)
         exact = exact and (two.value == one.value)
     _report(6, exact,
             f"piecewise formula equals the single-piece formula bit-for-bit "

@@ -7,6 +7,7 @@ import pytest
 
 from revolve.kepler import KeplerCurve, forward, inverse, reference_volumes
 from revolve.numerics import integrate
+from corpus import compiled
 
 TWO_PI = 2.0 * math.pi
 
@@ -132,5 +133,5 @@ class TestReferenceVolumes:
         curve = KeplerCurve(0.5)
         tree, params = curve.as_expression()
         _, v_x = reference_volumes(curve)
-        report = theorem1_x(tree, Interval(0.0, TWO_PI), parameters=params)
+        report = theorem1_x(*compiled(tree, params), Interval(0.0, TWO_PI))
         assert report.value == pytest.approx(v_x, rel=1e-9)

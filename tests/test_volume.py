@@ -51,193 +51,206 @@ RAMP_WAVE_VOLUME = 8.0 * PI ** 3 / 3.0 + 4.0 * PI ** 2
 
 KEPLER = KeplerCurve(0.5)
 KEPLER_EXPR, KEPLER_PARAMS = KEPLER.as_expression()
+KEPLER_FN, KEPLER_DERIVATIVE = compiled(KEPLER_EXPR, KEPLER_PARAMS)
 
 
 class TestShellVolume:
     def test_unit_height_cylinder(self):
-        report = shell_volume(parse("1"), Interval(0.0, 2.0))
+        report = shell_volume(compiled(parse("1"))[0], Interval(0.0, 2.0))
         assert report.value == pytest.approx(4.0 * PI, rel=1e-12)
         assert report.sign_factor == 1
 
     def test_under_line_about_perpendicular_axis(self):
-        report = shell_volume(LINE, Interval(0.0, 1.0))
+        report = shell_volume(compiled(LINE)[0], Interval(0.0, 1.0))
         assert report.value == pytest.approx(2.0 * PI / 3.0, rel=1e-12)
 
     def test_ramp_plus_wave(self):
         # 2*pi * Int x*(x/pi + sin x) dx = 16*pi^3/3 - 4*pi^2, from the
         # antiderivative x^3/(3*pi) + sin x - x cos x
         expected = 16.0 * PI ** 3 / 3.0 - 4.0 * PI ** 2
-        report = shell_volume(RAMP_WAVE, FULL)
+        report = shell_volume(compiled(RAMP_WAVE)[0], FULL)
         assert report.value == pytest.approx(expected, rel=1e-12)
 
     def test_negative_curve_rejected(self):
         with pytest.raises(NegativeCurveError):
-            shell_volume(parse("sin(x)", variable="x"), FULL)
+            shell_volume(compiled(parse("sin(x)", variable="x"))[0], FULL)
 
     def test_negative_interval_rejected(self):
         with pytest.raises(ValueError):
-            shell_volume(LINE, Interval(-1.0, 1.0))
+            shell_volume(compiled(LINE)[0], Interval(-1.0, 1.0))
 
 
 class TestDiskVolumeYAxis:
     def test_straight_line_profile(self):
-        report = disk_volume_y_axis(parse("y", variable="y"), ROLE_X_OF_Y,
+        report = disk_volume_y_axis(compiled(parse("y", variable="y"))[0],
                                     0.0, TWO_PI)
         assert report.value == pytest.approx(8.0 * PI ** 4 / 3.0, rel=1e-12)
 
     def test_kepler_profile(self):
         expected = 8.0 * PI ** 4 / 3.0 + 2.25 * PI ** 2
-        report = disk_volume_y_axis(KEPLER_EXPR, ROLE_X_OF_Y, 0.0, TWO_PI,
-                                    parameters=KEPLER_PARAMS)
+        report = disk_volume_y_axis(KEPLER_FN, 0.0, TWO_PI)
         assert report.value == pytest.approx(expected, rel=1e-10)
 
     def test_inverted_line(self):
-        report = disk_volume_y_axis(LINE, ROLE_Y_OF_X, 1.0, 2.0,
-                                    x_interval=Interval(1.0, 2.0))
+        fn, derivative = compiled(LINE)
+        report = disk_volume_y_axis(fn, 1.0, 2.0,
+                                    curve_interval=Interval(1.0, 2.0),
+                                    derivative=derivative)
         assert report.value == pytest.approx(7.0 * PI / 3.0, rel=1e-10)
 
     def test_non_monotone_curve_not_invertible(self):
         with pytest.raises(NotInvertibleError):
-            disk_volume_y_axis(RAMP_WAVE, ROLE_Y_OF_X, 0.0, 2.0, x_interval=FULL)
+            fn, derivative = compiled(RAMP_WAVE)
+            disk_volume_y_axis(fn, 0.0, 2.0, curve_interval=FULL,
+                               derivative=derivative)
 
-    def test_inversion_needs_the_interval(self):
+    def test_inversion_needs_the_derivative(self):
         with pytest.raises(ValueError):
-            disk_volume_y_axis(LINE, ROLE_Y_OF_X, 1.0, 2.0)
+            disk_volume_y_axis(compiled(LINE)[0], 1.0, 2.0,
+                               curve_interval=Interval(1.0, 2.0))
 
     def test_bounds_must_be_ordered(self):
         with pytest.raises(ValueError):
-            disk_volume_y_axis(parse("y", variable="y"), ROLE_X_OF_Y, 2.0, 1.0)
+            disk_volume_y_axis(compiled(parse("y", variable="y"))[0], 2.0, 1.0)
 
 
 class TestDiskVolumeXAxis:
     def test_direct_profile(self):
-        report = disk_volume_x_axis(LINE, ROLE_Y_OF_X, 0.0, 1.0)
+        report = disk_volume_x_axis(compiled(LINE)[0], 0.0, 1.0)
         assert report.value == pytest.approx(PI / 3.0, rel=1e-12)
 
     def test_kepler_inverted_profile(self):
         expected = 8.0 * PI ** 4 / 3.0 - 2.0 * PI ** 2
-        report = disk_volume_x_axis(KEPLER_EXPR, ROLE_X_OF_Y, 0.0, TWO_PI,
-                                    parameters=KEPLER_PARAMS, y_interval=FULL)
+        report = disk_volume_x_axis(KEPLER_FN, 0.0, TWO_PI,
+                                    curve_interval=FULL,
+                                    derivative=KEPLER_DERIVATIVE)
         assert report.value == pytest.approx(expected, rel=1e-8)
 
 
 class TestTheorem1:
     def test_increasing_line(self):
-        report = theorem1_y(LINE, Interval(1.0, 2.0))
+        report = theorem1_y(*compiled(LINE), Interval(1.0, 2.0))
         assert report.value == pytest.approx(7.0 * PI / 3.0, rel=1e-12)
         assert report.sign_factor == 1
 
     def test_decreasing_line_same_volume(self):
-        report = theorem1_y(FALLING, Interval(1.0, 2.0))
+        report = theorem1_y(*compiled(FALLING), Interval(1.0, 2.0))
         assert report.value == pytest.approx(7.0 * PI / 3.0, rel=1e-12)
         assert report.sign_factor == -1
 
     def test_square(self):
-        report = theorem1_y(SQUARE, Interval(1.0, 2.0))
+        report = theorem1_y(*compiled(SQUARE), Interval(1.0, 2.0))
         assert report.value == pytest.approx(15.0 * PI / 2.0, rel=1e-12)
 
     def test_matches_disk_on_the_inverse(self):
-        formula = theorem1_y(SQUARE, Interval(1.0, 2.0))
-        disk = disk_volume_y_axis(SQUARE, ROLE_Y_OF_X, 1.0, 4.0,
-                                  x_interval=Interval(1.0, 2.0))
+        formula = theorem1_y(*compiled(SQUARE), Interval(1.0, 2.0))
+        fn, derivative = compiled(SQUARE)
+        disk = disk_volume_y_axis(fn, 1.0, 4.0,
+                                  curve_interval=Interval(1.0, 2.0),
+                                  derivative=derivative)
         assert formula.value == pytest.approx(disk.value, rel=1e-9)
 
     def test_non_monotone_rejected(self):
         with pytest.raises(NotMonotoneError):
-            theorem1_y(RAMP_WAVE, FULL)
+            theorem1_y(*compiled(RAMP_WAVE), FULL)
 
     def test_negative_curve_rejected(self):
         with pytest.raises(NegativeCurveError):
-            theorem1_y(parse("x - 2", variable="x"), Interval(0.0, 1.0))
+            theorem1_y(*compiled(parse("x - 2", variable="x")),
+                       Interval(0.0, 1.0))
 
     def test_negative_interval_rejected(self):
         with pytest.raises(ValueError):
-            theorem1_y(LINE, Interval(-0.5, 1.0))
+            theorem1_y(*compiled(LINE), Interval(-0.5, 1.0))
 
     def test_x_axis_kepler(self):
         expected = 8.0 * PI ** 4 / 3.0 - 2.0 * PI ** 2
-        report = theorem1_x(KEPLER_EXPR, FULL, parameters=KEPLER_PARAMS)
+        report = theorem1_x(KEPLER_FN, KEPLER_DERIVATIVE, FULL)
         assert report.value == pytest.approx(expected, rel=1e-10)
         assert report.sign_factor == 1
 
     def test_x_axis_cone(self):
-        report = theorem1_x(parse("y", variable="y"), Interval(0.0, 1.0))
+        report = theorem1_x(*compiled(parse("y", variable="y")),
+                            Interval(0.0, 1.0))
         assert report.value == pytest.approx(PI / 3.0, rel=1e-12)
 
     def test_x_axis_reflected_cone(self):
-        report = theorem1_x(parse("1 - y", variable="y"), Interval(0.0, 1.0))
+        report = theorem1_x(*compiled(parse("1 - y", variable="y")),
+                            Interval(0.0, 1.0))
         assert report.value == pytest.approx(PI / 3.0, rel=1e-12)
         assert report.sign_factor == -1
 
 
 class TestTheorem2:
     def test_ramp_plus_wave(self):
-        report = theorem2_y(RAMP_WAVE, FULL)
+        report = theorem2_y(*compiled(RAMP_WAVE), FULL)
         assert report.value == pytest.approx(RAMP_WAVE_VOLUME, rel=1e-12)
         assert report.sign_factor == 1
         assert report.partition is not None
         assert report.partition.interior_count == 2
 
     def test_degenerates_to_single_piece_formula_bitwise(self):
-        one = theorem1_y(LINE, Interval(1.0, 2.0))
-        two = theorem2_y(LINE, Interval(1.0, 2.0))
+        one = theorem1_y(*compiled(LINE), Interval(1.0, 2.0))
+        two = theorem2_y(*compiled(LINE), Interval(1.0, 2.0))
         assert two.value == one.value
 
     def test_decreasing_mirror(self):
-        report = theorem2_y(MIRROR_WAVE, FULL)
+        report = theorem2_y(*compiled(MIRROR_WAVE), FULL)
         assert report.value == pytest.approx(RAMP_WAVE_VOLUME, rel=1e-10)
         assert report.sign_factor == -1
 
     def test_hypothesis_violation_carries_report(self):
         with pytest.raises(HypothesisViolationError) as excinfo:
-            theorem2_y(SHIFTED_WAVE, Interval(0.0, 1.5 * PI))
+            theorem2_y(*compiled(SHIFTED_WAVE), Interval(0.0, 1.5 * PI))
         assert excinfo.value.report.violations
 
     def test_equal_endpoint_values_refused(self):
         # sin has equal endpoint values on [0, pi]; the region's top and
         # bottom boundaries would coincide
         with pytest.raises(HypothesisViolationError):
-            theorem2_y(parse("sin(x)", variable="x"), Interval(0.0, PI))
+            theorem2_y(*compiled(parse("sin(x)", variable="x")),
+                       Interval(0.0, PI))
 
 
 class TestTheorem3:
     def test_wave_of_y(self):
-        report = theorem3_x(WAVE_OF_Y, FULL)
+        report = theorem3_x(*compiled(WAVE_OF_Y), FULL)
         assert report.value == pytest.approx(RAMP_WAVE_VOLUME, rel=1e-10)
 
     def test_cone(self):
-        report = theorem3_x(parse("y", variable="y"), Interval(0.0, 1.0))
+        report = theorem3_x(*compiled(parse("y", variable="y")),
+                            Interval(0.0, 1.0))
         assert report.value == pytest.approx(PI / 3.0, rel=1e-12)
 
     def test_shifted_wave_violation(self):
         with pytest.raises(HypothesisViolationError):
-            theorem3_x(parse("1 + sin(y)", variable="y"),
+            theorem3_x(*compiled(parse("1 + sin(y)", variable="y")),
                        Interval(0.0, 1.5 * PI))
 
 
 class TestPiecewiseSignedSum:
     def test_ramp_plus_wave_matches_formula(self):
         part = partition(*compiled(RAMP_WAVE), FULL)
-        report = piecewise_signed_sum(RAMP_WAVE, part)
-        formula = theorem2_y(RAMP_WAVE, FULL)
+        report = piecewise_signed_sum(compiled(RAMP_WAVE)[0], part)
+        formula = theorem2_y(*compiled(RAMP_WAVE), FULL)
         assert report.value == pytest.approx(formula.value, rel=1e-10)
         assert report.partition is part
 
     def test_single_piece(self):
         part = partition(*compiled(LINE), Interval(1.0, 2.0))
-        report = piecewise_signed_sum(LINE, part)
+        report = piecewise_signed_sum(compiled(LINE)[0], part)
         assert report.value == pytest.approx(7.0 * PI / 3.0, rel=1e-12)
 
     def test_decreasing_mirror_branch(self):
         part = partition(*compiled(MIRROR_WAVE), FULL)
-        report = piecewise_signed_sum(MIRROR_WAVE, part)
+        report = piecewise_signed_sum(compiled(MIRROR_WAVE)[0], part)
         assert report.value == pytest.approx(RAMP_WAVE_VOLUME, rel=1e-10)
         assert report.sign_factor == -1
 
     def test_hypotheses_checked(self):
         part = partition(*compiled(SHIFTED_WAVE), Interval(0.0, 1.5 * PI))
         with pytest.raises(HypothesisViolationError):
-            piecewise_signed_sum(SHIFTED_WAVE, part)
+            piecewise_signed_sum(compiled(SHIFTED_WAVE)[0], part)
 
     def test_validates_against_the_given_partition(self, monkeypatch):
         part = partition(*compiled(RAMP_WAVE), FULL)
@@ -249,7 +262,7 @@ class TestPiecewiseSignedSum:
 
         monkeypatch.setattr(revolve.monotone, "partition", counted)
         monkeypatch.setattr(revolve.volume, "partition", counted)
-        piecewise_signed_sum(RAMP_WAVE, part)
+        piecewise_signed_sum(compiled(RAMP_WAVE)[0], part)
         assert len(calls) == 0
 
 
@@ -391,36 +404,53 @@ class TestSolveDispatch:
         solve(VolumeProblem(curve=RAMP_WAVE, interval=FULL, method="all"))
         assert 0 < len(calls) <= 150
 
-    @pytest.mark.parametrize("axis, method, curve, budget", [
-        (AXIS_Y, "all", "ramp-wave", 2),
-        (AXIS_Y, "theorem2", "ramp-wave", 2),
-        # theorem1 and the inverting disk route need a monotone curve
-        (AXIS_Y, "theorem1", "square", 2),
-        # piecewise_signed_sum and the disk routes are public entry points
-        # that compile f again after solve compiled it
-        (AXIS_Y, "piecewise", "ramp-wave", 3),
-        (AXIS_Y, "disk", "square", 3),
-        # transverse frame: f, plus f' once the end values differ
-        (AXIS_X, "all", "ramp-wave", 2),
-        # the curve is the disk radius itself
-        (AXIS_X, "disk", "ramp-wave", 1),
+    @pytest.mark.parametrize("axis, role, method, derivative_compiles", [
+        # formula frames
+        (AXIS_Y, ROLE_Y_OF_X, "all", 1),
+        (AXIS_X, ROLE_X_OF_Y, "all", 1),
+        (AXIS_Y, ROLE_Y_OF_X, "shell", 0),
+        (AXIS_X, ROLE_X_OF_Y, "shell", 0),
+        (AXIS_Y, ROLE_Y_OF_X, "disk", 1),
+        (AXIS_X, ROLE_X_OF_Y, "disk", 1),
+        (AXIS_Y, ROLE_Y_OF_X, "theorem1", 1),
+        (AXIS_X, ROLE_X_OF_Y, "theorem1", 1),
+        (AXIS_Y, ROLE_Y_OF_X, "theorem2", 1),
+        (AXIS_X, ROLE_X_OF_Y, "theorem3", 1),
+        (AXIS_Y, ROLE_Y_OF_X, "piecewise", 1),
+        (AXIS_X, ROLE_X_OF_Y, "piecewise", 1),
+        # disk frames: f' once the end values differ; the disk radius is
+        # the curve itself
+        (AXIS_Y, ROLE_X_OF_Y, "all", 1),
+        (AXIS_X, ROLE_Y_OF_X, "all", 1),
+        (AXIS_Y, ROLE_X_OF_Y, "disk", 0),
+        (AXIS_X, ROLE_Y_OF_X, "disk", 0),
     ])
-    def test_compile_budget(self, axis, method, curve, budget, monkeypatch):
-        # each bind compiles f or f'; a request compiles each once and
-        # passes both down, and no route compiles what it does not evaluate
-        calls = []
+    def test_compile_budget(self, axis, role, method, derivative_compiles,
+                            monkeypatch):
+        # bind(f) receives the request's own tree, bind(f') its derivative;
+        # no route compiles again what solve compiled, or f' where it is
+        # not evaluated.  theorem1 and the inverting disk route need a
+        # monotone curve.
+        var = "x" if role == ROLE_Y_OF_X else "y"
+        text, interval = (("{v}^2", Interval(1.0, 2.0))
+                          if method in ("theorem1", "disk")
+                          else ("{v}/pi + sin({v})", FULL))
+        curve = parse(text.format(v=var), variable=var)
+        compiles = {"f": 0, "f'": 0}
 
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return bind(*args, **kwargs)
+        def counted(tree, *args, **kwargs):
+            compiles["f" if tree is curve else "f'"] += 1
+            return bind(tree, *args, **kwargs)
 
         monkeypatch.setattr(revolve.monotone, "bind", counted)
         monkeypatch.setattr(revolve.volume, "bind", counted)
-        curve, interval = {"ramp-wave": (RAMP_WAVE, FULL),
-                           "square": (SQUARE, Interval(1.0, 2.0))}[curve]
-        solve(VolumeProblem(curve=curve, interval=interval, axis=axis,
-                            method=method))
-        assert 0 < len(calls) <= budget
+        solve(VolumeProblem(curve=curve, interval=interval, curve_role=role,
+                            axis=axis, method=method))
+        assert compiles == {"f": 1, "f'": derivative_compiles}
+
+    def test_x_axis_names_are_the_y_axis_functions(self):
+        assert disk_volume_x_axis is disk_volume_y_axis
+        assert theorem1_x is theorem1_y
 
     def test_piecewise_reports_the_partition_error_first(self):
         # validation would turn this into a HypothesisViolationError
@@ -479,31 +509,34 @@ class TestProperties:
                 offset = 0.2 + cubic(hi)
                 text = f"{offset} - {slope}*x - {bow}*(x - {center})^3"
             curve = parse(text, variable="x")
-            formula = theorem1_y(curve, Interval(lo, hi))
+            fn, derivative = compiled(curve)
+            formula = theorem1_y(fn, derivative, Interval(lo, hi))
             assert formula.sign_factor == (1 if increasing else -1)
             end_a = offset + (cubic(lo) if increasing else -cubic(lo))
             end_b = offset + (cubic(hi) if increasing else -cubic(hi))
             c, d = min(end_a, end_b), max(end_a, end_b)
-            disk = disk_volume_y_axis(curve, ROLE_Y_OF_X, c, d,
-                                      x_interval=Interval(lo, hi))
+            disk = disk_volume_y_axis(fn, c, d,
+                                      curve_interval=Interval(lo, hi),
+                                      derivative=derivative)
             assert abs(formula.value - disk.value) <= 1e-8 * formula.value
 
     def test_scaling_covariance(self):
-        base = theorem2_y(RAMP_WAVE, FULL).value
+        base = theorem2_y(*compiled(RAMP_WAVE), FULL).value
         for factor in (0.5, 2.0):
             scaled_curve = BinOp("*", Const(factor), RAMP_WAVE)
-            scaled = theorem2_y(scaled_curve, FULL).value
+            scaled = theorem2_y(*compiled(scaled_curve), FULL).value
             assert scaled == pytest.approx(factor * base, rel=1e-10)
 
     def test_shift_is_not_an_invariance(self):
-        base = theorem1_y(LINE, Interval(1.0, 2.0)).value
+        base = theorem1_y(*compiled(LINE), Interval(1.0, 2.0)).value
         shifted_curve = parse("x - 0.5", variable="x")
-        shifted = theorem1_y(shifted_curve, Interval(1.5, 2.5)).value
+        shifted = theorem1_y(*compiled(shifted_curve),
+                             Interval(1.5, 2.5)).value
         assert abs(shifted - base) > 1.0
 
     def test_sign_factor_tracks_orientation(self):
-        rising = theorem1_y(LINE, Interval(1.0, 2.0))
-        falling = theorem1_y(FALLING, Interval(1.0, 2.0))
+        rising = theorem1_y(*compiled(LINE), Interval(1.0, 2.0))
+        falling = theorem1_y(*compiled(FALLING), Interval(1.0, 2.0))
         assert rising.sign_factor == 1
         assert falling.sign_factor == -1
         assert rising.value >= 0.0 and falling.value >= 0.0
