@@ -58,6 +58,7 @@ from .volume import (
     VolumeProblem,
     VolumeReport,
     WARN_NOT_CONVERGED,
+    _curve_enclosures,
     _curve_function,
     _derivative_function,
     solve,
@@ -240,11 +241,21 @@ def _emit(payload: dict, ns: argparse.Namespace, text: str) -> None:
 # ---------------------------------------------------------------------------
 # Subcommands
 
+def _unproven_payload(cells: tuple[tuple[float, float], ...]) -> dict:
+    # only a curve the enclosures could not settle carries the key
+    return {"unproven": [list(cell) for cell in cells]} if cells else {}
+
+
+def _unproven_lines(cells: tuple[tuple[float, float], ...]) -> list[str]:
+    return [f"unproven: [{lo:.12g}, {hi:.12g}]" for lo, hi in cells]
+
+
 def _partition_payload(part: MonotonePartition) -> dict:
     return {
         "breakpoints": list(part.breakpoints),
         "directions": list(part.directions),
         "extremum_values": list(part.extremum_values),
+        **_unproven_payload(part.unproven),
     }
 
 
@@ -308,7 +319,8 @@ def _run_volume(ns: argparse.Namespace) -> int:
 def _run_partition(ns: argparse.Namespace) -> int:
     curve, interval, parameters, tol = _curve_inputs(ns)
     fn = _curve_function(curve, parameters)
-    part = partition(fn, _derivative_function(curve, parameters), interval, tol)
+    part = partition(fn, _derivative_function(curve, parameters),
+                     _curve_enclosures(curve, parameters), interval, tol)
     f_a, f_b = fn(interval.lo), fn(interval.hi)
     try:
         verdict: bool | None = check_lemma1(part, f_a, f_b)
@@ -328,6 +340,7 @@ def _run_partition(ns: argparse.Namespace) -> int:
         "extremum_values: ["
         + ", ".join(f"{v:.12g}" for v in part.extremum_values) + "]",
         f"parity: {verdict} ({detail})",
+        *_unproven_lines(part.unproven),
     ]
     _emit(payload, ns, "\n".join(lines) + "\n")
     return EXIT_OK
@@ -342,6 +355,7 @@ def _verify_payload(report: HypothesisReport) -> dict:
             {"rule": rule, "location": location}
             for rule, location in report.violations
         ],
+        **_unproven_payload(report.unproven),
     }
 
 
@@ -349,7 +363,8 @@ def _run_verify(ns: argparse.Namespace) -> int:
     curve, interval, parameters, tol = _curve_inputs(ns)
     report = validate_revolution_hypotheses(
         _curve_function(curve, parameters),
-        _derivative_function(curve, parameters), interval, tol)
+        _derivative_function(curve, parameters),
+        _curve_enclosures(curve, parameters), interval, tol)
     lines = [
         f"satisfied: {report.satisfied}",
         f"c: {report.c:.12g}",
@@ -360,6 +375,7 @@ def _run_verify(ns: argparse.Namespace) -> int:
         lines.extend(f"  {rule} at {loc:.12g}" for rule, loc in report.violations)
     else:
         lines.append("violations: (none)")
+    lines += _unproven_lines(report.unproven)
     _emit(_verify_payload(report), ns, "\n".join(lines) + "\n")
     return EXIT_OK if report.satisfied else EXIT_HYPOTHESIS
 

@@ -62,8 +62,9 @@ def inverse(curve: KeplerCurve, x: float,
         return 1.0 - e * math.cos(y)
 
     seed = x + e * math.sin(x)
-    return newton_solve(residual, slope, seed,
-                        bracket=Interval(x - e, x + e), tol=tol).root
+    lo, hi = x - e, x + e
+    return newton_solve(residual, slope, seed, Interval(lo, hi),
+                        (residual(lo), residual(hi)), tol).root
 
 
 def reference_volumes(curve: KeplerCurve) -> tuple[float, float]:

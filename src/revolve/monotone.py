@@ -2,13 +2,28 @@
 hypotheses the volume formulas rely on.
 
 Every analysis takes the curve as a ``float -> float`` function and, where
-it needs one, its derivative; callers compile each once (``revolve.volume``
-and the CLI do) and pass both to every analysis.
+it needs one, its derivative, plus :class:`Enclosures`: interval
+enclosures of the curve and its first two derivatives.  Callers compile
+each once (``revolve.volume`` and the CLI do) and pass them to every
+analysis.
 
 A partition's interior breakpoints are the curve's local extrema: zeros of
 the derivative at which the derivative changes sign.  Zeros without a sign
 change (such as the derivative of x^3 at 0) do not break strict
 monotonicity and are deliberately excluded.
+
+Both hypotheses are proven rather than sampled.  The interval is bisected
+into cells aligned to a 1024-cell grid; a cell is settled when the
+enclosure of f' keeps one sign on it, or when it is one grid cell wide and
+the enclosure of f'' excludes 0, so that f' is strictly monotone there and
+changes sign at most once, between the cell's ends, where bracketed root
+finding refines the extremum.  Any other cell is bisected again, below
+grid width, down to a fixed depth; a sign change of f' at the ends of a
+cell at that depth still counts as an extremum, and a cell left without
+one is reported as unproven instead of being passed over.  Nonnegativity
+follows: on proven monotone pieces the minimum is a breakpoint value.
+Where no partition is built, f >= -1e-12 is proven cell by cell from the
+enclosure of f (or of f', which puts the minimum at a cell's end).
 
 A piece's direction is sgn(f(hi) - f(lo)) of its end values, as the paper
 orients a curve; the derivative serves only to find the breakpoints.
@@ -21,14 +36,16 @@ from typing import Callable, Iterator
 
 from ._record import record
 from .errors import RevolveError
-# Unused here: bench/tracer.py's Tracer.install patches these two names on
-# this module, so they stay until the tracer stops wrapping them.
+# Unused here: bench/tracer.py's Tracer.install patches these three names
+# on this module, so they stay until the tracer stops wrapping them.
 from .expr import bind, differentiate  # noqa: F401
-from .numerics import (Interval, Tolerances, find_root_bracketed,
-                       scan_sign_changes, uniform_grid)
+from .numerics import scan_sign_changes  # noqa: F401
+from .numerics import Interval, Tolerances, _checked, find_root_bracketed
 
 __all__ = [
     "AlternationViolationError",
+    "CriticalPoints",
+    "Enclosures",
     "HypothesisReport",
     "INCREASING",
     "DECREASING",
@@ -38,6 +55,7 @@ __all__ = [
     "RULE_ENDPOINTS_EQUAL",
     "RULE_MULTIPLE_INTERSECTION",
     "RULE_NEGATIVE_VALUE",
+    "RULE_NOT_MONOTONE",
     "check_lemma1",
     "critical_points",
     "partition",
@@ -51,15 +69,25 @@ DECREASING = "decreasing"
 # methods apply the same floor.
 _NONNEG_FLOOR = -1e-12
 
-# Cells of the derivative sign-change scan, and of the uniform grid on which
-# nonnegativity is checked (here and by the volume methods).
+# The grids the certificates' cells align to: breakpoints are refined on
+# the brackets of the 1024-cell grid, and a curve found negative is
+# reported at the first point of the 4096-cell grid below the floor, where
+# such a grid point exists.
 _SCAN_CELLS = 1024
 _NONNEG_CELLS = 4096
+# Bisections below one grid cell, and the cells one certificate may
+# examine there in all; cells beyond either limit are unproven.
+_DEPTH_CAP = 40
+_SUBCELL_BUDGET = 4096
 
 RULE_ENDPOINTS_EQUAL = "endpoints-equal"
 RULE_NEGATIVE_VALUE = "negative-value"
 RULE_MULTIPLE_INTERSECTION = "multiple-intersection"
 RULE_ALTERNATION = "alternation"
+RULE_NOT_MONOTONE = "not-strictly-monotone"
+
+Bounds = Callable[[float, float], "tuple[float, float] | None"]
+Cell = tuple[float, float]
 
 
 class PreconditionViolatedError(RevolveError):
@@ -68,7 +96,40 @@ class PreconditionViolatedError(RevolveError):
 
 class AlternationViolationError(RevolveError):
     """Adjacent pieces of a partition do not alternate direction, which
-    signals a missed tangential-zero pathology."""
+    signals a missed tangential-zero pathology, or a piece is not strictly
+    monotone.  ``rule`` names which: ``RULE_ALTERNATION`` or
+    ``RULE_NOT_MONOTONE``."""
+
+    def __init__(self, message: str, rule: str = RULE_ALTERNATION):
+        self.rule = rule
+        super().__init__(message)
+
+
+@record
+class Enclosures:
+    """Interval enclosures of a curve f and of f' and f''.
+
+    Each maps ``(lo, hi)`` to ``(low, high)`` with low <= g(x) <= high for
+    every x in [lo, hi], or to ``None`` where it cannot decide;
+    ``revolve.expr.enclose`` builds such functions from an expression.
+    """
+
+    curve: Bounds
+    slope: Bounds
+    curvature: Bounds
+
+
+@record
+class CriticalPoints:
+    """Where a derivative changes sign inside an interval.
+
+    ``points`` are the refined sign changes, ascending.  ``unproven`` holds
+    the cells ``(lo, hi)`` on which the derivative was shown neither to
+    keep its sign nor to change it.
+    """
+
+    points: tuple[float, ...]
+    unproven: tuple[Cell, ...] = ()
 
 
 @record
@@ -77,12 +138,15 @@ class MonotonePartition:
 
     ``breakpoints`` runs from the query interval's left endpoint to its
     right endpoint; the interior points are the curve's local extrema, and
-    ``extremum_values`` holds the curve values there.
+    ``extremum_values`` holds the curve values there.  ``unproven`` holds
+    the cells where the derivative's sign was left undecided, so that a
+    pair of extrema could hide there.
     """
 
     breakpoints: tuple[float, ...]
     directions: tuple[str, ...]
     extremum_values: tuple[float, ...]
+    unproven: tuple[Cell, ...] = ()
 
     def __post_init__(self):
         if len(self.breakpoints) < 2:
@@ -120,7 +184,8 @@ class HypothesisReport:
     curve; ``violations`` is a sequence of ``(rule, location)`` pairs and
     ``satisfied`` holds exactly when it is empty.  ``partition`` is the
     monotone partition the validation computed, or ``None`` when it could
-    not be built.
+    not be built.  ``unproven`` holds the cells on which a hypothesis was
+    neither proven nor found violated.
     """
 
     satisfied: bool
@@ -128,28 +193,248 @@ class HypothesisReport:
     d: float
     violations: tuple[tuple[str, float], ...]
     partition: MonotonePartition | None = None
+    unproven: tuple[Cell, ...] = ()
 
     def __post_init__(self):
         if self.satisfied != (not self.violations):
             raise ValueError("satisfied flag inconsistent with violations")
 
 
-def critical_points(derivative: Callable[[float], float], interval: Interval,
-                    tol: Tolerances | None = None) -> list[float]:
-    """Interior points where ``derivative`` changes sign.
+# ---------------------------------------------------------------------------
+# Certificates
 
-    Sign changes are located on a 1024-cell scan and refined by
-    bracketed root finding; results are sorted and deduplicated within
-    ``abs_tol``.
+def _grid(lo: float, hi: float, n: int) -> Callable[[int], float]:
+    # abscissa k of n equal cells on [lo, hi], as numerics.uniform_grid
+    # computes it
+    step = (hi - lo) / n
+    return lambda k: hi if k == n else lo + k * step
+
+
+def _sign(bounds: tuple[float, float] | None) -> str | None:
+    """``"+"``/``"-"`` for bounds on one side of zero, ``"+0"``/``"-0"``
+    where they touch it, ``"0"`` for exactly zero, else ``None``."""
+    if bounds is None:
+        return None
+    low, high = bounds
+    if low > 0.0:
+        return "+"
+    if high < 0.0:
+        return "-"
+    if low >= 0.0:
+        return "0" if high <= 0.0 else "+0"
+    return "-0" if high <= 0.0 else None
+
+
+def _excludes_zero(bounds: tuple[float, float] | None) -> bool:
+    return bounds is not None and (bounds[0] > 0.0 or bounds[1] < 0.0)
+
+
+def _slope_certificate(derivative: Callable[[float], float],
+                       enclosures: Enclosures, interval: Interval
+                       ) -> tuple[list[Cell], list[Cell]]:
+    """Brackets of the sign changes of ``derivative`` on ``interval``, in
+    ascending order, and the cells left unproven.
+
+    The cells are index ranges of the 1024-cell grid, bisected until each
+    is settled: f' has one strict sign on it (``"+"``/``"-"``), is exactly
+    zero (``"0"``), or the cell is one grid cell wide and f' touches zero
+    at most at isolated points (``"weak"``), is strictly monotone
+    (``"mono"``), or neither (``"deep"``, bisected further).  f' is
+    evaluated at the grid ends of every one-cell leaf in grid order, so a
+    grid point where it fails raises as a grid scan would.  The brackets
+    are then those of a scan over every point whose sign is known: between
+    consecutive points where f' is nonzero and of opposite sign.  On a grid
+    where all cells settle at the grid level these are exactly the
+    brackets ``scan_sign_changes`` returns.
+    """
+    slope, curvature = enclosures.slope, enclosures.curvature
+    grid = _grid(interval.lo, interval.hi, _SCAN_CELLS)
+    values: dict[float, float] = {}
+
+    def value(x: float) -> float:
+        v = values.get(x)
+        if v is None:
+            v = values[x] = _checked(derivative, x)
+        return v
+
+    leaves: list[tuple[str, float, float]] = []
+    stack = [(0, _SCAN_CELLS)]
+    while stack:
+        i, j = stack.pop()
+        a, b = grid(i), grid(j)
+        sign = _sign(slope(a, b))
+        if sign in ("+", "-", "0"):
+            leaves.append((sign, a, b))
+        elif j - i > 1:
+            m = (i + j) // 2
+            stack += [(m, j), (i, m)]
+        else:
+            value(a), value(b)
+            if sign is not None:
+                leaves.append(("weak", a, b))
+            elif _excludes_zero(curvature(a, b)):
+                leaves.append(("mono", a, b))
+            else:
+                leaves.append(("deep", a, b))
+
+    brackets: list[Cell] = []
+    unproven: list[Cell] = []
+    last: list = []  # [x, negative] of the last point with a nonzero f'
+    budget = [_SUBCELL_BUDGET]
+
+    def visit(x: float, v: float) -> None:
+        if v != 0.0:
+            negative = v < 0.0
+            if last and last[1] != negative:
+                brackets.append((last[0], x))
+            last[:] = [x, negative]
+
+    def sweep(kind: str, a: float, b: float) -> None:
+        if kind in ("+", "-"):
+            visit(a, -1.0 if kind == "-" else 1.0)
+            last[:] = [b, kind == "-"]
+        elif kind == "deep":
+            start = len(brackets)
+            visit(a, value(a))
+            for sub in _subcells(slope, curvature, a, b, budget):
+                sweep(*sub)
+            visit(b, value(b))
+            # one sign change between grid ends of opposite sign: refine it
+            # on the grid bracket, as the scan did
+            if len(brackets) == start + 1 and value(a) * value(b) < 0.0:
+                brackets[start] = (a, b)
+        elif kind != "0":
+            va, vb = value(a), value(b)
+            visit(a, va)
+            if kind == "weak" and va == 0.0 and vb == 0.0:
+                visit(0.5 * (a + b), value(0.5 * (a + b)))
+            visit(b, vb)
+            if kind == "cap" and not va * vb < 0.0:
+                unproven.append((a, b))
+
+    for leaf in leaves:
+        sweep(*leaf)
+    return brackets, unproven
+
+
+def _subcells(slope: Bounds, curvature: Bounds, a: float, b: float,
+              budget: list[int]) -> list[tuple[str, float, float]]:
+    """Leaves of one grid cell bisected below grid width: the kinds of
+    :func:`_slope_certificate`, with ``"weak"`` for any cell where f'
+    keeps one side of zero and ``"cap"`` for a cell undecided at the depth
+    cap or once ``budget`` is spent."""
+    leaves = []
+    mid = 0.5 * (a + b)
+    stack = [(mid, b, 1), (a, mid, 1)]
+    while stack:
+        lo, hi, depth = stack.pop()
+        sign = _sign(slope(lo, hi))
+        if sign in ("+", "-", "0"):
+            leaves.append((sign, lo, hi))
+            continue
+        if sign is not None:
+            leaves.append(("weak", lo, hi))
+            continue
+        if _excludes_zero(curvature(lo, hi)):
+            leaves.append(("mono", lo, hi))
+            continue
+        mid = 0.5 * (lo + hi)
+        if depth >= _DEPTH_CAP or budget[0] <= 0 or not lo < mid < hi:
+            leaves.append(("cap", lo, hi))
+            continue
+        budget[0] -= 2
+        stack += [(mid, hi, depth + 1), (lo, mid, depth + 1)]
+    return leaves
+
+
+def _floor_certificate(fn: Callable[[float], float], enclosures: Enclosures,
+                       interval: Interval
+                       ) -> tuple[tuple[float, float] | None, list[Cell]]:
+    """Prove ``fn >= _NONNEG_FLOOR`` on ``interval``.
+
+    Returns ``(negative, unproven)``: ``negative`` is ``(x, fn(x))`` at the
+    first point found below the floor, or ``None``.  A cell is proven when
+    the enclosure of f stays above the floor, or when the enclosure of f'
+    keeps one side of zero and f at the cell's lower end does.  Cells are
+    aligned to the 4096-cell grid; at one grid cell an undecided cell has f
+    evaluated at its grid points in order, over the whole interval before
+    any cell is bisected below grid width, so a curve negative at some grid
+    point is reported at the first such point.  Below grid width f is
+    evaluated at each cell's midpoint.
+    """
+    curve, slope = enclosures.curve, enclosures.slope
+
+    def proven(a: float, b: float) -> bool:
+        bounds = curve(a, b)
+        if bounds is None:
+            return False  # f may fail to evaluate somewhere on [a, b]
+        if bounds[0] >= _NONNEG_FLOOR:
+            return True
+        sign = _sign(slope(a, b))
+        if sign is None:
+            return False
+        return fn(a if sign in ("+", "+0", "0") else b) >= _NONNEG_FLOOR
+
+    grid = _grid(interval.lo, interval.hi, _NONNEG_CELLS)
+    pending: list[Cell] = []
+    stack = [(0, _NONNEG_CELLS)]
+    while stack:
+        i, j = stack.pop()
+        a, b = grid(i), grid(j)
+        if proven(a, b):
+            continue
+        if j - i > 1:
+            m = (i + j) // 2
+            stack += [(m, j), (i, m)]
+            continue
+        for x in (a, b):
+            v = fn(x)
+            if v < _NONNEG_FLOOR:
+                return (x, v), []
+        pending.append((a, b))
+
+    unproven: list[Cell] = []
+    budget = _SUBCELL_BUDGET
+    for a, b in pending:
+        cells = [(a, b, 0)]
+        while cells:
+            lo, hi, depth = cells.pop()
+            if depth and proven(lo, hi):
+                continue
+            mid = 0.5 * (lo + hi)
+            if depth >= _DEPTH_CAP or budget <= 0 or not lo < mid < hi:
+                unproven.append((lo, hi))
+                continue
+            v = fn(mid)
+            if v < _NONNEG_FLOOR:
+                return (mid, v), unproven
+            budget -= 2
+            cells += [(mid, hi, depth + 1), (lo, mid, depth + 1)]
+    return None, unproven
+
+
+# ---------------------------------------------------------------------------
+# Analyses
+
+def critical_points(derivative: Callable[[float], float],
+                    enclosures: Enclosures, interval: Interval,
+                    tol: Tolerances | None = None) -> CriticalPoints:
+    """Interior points where ``derivative`` changes sign, proven with the
+    enclosures of f' and f'' (``enclosures.slope`` and
+    ``enclosures.curvature``).
+
+    Each sign change is refined by bracketed root finding; where the
+    certificate settles every cell at the 1024-cell grid, the brackets are
+    that grid's, as a scan of it would give them.  Results are sorted and
+    deduplicated within ``abs_tol``; cells left undecided are returned as
+    ``unproven``.
     """
     tol = tol or Tolerances()
     if interval.width <= 0.0:
         raise ValueError("interval must be non-degenerate")
-    roots = []
-    for bracket in scan_sign_changes(derivative, interval.lo, interval.hi,
-                                     _SCAN_CELLS):
-        roots.append(find_root_bracketed(derivative, bracket.lo, bracket.hi, tol).root)
-    roots.sort()
+    brackets, unproven = _slope_certificate(derivative, enclosures, interval)
+    roots = sorted(find_root_bracketed(derivative, lo, hi, tol).root
+                   for lo, hi in brackets)
     scale = max(abs(interval.lo), abs(interval.hi), 1.0)
     edge = max(tol.abs_tol, 4.0 * math.ulp(scale))
     deduped: list[float] = []
@@ -159,23 +444,26 @@ def critical_points(derivative: Callable[[float], float], interval: Interval,
         if deduped and r - deduped[-1] <= tol.abs_tol:
             continue
         deduped.append(r)
-    return deduped
+    return CriticalPoints(tuple(deduped), tuple(unproven))
 
 
 def partition(fn: Callable[[float], float],
-              derivative: Callable[[float], float], interval: Interval,
-              tol: Tolerances | None = None) -> MonotonePartition:
+              derivative: Callable[[float], float], enclosures: Enclosures,
+              interval: Interval, tol: Tolerances | None = None
+              ) -> MonotonePartition:
     """Split ``interval`` into strictly monotone pieces of ``fn``, breaking
-    it where ``derivative`` changes sign.
+    it where ``derivative`` changes sign (see :func:`critical_points`).
 
     A piece is increasing when fn(hi) > fn(lo) and decreasing when
     fn(hi) < fn(lo); equal or unordered (NaN) end values raise
-    ``AlternationViolationError``, and so do adjacent pieces that share a
-    direction.  A constant curve is one piece with equal end values.
+    ``AlternationViolationError`` with rule ``RULE_NOT_MONOTONE``, and
+    adjacent pieces that share a direction raise it with rule
+    ``RULE_ALTERNATION``.  A constant curve is one piece with equal end
+    values.
     """
     tol = tol or Tolerances()
-    points = critical_points(derivative, interval, tol)
-    breakpoints = (interval.lo, *points, interval.hi)
+    found = critical_points(derivative, enclosures, interval, tol)
+    breakpoints = (interval.lo, *found.points, interval.hi)
     values = [fn(x) for x in breakpoints]
 
     directions = []
@@ -183,9 +471,11 @@ def partition(fn: Callable[[float], float],
                                   values, values[1:]):
         if not (v_lo < v_hi or v_lo > v_hi):  # equal, or NaN
             raise AlternationViolationError(
-                f"piece [{lo!r}, {hi!r}] is not strictly monotone")
+                f"piece [{lo!r}, {hi!r}] is not strictly monotone",
+                RULE_NOT_MONOTONE)
         directions.append(INCREASING if v_hi > v_lo else DECREASING)
-    return MonotonePartition(breakpoints, tuple(directions), tuple(values[1:-1]))
+    return MonotonePartition(breakpoints, tuple(directions),
+                             tuple(values[1:-1]), found.unproven)
 
 
 def check_lemma1(p: MonotonePartition, f_a: float, f_b: float) -> bool:
@@ -214,41 +504,47 @@ def check_lemma1(p: MonotonePartition, f_a: float, f_b: float) -> bool:
 
 def validate_revolution_hypotheses(fn: Callable[[float], float],
                                    derivative: Callable[[float], float],
-                                   interval: Interval,
+                                   enclosures: Enclosures, interval: Interval,
                                    tol: Tolerances | None = None
                                    ) -> HypothesisReport:
-    """Check that the curve ``fn``, with derivative ``derivative``,
-    supports the piecewise volume formulas.
+    """Check that the curve ``fn``, with derivative ``derivative`` and the
+    interval ``enclosures`` of both, supports the piecewise volume formulas.
 
     Rules checked, each yielding a ``(rule, location)`` violation:
 
-    * endpoint values differ beyond tolerance;
-    * the curve is nonnegative on a 4096-cell grid (within roundoff slack);
+    * endpoint values differ beyond tolerance (``RULE_ENDPOINTS_EQUAL``);
+    * every piece is strictly monotone (``RULE_NOT_MONOTONE``, so a
+      constant curve fails it) and piece directions strictly alternate
+      (``RULE_ALTERNATION``);
+    * the curve is nonnegative within roundoff slack
+      (``RULE_NEGATIVE_VALUE``): on a proven partition its minimum is a
+      breakpoint value, and without one it is proven cell by cell;
     * every interior extremum value lies strictly between the endpoint
       values, which for piecewise strictly monotone curves is equivalent
-      to the top and bottom boundary lines meeting the curve only once;
-    * piece directions strictly alternate, and every piece is strictly
-      monotone (so a constant curve fails this rule too).
+      to the top and bottom boundary lines meeting the curve only once
+      (``RULE_MULTIPLE_INTERSECTION``).
 
-    Violations are data, not exceptions.
+    Violations are data, not exceptions.  Cells where the partition or the
+    nonnegativity proof stayed undecided are reported as ``unproven``.
     """
     tol = tol or Tolerances()
     return _validate(fn, interval, tol,
-                     lambda: partition(fn, derivative, interval, tol))
+                     lambda: partition(fn, derivative, enclosures, interval, tol),
+                     lambda: _floor_certificate(fn, enclosures, interval))
 
 
 def _validate_with_partition(fn: Callable[[float], float], p: MonotonePartition,
                              tol: Tolerances | None) -> HypothesisReport:
     """:func:`validate_revolution_hypotheses` over ``p``'s span, reusing
     ``p`` instead of building the partition again.  ``p`` must be what
-    ``partition(fn, derivative, span, tol)`` returns."""
+    ``partition(fn, derivative, enclosures, span, tol)`` returns."""
     span = Interval(p.breakpoints[0], p.breakpoints[-1])
-    return _validate(fn, span, tol or Tolerances(), lambda: p)
+    return _validate(fn, span, tol or Tolerances(), lambda: p, None)
 
 
 def _validate(fn: Callable[[float], float], interval: Interval, tol: Tolerances,
-              build_partition: Callable[[], MonotonePartition]
-              ) -> HypothesisReport:
+              build_partition: Callable[[], MonotonePartition],
+              prove_floor: Callable[[], tuple] | None) -> HypothesisReport:
     f_a = fn(interval.lo)
     f_b = fn(interval.hi)
     c, d = min(f_a, f_b), max(f_a, f_b)
@@ -260,24 +556,26 @@ def _validate(fn: Callable[[float], float], interval: Interval, tol: Tolerances,
     part: MonotonePartition | None = None
     try:
         part = build_partition()
-    except AlternationViolationError:
-        violations.append((RULE_ALTERNATION, interval.lo))
+    except AlternationViolationError as exc:
+        violations.append((exc.rule, interval.lo))
 
-    extrema = (list(zip(part.breakpoints[1:-1], part.extremum_values))
-               if part is not None else [])
-    # nonnegativity on a dense grid plus all breakpoints
-    worst_x, worst_v = interval.lo, f_a
-    for x in uniform_grid(interval.lo, interval.hi, _NONNEG_CELLS):
-        v = fn(x)
-        if v < worst_v:
-            worst_x, worst_v = x, v
-    for x, v in extrema:
-        if v < worst_v:
-            worst_x, worst_v = x, v
-    if worst_v < _NONNEG_FLOOR:
-        violations.append((RULE_NEGATIVE_VALUE, worst_x))
+    if part is not None:
+        # monotone pieces take their least value at a breakpoint
+        extrema = list(zip(part.breakpoints[1:-1], part.extremum_values))
+        worst_x, worst_v = interval.lo, f_a
+        for x, v in [(interval.hi, f_b), *extrema]:
+            if v < worst_v:
+                worst_x, worst_v = x, v
+        negative = (worst_x, worst_v) if worst_v < _NONNEG_FLOOR else None
+        unproven = part.unproven
+    else:
+        extrema = []
+        negative, unproven = prove_floor()
+    if negative is not None:
+        violations.append((RULE_NEGATIVE_VALUE, negative[0]))
 
     violations.extend((RULE_MULTIPLE_INTERSECTION, x) for x, v in extrema
                       if not c < v < d)
 
-    return HypothesisReport(not violations, c, d, tuple(violations), part)
+    return HypothesisReport(not violations, c, d, tuple(violations), part,
+                            tuple(unproven))

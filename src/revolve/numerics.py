@@ -391,20 +391,25 @@ def scan_sign_changes(f: Callable[[float], float], a: float, b: float,
 
 
 def newton_solve(f: Callable[[float], float], fprime: Callable[[float], float],
-                 x0: float, bracket: Interval,
+                 x0: float, bracket: Interval, residuals: tuple[float, float],
                  tol: Tolerances | None = None) -> RootResult:
     """Newton iteration safeguarded by a bracket around the root.
 
-    The bracket is kept up to date from every residual evaluation.  One
-    bisection step replaces the Newton step whenever that step would leave
-    the bracket, the derivative is below 1e-14 in magnitude, or |f(x)| has
-    not fallen below 0.9 times its value two iterations earlier; the last
-    rule breaks Newton cycles that bounce between the ends of the bracket.
+    ``residuals`` is ``(f(bracket.lo), f(bracket.hi))``, which every caller
+    already holds, so f is not evaluated at the ends again.  The bracket is
+    kept up to date from every residual evaluation.  One bisection step
+    replaces the Newton step whenever that step would leave the bracket,
+    the derivative is below 1e-14 in magnitude, or |f(x)| has not fallen
+    below 0.9 times its value two iterations earlier; the last rule breaks
+    Newton cycles that bounce between the ends of the bracket.
     """
     tol = tol or Tolerances()
     lo, hi = bracket.lo, bracket.hi
-    flo = _checked(f, lo)
-    fhi = _checked(f, hi)
+    flo, fhi = residuals
+    if not math.isfinite(flo):
+        raise NonFiniteEvaluationError(lo, flo)
+    if not math.isfinite(fhi):
+        raise NonFiniteEvaluationError(hi, fhi)
     if flo * fhi > 0.0:
         raise NoSignChangeError(
             f"bracket [{lo!r}, {hi!r}] has no sign change")

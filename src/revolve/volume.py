@@ -18,8 +18,11 @@ Four routes are implemented:
 
 Each method takes the curve compiled to a ``float -> float`` function
 (``revolve.expr.bind``) and, where it evaluates f', the compiled
-derivative, as the monotone analyses do.  ``solve`` and ``cross_validate``
-take a :class:`VolumeProblem` and compile its curve once.  The x-axis
+derivative, as the monotone analyses do; where a method checks a
+hypothesis it also takes the curve's interval ``Enclosures``.  ``solve``
+and ``cross_validate`` take a :class:`VolumeProblem` and compile its curve
+once.  A hypothesis the enclosures leave unproven adds a
+``hypotheses-unproven`` warning to the report.  The x-axis
 names ``theorem1_x`` and ``disk_volume_x_axis`` are the same functions as
 their y-axis mirrors: only the axis labels differ.
 
@@ -56,12 +59,13 @@ from typing import Callable, Iterable, Mapping
 
 from ._record import factory, record
 from .errors import RevolveError
-from .expr import Expression, bind, differentiate, the_variable
+from .expr import Expression, bind, differentiate, enclose, the_variable
 from .monotone import (
-    _NONNEG_CELLS,
     _NONNEG_FLOOR,
+    Enclosures,
     HypothesisReport,
     MonotonePartition,
+    _floor_certificate,
     _validate_with_partition,
     critical_points,
     partition,
@@ -73,7 +77,6 @@ from .numerics import (
     Tolerances,
     integrate,
     newton_solve,
-    uniform_grid,
 )
 
 __all__ = [
@@ -89,6 +92,7 @@ __all__ = [
     "VolumeProblem",
     "VolumeReport",
     "WARN_NOT_CONVERGED",
+    "WARN_UNPROVEN",
     "cross_validate",
     "disk_volume_x_axis",
     "disk_volume_y_axis",
@@ -108,6 +112,7 @@ ROLE_X_OF_Y = "x-of-y"
 METHODS = ("shell", "disk", "theorem1", "theorem2", "theorem3", "piecewise", "all")
 
 WARN_NOT_CONVERGED = "quadrature-not-converged"
+WARN_UNPROVEN = "hypotheses-unproven"
 
 
 class NegativeCurveError(RevolveError):
@@ -189,7 +194,8 @@ class VolumeReport:
 # Internal helpers
 
 # The only compile sites: ``solve`` and the cross-validation frames compile
-# f once, and f' only where it is evaluated, and hand both functions down.
+# f once, and f' only where it is evaluated, and hand both functions down,
+# with enclosures that each compile on their first use.
 def _curve_function(curve: Expression, parameters: Mapping[str, float] | None
                     ) -> Callable[[float], float]:
     return bind(curve, the_variable(curve) or "_", parameters)
@@ -200,6 +206,25 @@ def _derivative_function(curve: Expression,
                          ) -> Callable[[float], float]:
     var = the_variable(curve) or "_"
     return bind(differentiate(curve, var), var, parameters)
+
+
+def _curve_enclosures(curve: Expression, parameters: Mapping[str, float] | None
+                      ) -> Enclosures:
+    var = the_variable(curve) or "_"
+    trees = [curve]
+
+    def lazy(order: int):
+        compiled = []
+
+        def enclosure(lo: float, hi: float):
+            if not compiled:
+                while len(trees) <= order:
+                    trees.append(differentiate(trees[-1], var))
+                compiled.append(enclose(trees[order], var, parameters))
+            return compiled[0](lo, hi)
+        return enclosure
+
+    return Enclosures(lazy(0), lazy(1), lazy(2))
 
 
 def _clamp(raw: float, err: float) -> float:
@@ -284,23 +309,35 @@ def _quad_warnings(*quads: QuadratureResult) -> list[str]:
     return [WARN_NOT_CONVERGED] if any(not q.converged for q in quads) else []
 
 
+def _unproven_warnings(cells: Iterable[tuple[float, float]]) -> list[str]:
+    cells = list(cells)
+    if not cells:
+        return []
+    lo, hi = cells[0]
+    return [f"{WARN_UNPROVEN}: {len(cells)} cell(s) undecided, "
+            f"first [{lo!r}, {hi!r}]"]
+
+
 def _method_report(method: str, value: float, err: float,
                    *quads: QuadratureResult, sign: int = 1,
-                   partition: MonotonePartition | None = None) -> VolumeReport:
+                   partition: MonotonePartition | None = None,
+                   unproven: Iterable[tuple[float, float]] = ()) -> VolumeReport:
     return VolumeReport(
         value=value,
         method=method,
         error_estimate=err,
         sign_factor=sign,
         partition=partition,
-        warnings=tuple(_quad_warnings(*quads)),
+        warnings=tuple(_quad_warnings(*quads) + _unproven_warnings(unproven)),
     )
 
 
 def _inverse_on_piece(fn: Callable[[float], float],
                       derivative: Callable[[float], float],
-                      piece: Interval, tol: Tolerances) -> Callable[[float], float]:
-    """Evaluator for the inverse of ``fn`` restricted to a monotone piece.
+                      piece: Interval, ends: tuple[float, float],
+                      tol: Tolerances) -> Callable[[float], float]:
+    """Evaluator for the inverse of ``fn`` restricted to a monotone piece,
+    whose end values fn(piece.lo), fn(piece.hi) are ``ends``.
 
     Each call solves fn(t) = s by Newton iteration, bracketed by the piece
     and seeded with the previous root.  The flagship x/pi + sin(x) over
@@ -308,10 +345,11 @@ def _inverse_on_piece(fn: Callable[[float], float],
     (574 in all).
     """
     seed = [piece.midpoint]
+    f_lo, f_hi = ends
 
     def inverse(s: float) -> float:
         result = newton_solve(lambda t: fn(t) - s, derivative, seed[0],
-                              bracket=piece, tol=tol)
+                              piece, (f_lo - s, f_hi - s), tol)
         seed[0] = result.root
         return result.root
 
@@ -321,39 +359,42 @@ def _inverse_on_piece(fn: Callable[[float], float],
 # ---------------------------------------------------------------------------
 # Direct quadrature methods
 
-def shell_volume(fn: Callable[[float], float], interval: Interval,
-                 tol: Tolerances | None = None) -> VolumeReport:
+def shell_volume(fn: Callable[[float], float], enclosures: Enclosures,
+                 interval: Interval, tol: Tolerances | None = None
+                 ) -> VolumeReport:
     """Shell quadrature 2*pi*Int x*f(x) dx about the perpendicular axis.
 
     This is the volume of the region between the curve and its abscissa
-    axis.  Requires f >= 0 and an interval within [0, inf).
+    axis.  Requires f >= 0 and an interval within [0, inf).  f >= 0 (within
+    roundoff slack) is proven with the enclosures of f and f'; a point
+    found below it raises ``NegativeCurveError``, at the first point of the
+    4096-cell grid below it where there is one.
     """
     tol = tol or Tolerances()
     if interval.lo < 0.0:
         raise ValueError("shell quadrature requires an interval within [0, inf)")
-    for x in uniform_grid(interval.lo, interval.hi, _NONNEG_CELLS):
-        v = fn(x)
-        if v < _NONNEG_FLOOR:
-            raise NegativeCurveError(x, v)
+    negative, unproven = _floor_certificate(fn, enclosures, interval)
+    if negative is not None:
+        raise NegativeCurveError(*negative)
     quad = integrate(lambda x: x * fn(x), interval.lo, interval.hi, tol)
     err = 2.0 * math.pi * quad.error_estimate
     return _method_report("shell", _clamp(2.0 * math.pi * quad.value, err),
-                          err, quad)
+                          err, quad, unproven=unproven)
 
 
 def disk_volume_y_axis(fn: Callable[[float], float], lo: float, hi: float,
                        tol: Tolerances | None = None,
                        curve_interval: Interval | None = None,
-                       derivative: Callable[[float], float] | None = None
-                       ) -> VolumeReport:
+                       derivative: Callable[[float], float] | None = None,
+                       enclosures: Enclosures | None = None) -> VolumeReport:
     """Disk quadrature pi*Int r(t)^2 dt over [lo, hi].
 
     Without ``curve_interval``, ``fn`` is the disk radius itself (x = g(y)
     about the y-axis).  With it, the curve is given the other way around
     and is inverted numerically: it must be strictly monotone on
-    ``curve_interval``, whose image is [lo, hi], and each quadrature node
-    solves fn(t) = s by Newton iteration with ``derivative`` and the
-    interval as bracket.
+    ``curve_interval``, whose image is [lo, hi], which ``derivative`` and
+    ``enclosures`` prove, and each quadrature node solves fn(t) = s by
+    Newton iteration with ``derivative`` and the interval as bracket.
 
     ``disk_volume_x_axis``, its mirror for y = f(x) about the x-axis, is
     this same function: only the axis labels differ.
@@ -363,12 +404,16 @@ def disk_volume_y_axis(fn: Callable[[float], float], lo: float, hi: float,
     tol = tol or Tolerances()
     if curve_interval is None:
         return _method_report("disk", *_disk_value(fn, lo, hi, tol))
-    if derivative is None:
-        raise ValueError("inverting the curve requires its derivative")
-    if critical_points(derivative, curve_interval, tol):
+    if derivative is None or enclosures is None:
+        raise ValueError("inverting the curve requires its derivative and "
+                         "enclosures")
+    found = critical_points(derivative, enclosures, curve_interval, tol)
+    if found.points:
         raise NotInvertibleError("curve is not strictly monotone on its interval")
-    inverse = _inverse_on_piece(fn, derivative, curve_interval, tol)
-    return _method_report("disk", *_inverse_disk_value(inverse, lo, hi, tol))
+    ends = (fn(curve_interval.lo), fn(curve_interval.hi))
+    inverse = _inverse_on_piece(fn, derivative, curve_interval, ends, tol)
+    return _method_report("disk", *_inverse_disk_value(inverse, lo, hi, tol),
+                          unproven=found.unproven)
 
 
 disk_volume_x_axis = disk_volume_y_axis
@@ -378,8 +423,9 @@ disk_volume_x_axis = disk_volume_y_axis
 # Boundary-term formulas
 
 def theorem1_y(fn: Callable[[float], float],
-               derivative: Callable[[float], float], interval: Interval,
-               tol: Tolerances | None = None) -> VolumeReport:
+               derivative: Callable[[float], float], enclosures: Enclosures,
+               interval: Interval, tol: Tolerances | None = None
+               ) -> VolumeReport:
     """Boundary-term formula for a strictly monotone curve y = f(x)
     rotated about the y-axis.
 
@@ -392,7 +438,8 @@ def theorem1_y(fn: Callable[[float], float],
     if interval.lo < 0.0:
         raise ValueError("the boundary-term formula requires an interval "
                          "within [0, inf)")
-    if critical_points(derivative, interval, tol):
+    found = critical_points(derivative, enclosures, interval, tol)
+    if found.points:
         raise NotMonotoneError("curve has interior extrema on the interval")
     f_lo, f_hi = fn(interval.lo), fn(interval.hi)
     if f_lo == f_hi:
@@ -402,15 +449,15 @@ def theorem1_y(fn: Callable[[float], float],
             interval.lo if f_lo < f_hi else interval.hi, min(f_lo, f_hi))
     return _method_report(
         "theorem1", *_parts_value(fn, interval.lo, interval.hi, f_lo, f_hi, tol),
-        sign=_sign(f_lo, f_hi))
+        sign=_sign(f_lo, f_hi), unproven=found.unproven)
 
 
 theorem1_x = theorem1_y
 
 
 def _theorem2(fn: Callable[[float], float],
-              derivative: Callable[[float], float], interval: Interval,
-              tol: Tolerances | None, tag: str
+              derivative: Callable[[float], float], enclosures: Enclosures,
+              interval: Interval, tol: Tolerances | None, tag: str
               ) -> tuple[VolumeReport, tuple[float, ...], QuadratureResult]:
     """The validated boundary-term formula over the whole interval.
 
@@ -421,7 +468,8 @@ def _theorem2(fn: Callable[[float], float],
     if interval.lo < 0.0:
         raise ValueError("the boundary-term formula requires an interval "
                          "within [0, inf)")
-    report = validate_revolution_hypotheses(fn, derivative, interval, tol)
+    report = validate_revolution_hypotheses(fn, derivative, enclosures,
+                                            interval, tol)
     if not report.satisfied:
         raise HypothesisViolationError(report)
     # the extremum values are fn's own results at the interior breakpoints
@@ -429,13 +477,14 @@ def _theorem2(fn: Callable[[float], float],
     value, err, quad = _parts_value(fn, interval.lo, interval.hi,
                                     ends[0], ends[-1], tol)
     primary = _method_report(tag, value, err, quad, sign=_sign(ends[0], ends[-1]),
-                             partition=report.partition)
+                             partition=report.partition, unproven=report.unproven)
     return primary, ends, quad
 
 
 def theorem2_y(fn: Callable[[float], float],
-               derivative: Callable[[float], float], interval: Interval,
-               tol: Tolerances | None = None) -> VolumeReport:
+               derivative: Callable[[float], float], enclosures: Enclosures,
+               interval: Interval, tol: Tolerances | None = None
+               ) -> VolumeReport:
     """Piecewise-monotone boundary-term formula about the y-axis.
 
     Validates the revolution hypotheses first (violations raise
@@ -443,15 +492,16 @@ def theorem2_y(fn: Callable[[float], float],
     monotone input this degenerates to :func:`theorem1_y` exactly: both
     run the same code path, so the results agree bit for bit.
     """
-    return _theorem2(fn, derivative, interval, tol, "theorem2")[0]
+    return _theorem2(fn, derivative, enclosures, interval, tol, "theorem2")[0]
 
 
 def theorem3_x(fn: Callable[[float], float],
-               derivative: Callable[[float], float], interval: Interval,
-               tol: Tolerances | None = None) -> VolumeReport:
+               derivative: Callable[[float], float], enclosures: Enclosures,
+               interval: Interval, tol: Tolerances | None = None
+               ) -> VolumeReport:
     """Mirror of :func:`theorem2_y`: piecewise-monotone x = g(y) rotated
     about the x-axis."""
-    return _theorem2(fn, derivative, interval, tol, "theorem3")[0]
+    return _theorem2(fn, derivative, enclosures, interval, tol, "theorem3")[0]
 
 
 def _piecewise_value(fn: Callable[[float], float], p: MonotonePartition,
@@ -482,7 +532,8 @@ def piecewise_signed_sum(fn: Callable[[float], float], p: MonotonePartition,
     ends = tuple(fn(x) for x in p.breakpoints)
     value, err, quads = _piecewise_value(fn, p, ends, tol)
     return _method_report("piecewise", value, err, *quads,
-                          sign=_sign(ends[0], ends[-1]), partition=p)
+                          sign=_sign(ends[0], ends[-1]), partition=p,
+                          unproven=report.unproven)
 
 
 # ---------------------------------------------------------------------------
@@ -500,8 +551,9 @@ def _disk_pieces_value(fn: Callable[[float], float],
     holds the curve's value at every breakpoint.
     """
     return _alternating_sum(
-        _inverse_disk_value(_inverse_on_piece(fn, derivative, piece, tol),
-                            min(h_lo, h_hi), max(h_lo, h_hi), tol)
+        _inverse_disk_value(
+            _inverse_on_piece(fn, derivative, piece, (h_lo, h_hi), tol),
+            min(h_lo, h_hi), max(h_lo, h_hi), tol)
         for (piece, _), h_lo, h_hi in zip(p.pieces(), ends, ends[1:]))
 
 
@@ -533,8 +585,9 @@ def _cross_theorem_frame(problem: VolumeProblem) -> VolumeReport:
                          "within [0, inf)")
     fn = _curve_function(problem.curve, problem.parameters)
     derivative = _derivative_function(problem.curve, problem.parameters)
+    enclosures = _curve_enclosures(problem.curve, problem.parameters)
     primary, ends, quad = _theorem2(
-        fn, derivative, interval, tol,
+        fn, derivative, enclosures, interval, tol,
         "theorem2" if problem.axis == AXIS_Y else "theorem3")
     part = primary.partition
     value, err = primary.value, primary.error_estimate
@@ -562,7 +615,7 @@ def _cross_theorem_frame(problem: VolumeProblem) -> VolumeReport:
                  _clamp(primary.sign_factor * (boundary - shell_value), err), err))
 
     warnings = _quad_warnings(quad, *piecewise_quads, *disk_quads) + \
-        _pairwise_warnings(rows, tol)
+        _unproven_warnings(part.unproven) + _pairwise_warnings(rows, tol)
     cross = tuple((name, v, abs(v - value)) for name, v, _ in rows[1:])
     return VolumeReport(value=value, method=primary.method, error_estimate=err,
                         sign_factor=primary.sign_factor, partition=part,
@@ -591,14 +644,18 @@ def _cross_disk_frame(problem: VolumeProblem) -> VolumeReport:
 
     derivative = (None if h_lo == h_hi
                   else _derivative_function(problem.curve, problem.parameters))
-    if derivative is None or critical_points(derivative, interval, tol):
+    found = None if derivative is None else critical_points(
+        derivative, _curve_enclosures(problem.curve, problem.parameters),
+        interval, tol)
+    if found is None or found.points:
         warnings.append(
             "curve is not strictly monotone: no independent formula route")
     else:
         # boundary-term formula on the inverse curve, one inversion per
         # node: its variable spans the curve's values, and its values at
         # the ends of that span are the interval's ends
-        inverse = _inverse_on_piece(fn, derivative, interval, tol)
+        warnings += _unproven_warnings(found.unproven)
+        inverse = _inverse_on_piece(fn, derivative, interval, (h_lo, h_hi), tol)
         lo, hi = interval.lo, interval.hi
         limits = (h_lo, h_hi, lo, hi) if h_lo < h_hi else (h_hi, h_lo, hi, lo)
         inv_value, inv_err, inv_quad = _parts_value(inverse, *limits, tol)
@@ -666,8 +723,9 @@ def solve(problem: VolumeProblem) -> VolumeReport:
         raise ValueError("theorem3 applies to x-of-y curves about the x-axis")
 
     fn = _curve_function(problem.curve, problem.parameters)
+    enclosures = _curve_enclosures(problem.curve, problem.parameters)
     if method == "shell":
-        return shell_volume(fn, interval, tol)
+        return shell_volume(fn, enclosures, interval, tol)
     if method == "disk" and not formula_frame:
         # the curve is the disk radius itself
         return disk_volume_y_axis(fn, interval.lo, interval.hi, tol)
@@ -676,14 +734,14 @@ def solve(problem: VolumeProblem) -> VolumeReport:
         # the radius is the inverse curve, over the curve's value range
         lo_v, hi_v = fn(interval.lo), fn(interval.hi)
         return disk_volume_y_axis(fn, min(lo_v, hi_v), max(lo_v, hi_v), tol,
-                                  interval, derivative)
+                                  interval, derivative, enclosures)
     if method == "piecewise":
         # partition first, so a malformed curve reports the partition's
         # error rather than a hypothesis violation
         return piecewise_signed_sum(
-            fn, partition(fn, derivative, interval, tol), tol)
+            fn, partition(fn, derivative, enclosures, interval, tol), tol)
     if method == "theorem1":
-        return theorem1_y(fn, derivative, interval, tol)
+        return theorem1_y(fn, derivative, enclosures, interval, tol)
     if method == "theorem2":
-        return theorem2_y(fn, derivative, interval, tol)
-    return theorem3_x(fn, derivative, interval, tol)
+        return theorem2_y(fn, derivative, enclosures, interval, tol)
+    return theorem3_x(fn, derivative, enclosures, interval, tol)

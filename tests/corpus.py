@@ -7,7 +7,8 @@ central finite differences stay well defined.
 
 import math
 
-from revolve.expr import bind, differentiate, the_variable
+from revolve.expr import bind, differentiate, enclose, the_variable
+from revolve.monotone import Enclosures
 
 TWO_PI = 2.0 * math.pi
 
@@ -30,8 +31,13 @@ CURVES = [
 
 
 def compiled(curve, parameters=None):
-    """``(fn, derivative)``: the parsed ``curve`` and its derivative bound
-    with ``parameters``, the two functions the monotone analyses take."""
+    """``(fn, derivative, enclosures)``: the parsed ``curve`` and its
+    derivative bound with ``parameters``, and the interval enclosures of
+    the curve and its first two derivatives, which the monotone analyses
+    take in that order."""
     var = the_variable(curve) or "_"
-    return (bind(curve, var, parameters),
-            bind(differentiate(curve, var), var, parameters))
+    slope = differentiate(curve, var)
+    return (bind(curve, var, parameters), bind(slope, var, parameters),
+            Enclosures(enclose(curve, var, parameters),
+                       enclose(slope, var, parameters),
+                       enclose(differentiate(slope, var), var, parameters)))

@@ -45,9 +45,10 @@ def test_criterion_1_flagship_curve_reproduction():
     expected = 8.0 * PI ** 3 / 3.0 + 4.0 * PI ** 2
 
     start = time.perf_counter()
-    fn, derivative = compiled(curve)
-    formula = theorem2_y(fn, derivative, FULL)
-    pieces = piecewise_signed_sum(fn, partition(fn, derivative, FULL))
+    fn, derivative, enclosures = compiled(curve)
+    formula = theorem2_y(fn, derivative, enclosures, FULL)
+    pieces = piecewise_signed_sum(
+        fn, partition(fn, derivative, enclosures, FULL))
     elapsed = time.perf_counter() - start
 
     formula_rel = abs(formula.value - expected) / expected
@@ -74,15 +75,16 @@ def test_criterion_3_x_axis_volume_through_numeric_inversion():
     worst = 0.0
     slowest = 0.0
     for eps in (0.1, 0.5, 0.9):
-        fn, derivative = compiled(*KeplerCurve(eps).as_expression())
+        fn, derivative, enclosures = compiled(*KeplerCurve(eps).as_expression())
         expected = 8.0 * PI ** 4 / 3.0 - 4.0 * eps * PI ** 2
 
         start = time.perf_counter()
         inverted = disk_volume_x_axis(fn, 0.0, TWO_PI, curve_interval=FULL,
-                                      derivative=derivative)
+                                      derivative=derivative,
+                                      enclosures=enclosures)
         elapsed = time.perf_counter() - start
         slowest = max(slowest, elapsed)
-        formula = theorem1_x(fn, derivative, FULL)
+        formula = theorem1_x(fn, derivative, enclosures, FULL)
 
         worst = max(worst,
                     abs(inverted.value - expected) / expected,
@@ -117,13 +119,14 @@ def test_criterion_4_formula_vs_disk_on_random_monotone_cubics():
             offset = 0.2 + cubic(hi)
             text = f"{offset} - {slope}*x - {bow}*(x - {center})^3"
             end_a, end_b = offset - cubic(lo), 0.2
-        fn, derivative = compiled(parse(text, variable="x"))
+        fn, derivative, enclosures = compiled(parse(text, variable="x"))
 
-        formula = theorem1_y(fn, derivative, Interval(lo, hi))
+        formula = theorem1_y(fn, derivative, enclosures, Interval(lo, hi))
         signs[formula.sign_factor] += 1
         c, d = min(end_a, end_b), max(end_a, end_b)
         disk = disk_volume_y_axis(fn, c, d, curve_interval=Interval(lo, hi),
-                                  derivative=derivative)
+                                  derivative=derivative,
+                                  enclosures=enclosures)
         worst = max(worst, abs(formula.value - disk.value) / formula.value)
     _report(4, worst <= 1e-8 and signs[1] == 100 and signs[-1] == 100,
             f"200 monotone cubics, worst |formula - disk| rel {worst:.2e}, "

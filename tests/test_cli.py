@@ -211,10 +211,11 @@ class TestVerify:
 
 
 class TestConstantCurve:
-    # a variable-free curve is analysed as the constant function it is
+    # a variable-free curve is analysed as the constant function it is; its
+    # one piece is not strictly monotone, which is not an alternation fault
     @pytest.mark.parametrize("subcommand, expected", [
         ("partition", "error: piece [0.0, 1.0] is not strictly monotone\n"),
-        ("verify", "  endpoints-equal at 0\n  alternation at 0\n"),
+        ("verify", "  endpoints-equal at 0\n  not-strictly-monotone at 0\n"),
     ])
     def test_matches_zero_slope_curve(self, capsys, subcommand, expected):
         bare, zero_slope = (

@@ -10,6 +10,8 @@ from revolve.monotone import (
     DECREASING,
     INCREASING,
     AlternationViolationError,
+    CriticalPoints,
+    Enclosures,
     MonotonePartition,
     PreconditionViolatedError,
     RULE_ENDPOINTS_EQUAL,
@@ -34,24 +36,25 @@ F_X2 = X2 / math.pi - math.sqrt(1.0 - 1.0 / math.pi ** 2)
 
 class TestCriticalPoints:
     def test_ramp_plus_wave(self):
-        points = critical_points(compiled(RAMP_WAVE)[1], Interval(0.0, TWO_PI))
-        assert len(points) == 2
-        assert points[0] == pytest.approx(X1, abs=1e-9)
-        assert points[1] == pytest.approx(X2, abs=1e-9)
+        found = critical_points(*compiled(RAMP_WAVE)[1:], Interval(0.0, TWO_PI))
+        assert len(found.points) == 2
+        assert found.points[0] == pytest.approx(X1, abs=1e-9)
+        assert found.points[1] == pytest.approx(X2, abs=1e-9)
+        assert found.unproven == ()
 
     def test_monotone_line(self):
-        assert critical_points(compiled(parse("x", variable="x"))[1],
-                               Interval(1.0, 2.0)) == []
+        assert critical_points(*compiled(parse("x", variable="x"))[1:],
+                               Interval(1.0, 2.0)) == CriticalPoints(())
 
     def test_kepler_slope_never_vanishes(self):
         curve = parse("y - eps*sin(y)", variable="y", parameters=("eps",))
-        points = critical_points(compiled(curve, {"eps": 0.5})[1],
-                                 Interval(0.0, TWO_PI))
-        assert points == []
+        found = critical_points(*compiled(curve, {"eps": 0.5})[1:],
+                                Interval(0.0, TWO_PI))
+        assert found == CriticalPoints(())
 
     def test_degenerate_interval_rejected(self):
         with pytest.raises(ValueError):
-            critical_points(compiled(RAMP_WAVE)[1], Interval(1.0, 1.0))
+            critical_points(*compiled(RAMP_WAVE)[1:], Interval(1.0, 1.0))
 
 
 class TestPartition:
@@ -130,20 +133,38 @@ class TestPartition:
         assert part.breakpoints == (0.5, 2.0)
 
 
+def _lipschitz(fn, constant):
+    """An enclosure of ``fn`` from a Lipschitz ``constant``: on [lo, hi]
+    it stays within constant*(hi - lo) of fn(lo), plus rounding slack."""
+    def enclosure(lo, hi):
+        v, reach = fn(lo), constant * (hi - lo) + 1e-15
+        return v - reach, v + reach
+    return enclosure
+
+
 class TestCompiledFunctionContract:
-    # the analyses take any float -> float functions, not expressions
+    # the analyses take any float -> float functions and any valid interval
+    # enclosures, not expressions: here crude Lipschitz bounds
     def test_partition_of_plain_callables(self):
-        part = partition(math.sin, math.cos, Interval(0.0, TWO_PI))
+        enclosures = Enclosures(_lipschitz(math.sin, 1.0),
+                                _lipschitz(math.cos, 1.0),
+                                _lipschitz(lambda x: -math.sin(x), 1.0))
+        part = partition(math.sin, math.cos, enclosures, Interval(0.0, TWO_PI))
         assert len(part.breakpoints) == 4
         assert part.breakpoints[1] == pytest.approx(math.pi / 2, abs=1e-9)
         assert part.breakpoints[2] == pytest.approx(1.5 * math.pi, abs=1e-9)
         assert part.directions == (INCREASING, DECREASING, INCREASING)
 
     def test_validation_of_lambdas(self):
-        report = validate_revolution_hypotheses(
-            lambda x: x / math.pi + math.sin(x),
-            lambda x: 1.0 / math.pi + math.cos(x), Interval(0.0, TWO_PI))
+        fn = lambda x: x / math.pi + math.sin(x)
+        slope = lambda x: 1.0 / math.pi + math.cos(x)
+        enclosures = Enclosures(_lipschitz(fn, 1.0 + 1.0 / math.pi),
+                                _lipschitz(slope, 1.0),
+                                _lipschitz(lambda x: -math.sin(x), 1.0))
+        report = validate_revolution_hypotheses(fn, slope, enclosures,
+                                                Interval(0.0, TWO_PI))
         assert report.satisfied
+        assert report.unproven == ()
         assert report.partition.breakpoints[1] == pytest.approx(X1, abs=1e-9)
         assert report.partition.breakpoints[2] == pytest.approx(X2, abs=1e-9)
         assert report.partition.extremum_values[0] == pytest.approx(F_X1,

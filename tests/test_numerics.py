@@ -200,6 +200,22 @@ class TestFindRootBracketed:
         with pytest.raises(NoSignChangeError):
             find_root_bracketed(lambda x: x, 0.0, 1.0)
 
+    def test_bracket_residuals_are_not_evaluated_again(self):
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return x * x - 2.0
+
+        newton_solve(f, lambda x: 2.0 * x, 1.5, bracket=Interval(1.0, 2.0),
+                     residuals=(-1.0, 2.0))
+        assert 1.0 not in calls and 2.0 not in calls
+
+    def test_non_finite_bracket_residual_rejected(self):
+        with pytest.raises(NonFiniteEvaluationError):
+            newton_solve(lambda x: x - 1.5, lambda x: 1.0, 1.5,
+                         bracket=Interval(1.0, 2.0), residuals=(math.nan, 0.5))
+
     def test_max_iterations(self):
         tol = Tolerances(max_iter=2, residual_tol=1e-300, abs_tol=1e-300)
         with pytest.raises(MaxIterationsExceededError):
@@ -262,42 +278,60 @@ class TestNewtonSolve:
         f = lambda y: y - eps * math.sin(y) - 1.0
         oracle = bisect_oracle(f, 1.0, 2.0)
         r = newton_solve(f, lambda y: 1.0 - eps * math.cos(y), 1.0,
-                         bracket=Interval(0.5, 1.5))
+                         bracket=Interval(0.5, 1.5), residuals=(f(0.5), f(1.5)))
         assert abs(r.root - oracle) <= 1e-10
         assert r.root == pytest.approx(1.4987, abs=1e-4)
         assert abs(r.residual) <= 1e-12
 
     def test_fixed_point_at_origin(self):
-        r = newton_solve(lambda y: y - 0.5 * math.sin(y),
-                         lambda y: 1.0 - 0.5 * math.cos(y), 0.0,
-                         bracket=Interval(-1.0, 1.0))
+        f = lambda y: y - 0.5 * math.sin(y)
+        r = newton_solve(f, lambda y: 1.0 - 0.5 * math.cos(y), 0.0,
+                         bracket=Interval(-1.0, 1.0), residuals=(f(-1.0), f(1.0)))
         assert r.root == 0.0
         assert r.iterations == 0
 
     def test_fixed_point_at_two_pi(self):
-        r = newton_solve(lambda y: y - 0.5 * math.sin(y) - TWO_PI,
-                         lambda y: 1.0 - 0.5 * math.cos(y),
+        f = lambda y: y - 0.5 * math.sin(y) - TWO_PI
+        lo, hi = TWO_PI - 0.5, TWO_PI + 0.5
+        r = newton_solve(f, lambda y: 1.0 - 0.5 * math.cos(y),
                          TWO_PI + 0.5 * math.sin(TWO_PI),
-                         bracket=Interval(TWO_PI - 0.5, TWO_PI + 0.5))
+                         bracket=Interval(lo, hi), residuals=(f(lo), f(hi)))
         assert abs(r.root - TWO_PI) <= 1e-12
 
     def test_bisection_fallback_converges(self):
         # a zero derivative forces pure bisection on the bracket
         r = newton_solve(lambda x: x * x - 2.0, lambda x: 0.0, 1.0,
-                         bracket=Interval(1.0, 2.0))
+                         bracket=Interval(1.0, 2.0), residuals=(-1.0, 2.0))
         assert r.method_used == "newton-with-bisection-fallback"
         assert abs(r.root - math.sqrt(2.0)) <= 1e-10
 
     def test_bracket_without_sign_change_rejected(self):
         with pytest.raises(NoSignChangeError):
             newton_solve(lambda x: x * x + 1.0, lambda x: 2.0 * x, 1.5,
-                         bracket=Interval(1.0, 2.0))
+                         bracket=Interval(1.0, 2.0), residuals=(2.0, 5.0))
+
+    def test_bracket_residuals_are_not_evaluated_again(self):
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return x * x - 2.0
+
+        newton_solve(f, lambda x: 2.0 * x, 1.5, bracket=Interval(1.0, 2.0),
+                     residuals=(-1.0, 2.0))
+        assert 1.0 not in calls and 2.0 not in calls
+
+    def test_non_finite_bracket_residual_rejected(self):
+        with pytest.raises(NonFiniteEvaluationError):
+            newton_solve(lambda x: x - 1.5, lambda x: 1.0, 1.5,
+                         bracket=Interval(1.0, 2.0), residuals=(math.nan, 0.5))
 
     def test_max_iterations(self):
         tol = Tolerances(max_iter=3, residual_tol=1e-300)
         with pytest.raises(MaxIterationsExceededError):
             newton_solve(lambda x: math.cos(x) - x, lambda x: -math.sin(x) - 1.0,
-                         0.0, bracket=Interval(0.0, 1.0), tol=tol)
+                         0.0, bracket=Interval(0.0, 1.0),
+                         residuals=(1.0, math.cos(1.0) - 1.0), tol=tol)
 
     def test_agrees_with_brent_on_kepler_residuals(self):
         rng = random.Random(42)
@@ -310,7 +344,8 @@ class TestNewtonSolve:
 
             newton = newton_solve(f, lambda y: 1.0 - eps * math.cos(y),
                                   x + eps * math.sin(x),
-                                  bracket=Interval(x - eps, x + eps))
+                                  bracket=Interval(x - eps, x + eps),
+                                  residuals=(f(x - eps), f(x + eps)))
             lo, hi = x - eps - 1e-6, x + eps + 1e-6
             brent = find_root_bracketed(f, lo, hi)
             assert abs(newton.root - brent.root) <= 1e-10

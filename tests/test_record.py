@@ -11,8 +11,8 @@ import pytest
 
 from revolve.expr import BinOp, Call, Const, Neg, Param, PiConst, Var, _Token
 from revolve.kepler import KeplerCurve
-from revolve.monotone import (AlternationViolationError, HypothesisReport,
-                              MonotonePartition)
+from revolve.monotone import (AlternationViolationError, CriticalPoints,
+                              HypothesisReport, MonotonePartition)
 from revolve.numerics import Interval, QuadratureResult, RootResult, Tolerances
 from revolve.volume import VolumeProblem, VolumeReport
 
@@ -40,10 +40,12 @@ RECORDS = [
     (lambda: MonotonePartition((0.0, 1.0, 2.0), ("increasing", "decreasing"),
                                (3.0,)),
      "MonotonePartition(breakpoints=(0.0, 1.0, 2.0), directions=('increasing', "
-     "'decreasing'), extremum_values=(3.0,))"),
+     "'decreasing'), extremum_values=(3.0,), unproven=())"),
+    (lambda: CriticalPoints((1.0,), ((2.0, 2.5),)),
+     "CriticalPoints(points=(1.0,), unproven=((2.0, 2.5),))"),
     (lambda: HypothesisReport(False, 1.0, 2.0, (("negative-value", 0.5),)),
      "HypothesisReport(satisfied=False, c=1.0, d=2.0, violations=(("
-     "'negative-value', 0.5),), partition=None)"),
+     "'negative-value', 0.5),), partition=None, unproven=())"),
     (lambda: VolumeProblem(Var("x"), Interval(0.0, 1.0)),
      "VolumeProblem(curve=Var(name='x'), interval=Interval(lo=0.0, hi=1.0), "
      "curve_role='y-of-x', axis='y-axis', method='all', tol="

@@ -51,33 +51,36 @@ RAMP_WAVE_VOLUME = 8.0 * PI ** 3 / 3.0 + 4.0 * PI ** 2
 
 KEPLER = KeplerCurve(0.5)
 KEPLER_EXPR, KEPLER_PARAMS = KEPLER.as_expression()
-KEPLER_FN, KEPLER_DERIVATIVE = compiled(KEPLER_EXPR, KEPLER_PARAMS)
+# compiled(...) is (fn, derivative, enclosures); shell_volume takes
+# compiled(...)[::2], the curve and its enclosures
+KEPLER_FN, KEPLER_DERIVATIVE, KEPLER_ENCLOSURES = compiled(KEPLER_EXPR,
+                                                             KEPLER_PARAMS)
 
 
 class TestShellVolume:
     def test_unit_height_cylinder(self):
-        report = shell_volume(compiled(parse("1"))[0], Interval(0.0, 2.0))
+        report = shell_volume(*compiled(parse("1"))[::2], Interval(0.0, 2.0))
         assert report.value == pytest.approx(4.0 * PI, rel=1e-12)
         assert report.sign_factor == 1
 
     def test_under_line_about_perpendicular_axis(self):
-        report = shell_volume(compiled(LINE)[0], Interval(0.0, 1.0))
+        report = shell_volume(*compiled(LINE)[::2], Interval(0.0, 1.0))
         assert report.value == pytest.approx(2.0 * PI / 3.0, rel=1e-12)
 
     def test_ramp_plus_wave(self):
         # 2*pi * Int x*(x/pi + sin x) dx = 16*pi^3/3 - 4*pi^2, from the
         # antiderivative x^3/(3*pi) + sin x - x cos x
         expected = 16.0 * PI ** 3 / 3.0 - 4.0 * PI ** 2
-        report = shell_volume(compiled(RAMP_WAVE)[0], FULL)
+        report = shell_volume(*compiled(RAMP_WAVE)[::2], FULL)
         assert report.value == pytest.approx(expected, rel=1e-12)
 
     def test_negative_curve_rejected(self):
         with pytest.raises(NegativeCurveError):
-            shell_volume(compiled(parse("sin(x)", variable="x"))[0], FULL)
+            shell_volume(*compiled(parse("sin(x)", variable="x"))[::2], FULL)
 
     def test_negative_interval_rejected(self):
         with pytest.raises(ValueError):
-            shell_volume(compiled(LINE)[0], Interval(-1.0, 1.0))
+            shell_volume(*compiled(LINE)[::2], Interval(-1.0, 1.0))
 
 
 class TestDiskVolumeYAxis:
@@ -92,17 +95,19 @@ class TestDiskVolumeYAxis:
         assert report.value == pytest.approx(expected, rel=1e-10)
 
     def test_inverted_line(self):
-        fn, derivative = compiled(LINE)
+        fn, derivative, enclosures = compiled(LINE)
         report = disk_volume_y_axis(fn, 1.0, 2.0,
                                     curve_interval=Interval(1.0, 2.0),
-                                    derivative=derivative)
+                                    derivative=derivative,
+                                    enclosures=enclosures)
         assert report.value == pytest.approx(7.0 * PI / 3.0, rel=1e-10)
 
     def test_non_monotone_curve_not_invertible(self):
         with pytest.raises(NotInvertibleError):
-            fn, derivative = compiled(RAMP_WAVE)
+            fn, derivative, enclosures = compiled(RAMP_WAVE)
             disk_volume_y_axis(fn, 0.0, 2.0, curve_interval=FULL,
-                               derivative=derivative)
+                               derivative=derivative,
+                               enclosures=enclosures)
 
     def test_inversion_needs_the_derivative(self):
         with pytest.raises(ValueError):
@@ -123,7 +128,8 @@ class TestDiskVolumeXAxis:
         expected = 8.0 * PI ** 4 / 3.0 - 2.0 * PI ** 2
         report = disk_volume_x_axis(KEPLER_FN, 0.0, TWO_PI,
                                     curve_interval=FULL,
-                                    derivative=KEPLER_DERIVATIVE)
+                                    derivative=KEPLER_DERIVATIVE,
+                                    enclosures=KEPLER_ENCLOSURES)
         assert report.value == pytest.approx(expected, rel=1e-8)
 
 
@@ -144,10 +150,11 @@ class TestTheorem1:
 
     def test_matches_disk_on_the_inverse(self):
         formula = theorem1_y(*compiled(SQUARE), Interval(1.0, 2.0))
-        fn, derivative = compiled(SQUARE)
+        fn, derivative, enclosures = compiled(SQUARE)
         disk = disk_volume_y_axis(fn, 1.0, 4.0,
                                   curve_interval=Interval(1.0, 2.0),
-                                  derivative=derivative)
+                                  derivative=derivative,
+                                  enclosures=enclosures)
         assert formula.value == pytest.approx(disk.value, rel=1e-9)
 
     def test_non_monotone_rejected(self):
@@ -165,7 +172,8 @@ class TestTheorem1:
 
     def test_x_axis_kepler(self):
         expected = 8.0 * PI ** 4 / 3.0 - 2.0 * PI ** 2
-        report = theorem1_x(KEPLER_FN, KEPLER_DERIVATIVE, FULL)
+        report = theorem1_x(KEPLER_FN, KEPLER_DERIVATIVE, KEPLER_ENCLOSURES,
+                            FULL)
         assert report.value == pytest.approx(expected, rel=1e-10)
         assert report.sign_factor == 1
 
@@ -509,15 +517,16 @@ class TestProperties:
                 offset = 0.2 + cubic(hi)
                 text = f"{offset} - {slope}*x - {bow}*(x - {center})^3"
             curve = parse(text, variable="x")
-            fn, derivative = compiled(curve)
-            formula = theorem1_y(fn, derivative, Interval(lo, hi))
+            fn, derivative, enclosures = compiled(curve)
+            formula = theorem1_y(fn, derivative, enclosures, Interval(lo, hi))
             assert formula.sign_factor == (1 if increasing else -1)
             end_a = offset + (cubic(lo) if increasing else -cubic(lo))
             end_b = offset + (cubic(hi) if increasing else -cubic(hi))
             c, d = min(end_a, end_b), max(end_a, end_b)
             disk = disk_volume_y_axis(fn, c, d,
                                       curve_interval=Interval(lo, hi),
-                                      derivative=derivative)
+                                      derivative=derivative,
+                                      enclosures=enclosures)
             assert abs(formula.value - disk.value) <= 1e-8 * formula.value
 
     def test_scaling_covariance(self):
