@@ -210,9 +210,10 @@ def _grid(lo: float, hi: float, n: int) -> Callable[[int], float]:
     return lambda k: hi if k == n else lo + k * step
 
 
-def _sign(bounds: tuple[float, float] | None) -> str | None:
-    """``"+"``/``"-"`` for bounds on one side of zero, ``"+0"``/``"-0"``
-    where they touch it, ``"0"`` for exactly zero, else ``None``."""
+def _kind(bounds: tuple[float, float] | None) -> str | None:
+    """How a function sits on a cell, from its bounds there: ``"+"`` or
+    ``"-"`` for one strict sign, ``"0"`` for exactly zero, ``"weak"`` for
+    one side of zero touching it, ``None`` when undecided or across it."""
     if bounds is None:
         return None
     low, high = bounds
@@ -220,13 +221,9 @@ def _sign(bounds: tuple[float, float] | None) -> str | None:
         return "+"
     if high < 0.0:
         return "-"
-    if low >= 0.0:
-        return "0" if high <= 0.0 else "+0"
-    return "-0" if high <= 0.0 else None
-
-
-def _excludes_zero(bounds: tuple[float, float] | None) -> bool:
-    return bounds is not None and (bounds[0] > 0.0 or bounds[1] < 0.0)
+    if low >= 0.0 and high <= 0.0:
+        return "0"
+    return "weak" if low >= 0.0 or high <= 0.0 else None
 
 
 def _slope_certificate(derivative: Callable[[float], float],
@@ -236,16 +233,16 @@ def _slope_certificate(derivative: Callable[[float], float],
     ascending order, and the cells left unproven.
 
     The cells are index ranges of the 1024-cell grid, bisected until each
-    is settled: f' has one strict sign on it (``"+"``/``"-"``), is exactly
-    zero (``"0"``), or the cell is one grid cell wide and f' touches zero
-    at most at isolated points (``"weak"``), is strictly monotone
-    (``"mono"``), or neither (``"deep"``, bisected further).  f' is
-    evaluated at the grid ends of every one-cell leaf in grid order, so a
-    grid point where it fails raises as a grid scan would.  The brackets
-    are then those of a scan over every point whose sign is known: between
-    consecutive points where f' is nonzero and of opposite sign.  On a grid
-    where all cells settle at the grid level these are exactly the
-    brackets ``scan_sign_changes`` returns.
+    is settled by :func:`_kind` of f' (``"+"``, ``"-"``, ``"0"``), or is
+    one grid cell wide and f' is ``"weak"``, strictly monotone because f''
+    has one strict sign (``"mono"``), or neither (``"deep"``, bisected
+    further by :func:`_subcells`).  f' is evaluated at the grid ends of
+    every one-cell leaf in grid order, so a grid point where it fails
+    raises as a grid scan would.  The brackets are then those of a scan
+    over every point whose sign is known: between consecutive points where
+    f' is nonzero and of opposite sign.  On a grid where all cells settle
+    at grid width these are exactly the brackets ``scan_sign_changes``
+    returns.
     """
     slope, curvature = enclosures.slope, enclosures.curvature
     grid = _grid(interval.lo, interval.hi, _SCAN_CELLS)
@@ -262,47 +259,35 @@ def _slope_certificate(derivative: Callable[[float], float],
     while stack:
         i, j = stack.pop()
         a, b = grid(i), grid(j)
-        sign = _sign(slope(a, b))
-        if sign in ("+", "-", "0"):
-            leaves.append((sign, a, b))
+        kind = _kind(slope(a, b))
+        if kind in ("+", "-", "0"):
+            leaves.append((kind, a, b))
         elif j - i > 1:
             m = (i + j) // 2
             stack += [(m, j), (i, m)]
         else:
             value(a), value(b)
-            if sign is not None:
-                leaves.append(("weak", a, b))
-            elif _excludes_zero(curvature(a, b)):
-                leaves.append(("mono", a, b))
-            else:
-                leaves.append(("deep", a, b))
+            if kind is None:
+                kind = ("mono" if _kind(curvature(a, b)) in ("+", "-")
+                        else "deep")
+            leaves.append((kind, a, b))
 
     brackets: list[Cell] = []
     unproven: list[Cell] = []
-    last: list = []  # [x, negative] of the last point with a nonzero f'
-    budget = [_SUBCELL_BUDGET]
+    last: tuple[float, bool] | None = None  # last point where f' != 0, f' < 0
 
     def visit(x: float, v: float) -> None:
+        nonlocal last
         if v != 0.0:
-            negative = v < 0.0
-            if last and last[1] != negative:
+            if last is not None and last[1] != (v < 0.0):
                 brackets.append((last[0], x))
-            last[:] = [x, negative]
+            last = (x, v < 0.0)
 
     def sweep(kind: str, a: float, b: float) -> None:
+        nonlocal last
         if kind in ("+", "-"):
             visit(a, -1.0 if kind == "-" else 1.0)
-            last[:] = [b, kind == "-"]
-        elif kind == "deep":
-            start = len(brackets)
-            visit(a, value(a))
-            for sub in _subcells(slope, curvature, a, b, budget):
-                sweep(*sub)
-            visit(b, value(b))
-            # one sign change between grid ends of opposite sign: refine it
-            # on the grid bracket, as the scan did
-            if len(brackets) == start + 1 and value(a) * value(b) < 0.0:
-                brackets[start] = (a, b)
+            last = (b, kind == "-")
         elif kind != "0":
             va, vb = value(a), value(b)
             visit(a, va)
@@ -312,39 +297,48 @@ def _slope_certificate(derivative: Callable[[float], float],
             if kind == "cap" and not va * vb < 0.0:
                 unproven.append((a, b))
 
-    for leaf in leaves:
-        sweep(*leaf)
+    budget = _SUBCELL_BUDGET
+    for kind, a, b in leaves:
+        if kind != "deep":
+            sweep(kind, a, b)
+            continue
+        start = len(brackets)
+        visit(a, value(a))
+        subcells, budget = _subcells(slope, curvature, a, b, budget)
+        for leaf in subcells:
+            sweep(*leaf)
+        visit(b, value(b))
+        # one sign change between grid ends of opposite sign: refine it on
+        # the grid bracket, as the scan did
+        if len(brackets) == start + 1 and value(a) * value(b) < 0.0:
+            brackets[start] = (a, b)
     return brackets, unproven
 
 
 def _subcells(slope: Bounds, curvature: Bounds, a: float, b: float,
-              budget: list[int]) -> list[tuple[str, float, float]]:
-    """Leaves of one grid cell bisected below grid width: the kinds of
-    :func:`_slope_certificate`, with ``"weak"`` for any cell where f'
-    keeps one side of zero and ``"cap"`` for a cell undecided at the depth
-    cap or once ``budget`` is spent."""
+              budget: int) -> tuple[list[tuple[str, float, float]], int]:
+    """Leaves of the grid cell [a, b] bisected below grid width, with the
+    kinds of :func:`_slope_certificate` (``"weak"`` at any width) and
+    ``"cap"`` for a cell undecided at the depth cap or once ``budget``
+    cells are spent; returns them and the budget left."""
     leaves = []
     mid = 0.5 * (a + b)
     stack = [(mid, b, 1), (a, mid, 1)]
     while stack:
         lo, hi, depth = stack.pop()
-        sign = _sign(slope(lo, hi))
-        if sign in ("+", "-", "0"):
-            leaves.append((sign, lo, hi))
-            continue
-        if sign is not None:
-            leaves.append(("weak", lo, hi))
-            continue
-        if _excludes_zero(curvature(lo, hi)):
-            leaves.append(("mono", lo, hi))
+        kind = _kind(slope(lo, hi))
+        if kind is None and _kind(curvature(lo, hi)) in ("+", "-"):
+            kind = "mono"
+        if kind is not None:
+            leaves.append((kind, lo, hi))
             continue
         mid = 0.5 * (lo + hi)
-        if depth >= _DEPTH_CAP or budget[0] <= 0 or not lo < mid < hi:
+        if depth >= _DEPTH_CAP or budget <= 0 or not lo < mid < hi:
             leaves.append(("cap", lo, hi))
             continue
-        budget[0] -= 2
+        budget -= 2
         stack += [(mid, hi, depth + 1), (lo, mid, depth + 1)]
-    return leaves
+    return leaves, budget
 
 
 def _floor_certificate(fn: Callable[[float], float], enclosures: Enclosures,
@@ -355,7 +349,8 @@ def _floor_certificate(fn: Callable[[float], float], enclosures: Enclosures,
     Returns ``(negative, unproven)``: ``negative`` is ``(x, fn(x))`` at the
     first point found below the floor, or ``None``.  A cell is proven when
     the enclosure of f stays above the floor, or when the enclosure of f'
-    keeps one side of zero and f at the cell's lower end does.  Cells are
+    keeps one side of zero, so that f is monotone there, and f at the end
+    where it is least does.  Cells are
     aligned to the 4096-cell grid; at one grid cell an undecided cell has f
     evaluated at its grid points in order, over the whole interval before
     any cell is bisected below grid width, so a curve negative at some grid
@@ -370,10 +365,11 @@ def _floor_certificate(fn: Callable[[float], float], enclosures: Enclosures,
             return False  # f may fail to evaluate somewhere on [a, b]
         if bounds[0] >= _NONNEG_FLOOR:
             return True
-        sign = _sign(slope(a, b))
-        if sign is None:
+        slope_bounds = slope(a, b)
+        if _kind(slope_bounds) is None:
             return False
-        return fn(a if sign in ("+", "+0", "0") else b) >= _NONNEG_FLOOR
+        # f is monotone on [a, b]: its least value is at one end
+        return fn(a if slope_bounds[0] >= 0.0 else b) >= _NONNEG_FLOOR
 
     grid = _grid(interval.lo, interval.hi, _NONNEG_CELLS)
     pending: list[Cell] = []

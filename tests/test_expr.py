@@ -21,6 +21,7 @@ from revolve.expr import (
     Var,
     bind,
     differentiate,
+    enclose,
     evaluate,
     free_variables,
     parse,
@@ -404,3 +405,80 @@ def test_bind_coerces_the_variable_like_evaluate():
     e = parse("x^2.0", variable="x")
     assert bind(e, "x")(3) == evaluate(e, {"x": 3}) == 9.0
     assert type(bind(e, "x")(3)) is float
+
+
+# ---------------------------------------------------------------------------
+# Interval enclosure (enclose) against compiled evaluation (bind)
+
+_ends = st.floats(min_value=-100.0, max_value=100.0, allow_nan=False)
+
+
+@given(_trees(), _ends, _ends, st.none() | _consts)
+@example(BinOp("^", Var("x"), Const(2.0)), -1.0, 1.0, None)
+@example(BinOp("*", Const(3.0), BinOp("^", Var("x"), Const(2.0))), -1e-3, 0.0,
+         None)
+@example(Call("sqrt", Var("x")), 0.0, 4.0, None)
+@example(Call("sqrt", Var("x")), -1.0, 4.0, None)
+@example(BinOp("/", Const(1.0), Var("x")), -1.0, 1.0, None)
+@example(Call("arccos", Var("x")), -1.0, 1.0, None)
+@example(Call("sin", Var("x")), 0.0, 0.0, None)
+@example(Call("cos", Var("x")), -1e-3, 1e-3, None)
+@example(BinOp("^", Var("x"), Const(-3.0)), -2.0, -0.5, None)
+@example(BinOp("*", Param("eps"), Var("x")), 1.0, 2.0, None)
+@example(BinOp("*", Const(1e300), BinOp("*", Var("x"), Var("x"))), 1e10, 1e11,
+         None)
+def test_enclosure_contains_compiled_values(tree, a, b, eps):
+    """On a sampled interval the enclosure holds every value ``bind``
+    computes inside it, and a point where ``bind`` raises (a failed domain
+    check, an unbound name) or gives a non-finite value makes it
+    undecided."""
+    lo, hi = min(a, b), max(a, b)
+    params = {} if eps is None else {"eps": eps}
+    bounds = enclose(tree, "x", params)(lo, hi)
+    fn = bind(tree, "x", params)
+    for t in (0.0, 0.125, 0.5, 0.7, 1.0):
+        x = min(max(lo + (hi - lo) * t, lo), hi)
+        try:
+            value = fn(x)
+        except Exception:
+            assert bounds is None
+            continue
+        if bounds is not None:
+            assert bounds[0] <= value <= bounds[1]
+
+
+class TestEnclose:
+    def test_exact_zero_bounds_stay_zero(self):
+        # a tangential zero of f' must keep its sign-definite enclosure
+        slope = enclose(parse("3*x^2", variable="x"), "x")
+        assert slope(-1e-3, 0.0)[0] == 0.0
+        assert slope(-1e-3, 1e-3)[0] == 0.0
+        assert enclose(parse("sin(x)", variable="x"), "x")(0.0, 1.0)[0] == 0.0
+
+    def test_bounds_round_outward(self):
+        low, high = enclose(parse("x + 0.1", variable="x"), "x")(0.2, 0.2)
+        assert low < 0.2 + 0.1 < high
+
+    def test_interior_extrema_of_sin_and_cos(self):
+        assert enclose(parse("sin(x)", variable="x"), "x")(1.0, 2.0)[1] == 1.0
+        assert enclose(parse("cos(x)", variable="x"), "x")(3.0, 3.5)[0] == -1.0
+        assert enclose(parse("cos(x)", variable="x"), "x")(0.0, 7.0) == (-1.0, 1.0)
+
+    @pytest.mark.parametrize("text, lo, hi", [
+        ("sqrt(x)", -1.0, 1.0),
+        ("1/x", -1.0, 1.0),
+        ("arccos(x)", 0.0, 2.0),
+        ("x^0.5", -1.0, 1.0),
+        ("x^-1", 0.0, 1.0),
+        ("x + c", 0.0, 1.0),  # c has no value
+        ("1e300*x*x", 1e10, 1e11),  # overflows
+        ("x^400", 10.0, 20.0),
+        ("sqrt(0 - 1) + x", 0.0, 1.0),
+    ])
+    def test_undecided(self, text, lo, hi):
+        e = parse(text, variable="x", parameters=("c",))
+        assert enclose(e, "x")(lo, hi) is None
+
+    def test_constant_curve(self):
+        assert enclose(parse("2"), "x")(-1.0, 1.0) == (2.0, 2.0)
+        assert enclose(parse("1e999"), "x")(-1.0, 1.0) is None

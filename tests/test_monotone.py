@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+import revolve.monotone
 from revolve.expr import bind, differentiate, parse
 from revolve.monotone import (
     DECREASING,
@@ -14,15 +15,18 @@ from revolve.monotone import (
     Enclosures,
     MonotonePartition,
     PreconditionViolatedError,
+    RULE_ALTERNATION,
     RULE_ENDPOINTS_EQUAL,
     RULE_MULTIPLE_INTERSECTION,
     RULE_NEGATIVE_VALUE,
+    RULE_NOT_MONOTONE,
     check_lemma1,
     critical_points,
     partition,
     validate_revolution_hypotheses,
 )
-from revolve.numerics import Interval
+from revolve.numerics import (Interval, Tolerances, find_root_bracketed,
+                               scan_sign_changes)
 from corpus import CURVES, compiled
 
 TWO_PI = 2.0 * math.pi
@@ -82,8 +86,9 @@ class TestPartition:
         assert part.directions == (DECREASING,)
 
     def test_constant_curve_rejected(self):
-        with pytest.raises(AlternationViolationError):
+        with pytest.raises(AlternationViolationError) as excinfo:
             partition(*compiled(parse("2")), Interval(0.0, 1.0))
+        assert excinfo.value.rule == RULE_NOT_MONOTONE
 
     def test_invariants_enforced_at_construction(self):
         with pytest.raises(AlternationViolationError):
@@ -173,6 +178,85 @@ class TestCompiledFunctionContract:
                                                                     abs=1e-9)
 
 
+def _grid_scan_points(curve, interval, params=None):
+    """Breakpoints as the 1024-cell sign-change scan found them: brackets
+    between grid points, refined by Brent, sorted and deduplicated."""
+    _, derivative, _ = compiled(curve, params)
+    tol = Tolerances()
+    roots = sorted(find_root_bracketed(derivative, b.lo, b.hi, tol).root
+                   for b in scan_sign_changes(derivative, interval.lo,
+                                              interval.hi, 1024))
+    edge = max(tol.abs_tol, 4.0 * math.ulp(max(abs(interval.lo),
+                                               abs(interval.hi), 1.0)))
+    points = []
+    for r in roots:
+        if interval.lo + edge < r < interval.hi - edge and not (
+                points and r - points[-1] <= tol.abs_tol):
+            points.append(r)
+    return tuple(points)
+
+
+def _undecided(lo, hi):
+    return None
+
+
+# The 1e-3 dip of x + 1 - 0.001/(1 + 1e8*(x - 1.0005)^2) on [0, 2]: f' < 0
+# on a window about 2.4e-4 wide, inside one cell of the 1024-cell grid
+DIP = parse("x + 1 - 0.001/(1 + 100000000*(x - 1.0005)^2)", variable="x")
+
+
+class TestCertificate:
+    @pytest.mark.parametrize("name,text,var,params,lo,hi", CURVES)
+    def test_breakpoints_are_the_grid_scans(self, name, text, var, params,
+                                            lo, hi):
+        # wherever every cell settles at grid width, the extrema are refined
+        # on the grid's own brackets, so they keep their bits
+        curve = parse(text, variable=var, parameters=params.keys())
+        found = critical_points(*compiled(curve, params)[1:], Interval(lo, hi))
+        assert found.unproven == ()
+        assert found.points == _grid_scan_points(curve, Interval(lo, hi), params)
+
+    def test_dip_between_grid_points_is_found(self):
+        found = critical_points(*compiled(DIP)[1:], Interval(0.0, 2.0))
+        assert _grid_scan_points(DIP, Interval(0.0, 2.0)) == ()
+        assert len(found.points) == 2 and found.unproven == ()
+        assert 1.0002 < found.points[0] < found.points[1] < 1.0006
+        part = partition(*compiled(DIP), Interval(0.0, 2.0))
+        assert part.directions == (INCREASING, DECREASING, INCREASING)
+
+    def test_tangential_zero_gives_no_breakpoint(self):
+        # x^3 has f'(0) = 0 without a sign change, at a grid point of [-1, 1]
+        curve = parse("x^3", variable="x")
+        found = critical_points(*compiled(curve)[1:], Interval(-1.0, 1.0))
+        assert found == CriticalPoints(())
+        part = partition(*compiled(curve), Interval(-1.0, 1.0))
+        assert part.directions == (INCREASING,)
+
+    def test_slope_vanishing_at_the_right_end(self):
+        # f' = cos(x) vanishes at 1.5*pi, the interval's end: no breakpoint
+        found = critical_points(*compiled(parse("1 + sin(x)", variable="x"))[1:],
+                                Interval(0.0, 1.5 * math.pi))
+        assert len(found.points) == 1 and found.unproven == ()
+        assert found.points[0] == pytest.approx(math.pi / 2, abs=1e-9)
+
+    def test_constant_curve_has_no_breakpoint(self):
+        found = critical_points(*compiled(parse("2"))[1:], Interval(0.0, 1.0))
+        assert found == CriticalPoints(())
+
+    def test_undecided_cells_are_reported_unproven(self):
+        # enclosures that never decide: every grid cell is bisected to the
+        # depth cap or the cell budget; the sign changes of cos still show
+        # at cell ends, and the cells without one are reported, not passed
+        never = Enclosures(_undecided, _undecided, _undecided)
+        found = critical_points(math.cos, never, Interval(0.0, TWO_PI))
+        assert found.points == pytest.approx((math.pi / 2, 1.5 * math.pi),
+                                             abs=1e-9)
+        assert found.unproven
+        report = validate_revolution_hypotheses(
+            lambda x: 2.0 + math.sin(x), math.cos, never, Interval(0.0, 1.0))
+        assert report.satisfied and report.unproven
+
+
 class TestCheckLemma1:
     def test_ramp_plus_wave_is_even(self):
         part = partition(*compiled(RAMP_WAVE), Interval(0.0, TWO_PI))
@@ -232,6 +316,29 @@ class TestValidateRevolutionHypotheses:
                                                 Interval(0.0, 2.0))
         assert not report.satisfied
         assert RULE_NEGATIVE_VALUE in [rule for rule, _ in report.violations]
+
+    def test_constant_curve_is_not_strictly_monotone(self):
+        # its one piece has equal end values: not an alternation fault
+        report = validate_revolution_hypotheses(*compiled(parse("2")),
+                                                Interval(0.0, 1.0))
+        assert report.violations == ((RULE_ENDPOINTS_EQUAL, 0.0),
+                                     (RULE_NOT_MONOTONE, 0.0))
+        assert report.partition is None and report.unproven == ()
+
+    def test_same_direction_pieces_keep_the_alternation_rule(self, monkeypatch):
+        def same_direction(*args):
+            return MonotonePartition((0.0, 1.0, 2.0), (INCREASING, INCREASING),
+                                     (1.0,))
+
+        monkeypatch.setattr(revolve.monotone, "partition", same_direction)
+        report = validate_revolution_hypotheses(
+            *compiled(parse("x + 1", variable="x")), Interval(0.0, 2.0))
+        assert report.violations == ((RULE_ALTERNATION, 0.0),)
+
+    def test_negative_curve_without_partition_is_flagged(self):
+        report = validate_revolution_hypotheses(*compiled(parse("-1")),
+                                                Interval(0.0, 1.0))
+        assert (RULE_NEGATIVE_VALUE, 0.0) in report.violations
 
     def test_equal_endpoints_flagged(self):
         report = validate_revolution_hypotheses(*compiled(parse("sin(x)", variable="x")),

@@ -7,9 +7,9 @@ import pytest
 
 import revolve.monotone
 import revolve.volume
-from revolve.expr import BinOp, Const, bind, parse
+from revolve.expr import BinOp, Const, bind, enclose, parse
 from revolve.kepler import KeplerCurve, reference_volumes
-from revolve.monotone import AlternationViolationError, partition
+from revolve.monotone import AlternationViolationError, Enclosures, partition
 from revolve.numerics import Interval, newton_solve
 from revolve.volume import (
     AXIS_X,
@@ -22,6 +22,7 @@ from revolve.volume import (
     NotMonotoneError,
     VolumeProblem,
     VolumeReport,
+    WARN_UNPROVEN,
     cross_validate,
     disk_volume_x_axis,
     disk_volume_y_axis,
@@ -46,6 +47,10 @@ LINE = parse("x", variable="x")
 FALLING = parse("3 - x", variable="x")
 SQUARE = parse("x^2", variable="x")
 SHIFTED_WAVE = parse("1 + sin(x)", variable="x")
+# a 1e-3 dip whose two extrema fall between points of the 1024-cell grid,
+# and a dip to -0.8 between points of the 4097-point grid
+DIP = parse("x + 1 - 0.001/(1 + 100000000*(x - 1.0005)^2)", variable="x")
+NARROW_DIP = parse("x + 0.2 - 2/(1 + 100000000*(x - 1.0001)^2)", variable="x")
 
 RAMP_WAVE_VOLUME = 8.0 * PI ** 3 / 3.0 + 4.0 * PI ** 2
 
@@ -55,6 +60,10 @@ KEPLER_EXPR, KEPLER_PARAMS = KEPLER.as_expression()
 # compiled(...)[::2], the curve and its enclosures
 KEPLER_FN, KEPLER_DERIVATIVE, KEPLER_ENCLOSURES = compiled(KEPLER_EXPR,
                                                              KEPLER_PARAMS)
+
+
+def _undecided(lo, hi):
+    return None
 
 
 class TestShellVolume:
@@ -81,6 +90,36 @@ class TestShellVolume:
     def test_negative_interval_rejected(self):
         with pytest.raises(ValueError):
             shell_volume(*compiled(LINE)[::2], Interval(-1.0, 1.0))
+
+    def test_dip_between_grid_points_refused(self):
+        # the curve reaches -0.8 near 1.0001, where no point of the
+        # 4097-point grid lies
+        with pytest.raises(NegativeCurveError) as excinfo:
+            shell_volume(*compiled(NARROW_DIP)[::2], Interval(0.0, 2.0))
+        assert excinfo.value.value < -0.5
+        assert excinfo.value.x == pytest.approx(1.0001, abs=1e-4)
+
+    def test_negativity_on_the_grid_is_reported_at_its_first_grid_point(self):
+        # the first point of the 4096-cell grid below the floor, as before
+        # the grid was replaced
+        with pytest.raises(NegativeCurveError) as excinfo:
+            shell_volume(*compiled(parse("1 - x", variable="x"))[::2],
+                         Interval(0.0, 2.0))
+        step = 2.0 / 4096
+        assert excinfo.value.x == 2049 * step
+        assert excinfo.value.value == 1.0 - 2049 * step
+
+    def test_zero_at_the_left_end_is_proven(self):
+        # the Kepler curve is exactly 0 at 0; its slope makes that the least
+        report = shell_volume(KEPLER_FN, KEPLER_ENCLOSURES, FULL)
+        assert report.warnings == ()
+
+    def test_undecided_cells_warn(self):
+        never = Enclosures(_undecided, _undecided, _undecided)
+        report = shell_volume(compiled(LINE)[0], never, Interval(0.0, 1.0))
+        assert report.value == pytest.approx(2.0 * PI / 3.0, rel=1e-12)
+        assert len(report.warnings) == 1
+        assert report.warnings[0].startswith(WARN_UNPROVEN)
 
 
 class TestDiskVolumeYAxis:
@@ -220,6 +259,15 @@ class TestTheorem2:
                        Interval(0.0, PI))
 
 
+    def test_dip_extrema_found(self):
+        # the 1e-3 dip's two extrema lie between points of the 1024-cell
+        # grid; a grid scan passed the curve as one increasing piece
+        report = solve(VolumeProblem(curve=DIP, interval=Interval(0.0, 2.0),
+                                     method="theorem2"))
+        assert report.partition.interior_count == 2
+        assert report.warnings == ()
+
+
 class TestTheorem3:
     def test_wave_of_y(self):
         report = theorem3_x(*compiled(WAVE_OF_Y), FULL)
@@ -338,6 +386,13 @@ class TestCrossValidate:
         for name, value, delta in report.cross_checks:
             assert value == pytest.approx(PI / 3.0, rel=1e-9), name
 
+    def test_dip_routes_agree(self):
+        # with the dip's pieces found, the disk route inverts each of them
+        # and agrees with the formula
+        report = solve(VolumeProblem(curve=DIP, interval=Interval(0.0, 2.0)))
+        assert report.partition.interior_count == 2
+        assert report.warnings == ()
+
     def test_rejects_single_method_problems(self):
         with pytest.raises(ValueError):
             cross_validate(VolumeProblem(curve=LINE, interval=Interval(0.0, 1.0),
@@ -450,11 +505,20 @@ class TestSolveDispatch:
             compiles["f" if tree is curve else "f'"] += 1
             return bind(tree, *args, **kwargs)
 
+        enclosed = []
+
+        def counted_enclose(tree, *args, **kwargs):
+            enclosed.append(tree)
+            return enclose(tree, *args, **kwargs)
+
         monkeypatch.setattr(revolve.monotone, "bind", counted)
         monkeypatch.setattr(revolve.volume, "bind", counted)
+        monkeypatch.setattr(revolve.volume, "enclose", counted_enclose)
         solve(VolumeProblem(curve=curve, interval=interval, curve_role=role,
                             axis=axis, method=method))
         assert compiles == {"f": 1, "f'": derivative_compiles}
+        # f, f' and f'' each enclosed at most once, and only where used
+        assert len(enclosed) == len(set(enclosed)) <= 3
 
     def test_x_axis_names_are_the_y_axis_functions(self):
         assert disk_volume_x_axis is disk_volume_y_axis
