@@ -758,17 +758,18 @@ def enclose(e: Expression, variable: str, parameters: Bindings | None = None
     its value as a function of ``variable``.
 
     The returned function maps ``(lo, hi)`` to ``(low, high)`` with
-    low <= e(x) <= high for every x in [lo, hi], both for the exact value
-    and for what :func:`bind` computes at a float x.  Every bound is
-    rounded outward with ``math.nextafter`` (two steps for sin, cos, arccos
-    and ``^``, which come from the platform library), except a zero that is
-    exact.  A variable-free subtree is computed once, by the reference
-    operations, so it has the value ``bind`` gives it.  The result is
+    low <= e(x) <= high for every x in [lo, hi], both for the exact real
+    value and for what :func:`bind` computes at a float x.  A variable-free
+    subtree is computed once, by the reference operations, and enters both
+    as the float ``bind`` gives it.  Every other bound is rounded outward
+    with ``math.nextafter`` (two steps for sin, cos, arccos and ``^``,
+    which come from the platform library), except a zero that is exact.
+    The result is
     ``None``, "undecided", wherever a domain check could fail somewhere on
     [lo, hi], a name has no value, or a bound is not finite; the enclosure
     never raises for those.
     """
-    node = _Encloser(variable, dict(parameters or {})).lower(e)
+    node = _lower_interval(e, variable, dict(parameters or {}))
     if not callable(node):
         pair = (node, node) if -_INF < node < _INF else None
         return lambda lo, hi: pair
@@ -794,144 +795,96 @@ def _never(lo: float, hi: float):
     raise _Undecided
 
 
-def _identity(lo: float, hi: float) -> tuple[float, float]:
-    return lo, hi
-
-
-def _pair(lo: float, hi: float) -> tuple[float, float]:
-    if -_INF < lo <= hi < _INF:
-        return lo, hi
+def _round_out(low: float, high: float, steps: int = 1,
+               flushed: bool = False) -> tuple[float, float]:
+    """``(low, high)`` moved ``steps`` floats outward.  A zero bound is
+    exact and stays, unless some result ``flushed`` to zero by underflow.
+    Bounds that are not finite leave the enclosure undecided."""
+    if low != 0.0 or flushed:
+        low = _nextafter(low, -_INF)
+        if steps == 2:
+            low = _nextafter(low, -_INF)
+    if high != 0.0 or flushed:
+        high = _nextafter(high, _INF)
+        if steps == 2:
+            high = _nextafter(high, _INF)
+    if -_INF < low <= high < _INF:
+        return low, high
     raise _Undecided
 
 
-def _down(x: float) -> float:
-    # one step down; a sum or square root that rounds to zero is exact
-    return x if x == 0.0 else _nextafter(x, -_INF)
-
-
-def _up(x: float) -> float:
-    return x if x == 0.0 else _nextafter(x, _INF)
-
-
-def _down2(x: float) -> float:
-    return _nextafter(_nextafter(x, -_INF), -_INF)
-
-
-def _up2(x: float) -> float:
-    return _nextafter(_nextafter(x, _INF), _INF)
-
-
-def _ineg(a: tuple[float, float]) -> tuple[float, float]:
-    return -a[1], -a[0]
-
-
-def _iadd(a: tuple[float, float], b: tuple[float, float]) -> tuple[float, float]:
-    return _pair(_down(a[0] + b[0]), _up(a[1] + b[1]))
-
-
-def _isub(a: tuple[float, float], b: tuple[float, float]) -> tuple[float, float]:
-    return _pair(_down(a[0] - b[1]), _up(a[1] - b[0]))
-
-
-def _corners(values: tuple[float, ...], numerators: tuple[float, ...],
-             others: tuple[float, ...]) -> tuple[float, float]:
-    """Outward bounds of four corner products or quotients.  A zero corner
-    is exact when one of its own operands (a numerator, for a quotient) is
-    zero; any other zero underflowed, and then zero bounds step out too."""
-    lo, hi = min(values), max(values)
-    flushed = (lo == 0.0 or hi == 0.0) and any(
-        v == 0.0 and n != 0.0 and o != 0.0
-        for v, n, o in zip(values, numerators, others))
-    if lo != 0.0 or flushed:
-        lo = _nextafter(lo, -_INF)
-    if hi != 0.0 or flushed:
-        hi = _nextafter(hi, _INF)
-    return _pair(lo, hi)
-
-
-def _imul(a: tuple[float, float], b: tuple[float, float]) -> tuple[float, float]:
-    (al, ah), (bl, bh) = a, b
-    return _corners((al * bl, al * bh, ah * bl, ah * bh),
-                    (al, al, ah, ah), (bl, bh, bl, bh))
-
-
-def _idiv(a: tuple[float, float], b: tuple[float, float]) -> tuple[float, float]:
-    (al, ah), (bl, bh) = a, b
-    if bl <= 0.0 <= bh:
-        raise _Undecided
-    # a quotient is zero only with a zero numerator: "others" never are
-    return _corners((al / bl, al / bh, ah / bl, ah / bh),
-                    (al, al, ah, ah), (1.0, 1.0, 1.0, 1.0))
-
-
-def _ipow(a: tuple[float, float], y: float) -> tuple[float, float]:
+def _apply_interval(func: str, a: tuple[float, float]) -> tuple[float, float]:
+    """Bounds on ``func`` over the interval ``a``: the twin of ``_apply``.
+    sqrt rounds correctly; sin, cos and arccos get two steps.  sin, sqrt
+    and arccos are zero only at 0, 0 and 1, where that is exact."""
     lo, hi = a
+    if func == "sqrt":
+        if lo < 0.0:
+            raise _Undecided
+        return _round_out(math.sqrt(lo), math.sqrt(hi))
+    if func == "arccos":
+        if lo < -1.0 or hi > 1.0:
+            raise _Undecided
+        low, high = _round_out(math.acos(hi), math.acos(lo), 2)
+        return max(0.0, low), high
+    if hi - lo > 6.3:  # more than a period of sin or cos
+        return -1.0, 1.0
+    if func == "sin":
+        u, v, peak = math.sin(lo), math.sin(hi), 0.5 * math.pi
+    else:
+        u, v, peak = math.cos(lo), math.cos(hi), 0.0
+    low, high = _round_out(u, v, 2) if u <= v else _round_out(v, u, 2)
+    # a maximum (peak + 2*pi*k) or minimum (half a period on) within slack
+    # of [lo, hi] counts as inside it: that only widens the bounds, and
+    # slack dwarfs the rounding of the test
+    slack = 1e-9 * (1.0 + max(-lo, hi))
+    lo, hi = lo - slack, hi + slack
+    if peak + math.ceil((lo - peak) / _TWO_PI) * _TWO_PI <= hi:
+        high = 1.0
+    trough = peak + math.pi
+    if trough + math.ceil((lo - trough) / _TWO_PI) * _TWO_PI <= hi:
+        low = -1.0
+    return max(-1.0, low), min(1.0, high)
+
+
+def _binary_interval(op: str, a: tuple[float, float], b: tuple[float, float]
+                     ) -> tuple[float, float]:
+    """Bounds on ``a op b`` over intervals, for + - * /: the twin of
+    ``_binary``.  A float sum rounds to zero only when it is zero; a
+    product or quotient only when an operand (the numerator) is zero, or
+    when it underflowed."""
+    lo, hi = a
+    b_lo, b_hi = b
+    if op == "+":
+        return _round_out(lo + b_lo, hi + b_hi)
+    if op == "-":
+        return _round_out(lo - b_hi, hi - b_lo)
+    if op == "*":
+        corners = (lo * b_lo, lo * b_hi, hi * b_lo, hi * b_hi)
+    elif b_lo <= 0.0 <= b_hi:
+        raise _Undecided
+    else:
+        corners = (lo / b_lo, lo / b_hi, hi / b_lo, hi / b_hi)
+    flushed = 0.0 in corners and any(
+        c == 0.0 and x != 0.0 and (y != 0.0 or op == "/")
+        for c, x, y in zip(corners, (lo, lo, hi, hi), (b_lo, b_hi, b_lo, b_hi)))
+    return _round_out(min(corners), max(corners), 1, flushed)
+
+
+def _pow_interval(lo: float, hi: float, y: float) -> tuple[float, float]:
+    """Bounds on x ** y for x in [lo, hi] and a float exponent: monotone in
+    x except for an even power across zero, whose least value is 0."""
     if y == 0.0:
         return 1.0, 1.0  # x ** 0.0 is 1.0 for every x
     whole = y == math.floor(y)
     if lo < 0.0 and not whole or y < 0.0 and lo <= 0.0 <= hi:
         raise _Undecided
-    # x ** y is monotone on [lo, hi] except for an even power across zero;
-    # a zero power of a zero base is exact, any other zero underflowed
     p, q = lo ** y, hi ** y
-    low = min(p if lo == 0.0 else _down2(p), q if hi == 0.0 else _down2(q))
-    high = max(p if lo == 0.0 else _up2(p), q if hi == 0.0 else _up2(q))
+    flushed = p == 0.0 and lo != 0.0 or q == 0.0 and hi != 0.0
+    low, high = _round_out(min(p, q), max(p, q), 2, flushed)
     if whole and y % 2.0 == 0.0 and lo < 0.0 < hi:
         low = 0.0
-    return _pair(low, high)
-
-
-def _meets(lo: float, hi: float, offset: float) -> bool:
-    # whether some offset + 2*pi*k lies in [lo, hi]
-    k = math.ceil((lo - offset) / _TWO_PI)
-    return offset + k * _TWO_PI <= hi
-
-
-def _periodic(fn: Callable[[float], float], a: tuple[float, float],
-              peak: float) -> tuple[float, float]:
-    """Enclosure of sin or cos, whose maxima lie at peak + 2*pi*k."""
-    lo, hi = a
-    if hi - lo > 6.3:
-        return -1.0, 1.0
-    u, v = fn(lo), fn(hi)
-    low, high = (u, v) if u <= v else (v, u)
-    # an extremum within slack of [lo, hi] counts as inside it: that only
-    # widens the enclosure, and slack dwarfs the rounding of the test
-    slack = 1e-9 * (1.0 + max(-lo, hi))
-    lo, hi = lo - slack, hi + slack
-    high = 1.0 if _meets(lo, hi, peak) else min(1.0, high if high == 0.0 else _up2(high))
-    low = (-1.0 if _meets(lo, hi, peak + math.pi)
-           else max(-1.0, low if low == 0.0 else _down2(low)))
     return low, high
-
-
-def _isin(a: tuple[float, float]) -> tuple[float, float]:
-    # sin(x) is 0.0 only at x = 0, exactly
-    return _periodic(math.sin, a, 0.5 * math.pi)
-
-
-def _icos(a: tuple[float, float]) -> tuple[float, float]:
-    return _periodic(math.cos, a, 0.0)
-
-
-def _iarccos(a: tuple[float, float]) -> tuple[float, float]:
-    lo, hi = a
-    if lo < -1.0 or hi > 1.0:
-        raise _Undecided
-    low = math.acos(hi)  # 0.0 only at 1.0, exactly
-    return max(0.0, low if low == 0.0 else _down2(low)), _up2(math.acos(lo))
-
-
-def _isqrt(a: tuple[float, float]) -> tuple[float, float]:
-    lo, hi = a
-    if lo < 0.0:
-        raise _Undecided
-    return _down(math.sqrt(lo)), _up(math.sqrt(hi))
-
-
-_INTERVAL_FUNCTIONS = {"sin": _isin, "cos": _icos, "arccos": _iarccos,
-                       "sqrt": _isqrt}
-_INTERVAL_OPERATORS = {"+": _iadd, "-": _isub, "*": _imul, "/": _idiv}
 
 
 def _point(reference: Callable[..., float], *operands) -> float | Callable:
@@ -952,49 +905,47 @@ def _as_node(value: float | Callable) -> Callable:
     return lambda lo, hi: pair
 
 
-class _Encloser:
-    """Lowers one tree to nested closures over intervals, the second target
-    of the grammar next to ``_Compiler``.  ``lower`` returns a float for a
-    variable-free subtree and a ``(lo, hi) -> (low, high)`` closure
-    otherwise; ``_never`` stands for a subtree that is never decided."""
-
-    def __init__(self, variable: str, params: dict[str, object]):
-        self.variable = variable
-        self.params = params
-
-    def lower(self, e: Expression) -> float | Callable:
-        match e:
-            case Const(value):
-                return value
-            case PiConst():
-                return math.pi
-            case Var(name) | Param(name):
-                if name == self.variable:
-                    return _identity
-                try:
-                    return float(self.params[name])
-                except (KeyError, TypeError, ValueError, OverflowError):
-                    return _never
-            case Neg(arg):
-                a = self.lower(arg)
-                if callable(a):
-                    return lambda lo, hi: _ineg(a(lo, hi))
+def _lower_interval(e: Expression, variable: str, params: dict[str, object]
+                    ) -> float | Callable:
+    """``e`` lowered for :func:`enclose`, the second target of the grammar
+    next to ``_Compiler``: a float for a variable-free subtree and a
+    ``(lo, hi) -> (low, high)`` closure otherwise; ``_never`` stands for a
+    subtree that is never decided."""
+    match e:
+        case Const(value):
+            return value
+        case PiConst():
+            return math.pi
+        case Var(name) | Param(name):
+            if name == variable:
+                return lambda lo, hi: (lo, hi)
+            try:
+                return float(params[name])
+            except (KeyError, TypeError, ValueError, OverflowError):
+                return _never
+        case Neg(arg):
+            a = _lower_interval(arg, variable, params)
+            if not callable(a):
                 return -a
-            case Call(func, arg) if func in FUNCTIONS:
-                a = self.lower(arg)
-                if callable(a):
-                    op = _INTERVAL_FUNCTIONS[func]
-                    return lambda lo, hi: op(a(lo, hi))
-                return _point(_apply, func, a)
-            case BinOp(op, left, right) if op in _INTERVAL_OPERATORS or op == "^":
-                a, b = self.lower(left), self.lower(right)
-                if not (callable(a) or callable(b)):
-                    return _point(_binary, op, a, b)
-                if op != "^":
-                    interval_op = _INTERVAL_OPERATORS[op]
-                    a, b = _as_node(a), _as_node(b)
-                    return lambda lo, hi: interval_op(a(lo, hi), b(lo, hi))
-                if callable(b) or not -_INF < b < _INF:
-                    return _never  # the grammar keeps the variable out of exponents
-                return lambda lo, hi: _ipow(a(lo, hi), b)
-        raise TypeError(f"not an expression node: {e!r}")
+
+            def negated(lo: float, hi: float) -> tuple[float, float]:
+                low, high = a(lo, hi)
+                return -high, -low
+            return negated
+        case Call(func, arg) if func in FUNCTIONS:
+            a = _lower_interval(arg, variable, params)
+            if callable(a):
+                return lambda lo, hi: _apply_interval(func, a(lo, hi))
+            return _point(_apply, func, a)
+        case BinOp(op, left, right) if op in ("+", "-", "*", "/", "^"):
+            a = _lower_interval(left, variable, params)
+            b = _lower_interval(right, variable, params)
+            if not (callable(a) or callable(b)):
+                return _point(_binary, op, a, b)
+            if op != "^":
+                a, b = _as_node(a), _as_node(b)
+                return lambda lo, hi: _binary_interval(op, a(lo, hi), b(lo, hi))
+            if callable(b) or not -_INF < b < _INF:
+                return _never  # the grammar keeps the variable out of exponents
+            return lambda lo, hi: _pow_interval(*a(lo, hi), b)
+    raise TypeError(f"not an expression node: {e!r}")
