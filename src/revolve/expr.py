@@ -1,5 +1,5 @@
-"""Curve expression language: parsing, evaluation, compilation, interval
-enclosure, symbolic differentiation.
+"""Curve expression language: parsing, compilation, interval enclosure,
+symbolic differentiation.
 
 The grammar is closed on purpose -- sin, cos, arccos, sqrt, the constant
 ``pi``, one free variable, and any number of named parameters.  Keeping
@@ -48,11 +48,9 @@ __all__ = [
     "bind",
     "differentiate",
     "enclose",
-    "evaluate",
     "free_variables",
     "parse",
     "the_variable",
-    "unparse",
 ]
 
 FUNCTIONS = ("sin", "cos", "arccos", "sqrt")
@@ -109,9 +107,6 @@ class Expression:
     """Base class for expression nodes.  All nodes are frozen records
     (``revolve._record``), so structural equality and hashing come for
     free."""
-
-    def __str__(self) -> str:
-        return unparse(self)
 
 
 @record
@@ -333,47 +328,8 @@ def parse(source: str, variable: str | None = None,
 
 
 # ---------------------------------------------------------------------------
-# Evaluation
-
-def evaluate(e: Expression, bindings: Bindings | None = None) -> float:
-    """Evaluate ``e`` in IEEE double precision by walking the tree.
-
-    This is the reference evaluator: :func:`bind` compiles the same
-    operations in the same order and must agree with it bit for bit.
-    Every variable and parameter must be present in ``bindings``; there are
-    no defaults.
-    """
-    b = bindings or {}
-    return _eval(e, b)
-
-
-def _lookup(b: Bindings, name: str) -> float:
-    try:
-        return float(b[name])
-    except KeyError:
-        raise UnboundIdentifierError(name) from None
-
-
-def _eval(e: Expression, b: Bindings) -> float:
-    match e:
-        case Const(value):
-            return value
-        case PiConst():
-            return math.pi
-        case Var(name):
-            return _lookup(b, name)
-        case Param(name):
-            return _lookup(b, name)
-        case Neg(arg):
-            return -_eval(arg, b)
-        case Call(func, arg):
-            return _apply(func, _eval(arg, b))
-        case BinOp(op, left, right):
-            x = _eval(left, b)
-            y = _eval(right, b)
-            return _binary(op, x, y)
-    raise TypeError(f"not an expression node: {e!r}")
-
+# Reference operations: every domain check and its error message, shared by
+# the compiled code, constant folding and the interval enclosures
 
 def _apply(func: str, x: float) -> float:
     if func == "sin":
@@ -538,71 +494,6 @@ def _neg(a: Expression) -> Expression:
 
 
 # ---------------------------------------------------------------------------
-# Printing
-
-_PREC_ADD = 1
-_PREC_MUL = 2
-_PREC_NEG = 3
-_PREC_POW = 4
-_PREC_ATOM = 5
-
-
-def _prec(e: Expression) -> int:
-    match e:
-        case Const(value):
-            # a -0.0 literal prints as "-0.0", which binds like a negation
-            return _PREC_ATOM if math.copysign(1.0, value) > 0.0 else _PREC_NEG
-        case PiConst() | Var() | Param() | Call():
-            return _PREC_ATOM
-        case Neg():
-            return _PREC_NEG
-        case BinOp(op, _, _):
-            if op in "+-":
-                return _PREC_ADD
-            if op in "*/":
-                return _PREC_MUL
-            return _PREC_POW
-    raise TypeError(f"not an expression node: {e!r}")
-
-
-def _wrap(e: Expression, minimum: int) -> str:
-    text = unparse(e)
-    return f"({text})" if _prec(e) < minimum else text
-
-
-def unparse(e: Expression) -> str:
-    """Render ``e`` as source text.  ``parse(unparse(e))`` reproduces ``e``
-    structurally."""
-    match e:
-        case Const(value):
-            if math.isinf(value):
-                # "inf" is no literal of the grammar; 1e999 parses to inf
-                return "1e999" if value > 0.0 else "-1e999"
-            return repr(value)
-        case PiConst():
-            return "pi"
-        case Var(name):
-            return name
-        case Param(name):
-            return name
-        case Neg(arg):
-            return "-" + _wrap(arg, _PREC_NEG)
-        case Call(func, arg):
-            return f"{func}({unparse(arg)})"
-        case BinOp("+", left, right):
-            return f"{_wrap(left, _PREC_ADD)} + {_wrap(right, _PREC_ADD + 1)}"
-        case BinOp("-", left, right):
-            return f"{_wrap(left, _PREC_ADD)} - {_wrap(right, _PREC_ADD + 1)}"
-        case BinOp("*", left, right):
-            return f"{_wrap(left, _PREC_MUL)}*{_wrap(right, _PREC_MUL + 1)}"
-        case BinOp("/", left, right):
-            return f"{_wrap(left, _PREC_MUL)}/{_wrap(right, _PREC_MUL + 1)}"
-        case BinOp("^", left, right):
-            return f"{_wrap(left, _PREC_ATOM)}^{_wrap(right, _PREC_NEG)}"
-    raise TypeError(f"not an expression node: {e!r}")
-
-
-# ---------------------------------------------------------------------------
 # Helpers for the numeric layers
 
 def free_variables(e: Expression) -> frozenset[str]:
@@ -634,15 +525,17 @@ def bind(e: Expression, variable: str,
     ``float -> float`` function of ``variable``.
 
     The tree is lowered once to straight-line Python source and compiled;
-    the result computes exactly what :func:`evaluate` computes, bit for bit
-    and error for error.  A name with no value raises
+    the result computes what walking the tree with ``_apply`` and
+    ``_binary`` computes, in the same order, bit for bit and error for
+    error (``tests/reference.py`` holds that tree walker and checks it).
+    A name with no value raises
     ``UnboundIdentifierError`` only when a call reaches it.  The returned
     callable is pure and safe for concurrent use.
     """
     return _Compiler(variable, dict(parameters or {})).compile(e)
 
 
-# Each domain check the reference evaluator makes, as a condition on the
+# Each domain check the reference operations make, as a condition on the
 # operands {0} (and {1}); when it holds, the reference operation raises.
 _DOMAIN_CHECKS = {
     "arccos": "not -1.0 <= {0} <= 1.0",

@@ -86,10 +86,6 @@ RULE_MULTIPLE_INTERSECTION = "multiple-intersection"
 RULE_ALTERNATION = "alternation"
 RULE_NOT_MONOTONE = "not-strictly-monotone"
 
-Bounds = Callable[[float, float], "tuple[float, float] | None"]
-Cell = tuple[float, float]
-
-
 class PreconditionViolatedError(RevolveError):
     """Input fails the boundary conditions of the parity check."""
 
@@ -114,9 +110,9 @@ class Enclosures:
     ``revolve.expr.enclose`` builds such functions from an expression.
     """
 
-    curve: Bounds
-    slope: Bounds
-    curvature: Bounds
+    curve: Callable[[float, float], tuple[float, float] | None]
+    slope: Callable[[float, float], tuple[float, float] | None]
+    curvature: Callable[[float, float], tuple[float, float] | None]
 
 
 @record
@@ -129,7 +125,7 @@ class CriticalPoints:
     """
 
     points: tuple[float, ...]
-    unproven: tuple[Cell, ...] = ()
+    unproven: tuple[tuple[float, float], ...] = ()
 
 
 @record
@@ -146,7 +142,7 @@ class MonotonePartition:
     breakpoints: tuple[float, ...]
     directions: tuple[str, ...]
     extremum_values: tuple[float, ...]
-    unproven: tuple[Cell, ...] = ()
+    unproven: tuple[tuple[float, float], ...] = ()
 
     def __post_init__(self):
         if len(self.breakpoints) < 2:
@@ -193,7 +189,7 @@ class HypothesisReport:
     d: float
     violations: tuple[tuple[str, float], ...]
     partition: MonotonePartition | None = None
-    unproven: tuple[Cell, ...] = ()
+    unproven: tuple[tuple[float, float], ...] = ()
 
     def __post_init__(self):
         if self.satisfied != (not self.violations):
@@ -228,7 +224,7 @@ def _kind(bounds: tuple[float, float] | None) -> str | None:
 
 def _slope_certificate(derivative: Callable[[float], float],
                        enclosures: Enclosures, interval: Interval
-                       ) -> tuple[list[Cell], list[Cell]]:
+                       ) -> tuple[list[tuple[float, float]], list[tuple[float, float]]]:
     """Brackets of the sign changes of ``derivative`` on ``interval``, in
     ascending order, and the cells left unproven.
 
@@ -272,8 +268,8 @@ def _slope_certificate(derivative: Callable[[float], float],
                         else "deep")
             leaves.append((kind, a, b))
 
-    brackets: list[Cell] = []
-    unproven: list[Cell] = []
+    brackets: list[tuple[float, float]] = []
+    unproven: list[tuple[float, float]] = []
     last: tuple[float, bool] | None = None  # last point where f' != 0, f' < 0
 
     def visit(x: float, v: float) -> None:
@@ -315,7 +311,7 @@ def _slope_certificate(derivative: Callable[[float], float],
     return brackets, unproven
 
 
-def _subcells(slope: Bounds, curvature: Bounds, a: float, b: float,
+def _subcells(slope: Callable, curvature: Callable, a: float, b: float,
               budget: int) -> tuple[list[tuple[str, float, float]], int]:
     """Leaves of the grid cell [a, b] bisected below grid width, with the
     kinds of :func:`_slope_certificate` (``"weak"`` at any width) and
@@ -342,8 +338,8 @@ def _subcells(slope: Bounds, curvature: Bounds, a: float, b: float,
 
 
 def _floor_certificate(fn: Callable[[float], float], enclosures: Enclosures,
-                       interval: Interval
-                       ) -> tuple[tuple[float, float] | None, list[Cell]]:
+                       interval: Interval) -> tuple[tuple[float, float] | None,
+                                                    list[tuple[float, float]]]:
     """Prove ``fn >= _NONNEG_FLOOR`` on ``interval``.
 
     Returns ``(negative, unproven)``: ``negative`` is ``(x, fn(x))`` at the
@@ -372,7 +368,7 @@ def _floor_certificate(fn: Callable[[float], float], enclosures: Enclosures,
         return fn(a if slope_bounds[0] >= 0.0 else b) >= _NONNEG_FLOOR
 
     grid = _grid(interval.lo, interval.hi, _NONNEG_CELLS)
-    pending: list[Cell] = []
+    pending: list[tuple[float, float]] = []
     stack = [(0, _NONNEG_CELLS)]
     while stack:
         i, j = stack.pop()
@@ -389,7 +385,7 @@ def _floor_certificate(fn: Callable[[float], float], enclosures: Enclosures,
                 return (x, v), []
         pending.append((a, b))
 
-    unproven: list[Cell] = []
+    unproven: list[tuple[float, float]] = []
     budget = _SUBCELL_BUDGET
     for a, b in pending:
         cells = [(a, b, 0)]
