@@ -657,10 +657,9 @@ def enclose(e: Expression, variable: str, parameters: Bindings | None = None
     as the float ``bind`` gives it.  Every other bound is rounded outward
     with ``math.nextafter`` (two steps for sin, cos, arccos and ``^``,
     which come from the platform library), except a zero that is exact.
-    The result is
-    ``None``, "undecided", wherever a domain check could fail somewhere on
-    [lo, hi], a name has no value, or a bound is not finite; the enclosure
-    never raises for those.
+    The result is ``None``, "undecided", wherever a domain check could fail
+    somewhere on [lo, hi], a name has no value, or a bound is not finite;
+    the enclosure never raises for those.
     """
     node = _lower_interval(e, variable, dict(parameters or {}))
     if not callable(node):
@@ -758,8 +757,9 @@ def _binary_interval(op: str, a: tuple[float, float], b: tuple[float, float]
         raise _Undecided
     else:
         corners = (lo / b_lo, lo / b_hi, hi / b_lo, hi / b_hi)
+    # no divisor bound is zero here, so the same test serves both
     flushed = 0.0 in corners and any(
-        c == 0.0 and x != 0.0 and (y != 0.0 or op == "/")
+        c == 0.0 and x != 0.0 and y != 0.0
         for c, x, y in zip(corners, (lo, lo, hi, hi), (b_lo, b_hi, b_lo, b_hi)))
     return _round_out(min(corners), max(corners), 1, flushed)
 

@@ -224,7 +224,8 @@ def _kind(bounds: tuple[float, float] | None) -> str | None:
 
 def _slope_certificate(derivative: Callable[[float], float],
                        enclosures: Enclosures, interval: Interval
-                       ) -> tuple[list[tuple[float, float]], list[tuple[float, float]]]:
+                       ) -> tuple[list[tuple[float, float]],
+                                  list[tuple[float, float]]]:
     """Brackets of the sign changes of ``derivative`` on ``interval``, in
     ascending order, and the cells left unproven.
 
@@ -554,11 +555,9 @@ def _validate(fn: Callable[[float], float], interval: Interval, tol: Tolerances,
     if part is not None:
         # monotone pieces take their least value at a breakpoint
         extrema = list(zip(part.breakpoints[1:-1], part.extremum_values))
-        worst_x, worst_v = interval.lo, f_a
-        for x, v in [(interval.hi, f_b), *extrema]:
-            if v < worst_v:
-                worst_x, worst_v = x, v
-        negative = (worst_x, worst_v) if worst_v < _NONNEG_FLOOR else None
+        worst = min([(interval.lo, f_a), (interval.hi, f_b), *extrema],
+                    key=lambda point: point[1])
+        negative = worst if worst[1] < _NONNEG_FLOOR else None
         unproven = part.unproven
     else:
         extrema = []

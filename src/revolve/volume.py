@@ -55,7 +55,7 @@ the x-axis is the mirror image.
 from __future__ import annotations
 
 import math
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Mapping, Sequence
 
 from ._record import factory, record
 from .errors import RevolveError
@@ -309,8 +309,7 @@ def _quad_warnings(*quads: QuadratureResult) -> list[str]:
     return [WARN_NOT_CONVERGED] if any(not q.converged for q in quads) else []
 
 
-def _unproven_warnings(cells: Iterable[tuple[float, float]]) -> list[str]:
-    cells = list(cells)
+def _unproven_warnings(cells: Sequence[tuple[float, float]]) -> list[str]:
     if not cells:
         return []
     lo, hi = cells[0]
@@ -321,7 +320,7 @@ def _unproven_warnings(cells: Iterable[tuple[float, float]]) -> list[str]:
 def _method_report(method: str, value: float, err: float,
                    *quads: QuadratureResult, sign: int = 1,
                    partition: MonotonePartition | None = None,
-                   unproven: Iterable[tuple[float, float]] = ()) -> VolumeReport:
+                   unproven: Sequence[tuple[float, float]] = ()) -> VolumeReport:
     return VolumeReport(
         value=value,
         method=method,
