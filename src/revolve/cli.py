@@ -27,7 +27,7 @@ import sys
 
 from . import kepler as kepler_mod
 from .errors import RevolveError
-from .expr import ExpressionError, Expression, bind, parse
+from .expr import ExpressionError, Expression, evaluate, parse
 from .monotone import (
     AlternationViolationError,
     HypothesisReport,
@@ -203,8 +203,7 @@ def _parameters(pairs: list[str]) -> dict[str, float]:
 # Shared pieces
 
 def _parse_bound(text: str) -> float:
-    # a variable-free expression: its compiled function ignores the argument
-    value = bind(parse(text), "_")(0.0)
+    value = evaluate(parse(text))
     if not math.isfinite(value):
         raise _UsageError(f"interval bound {text!r} is not finite")
     return value

@@ -1,5 +1,5 @@
-"""Curve expression language: parsing, compilation, interval enclosure,
-symbolic differentiation.
+"""Curve expression language: parsing, evaluation, compilation, interval
+enclosure, symbolic differentiation.
 
 The grammar is closed on purpose -- sin, cos, arccos, sqrt, the constant
 ``pi``, one free variable, and any number of named parameters.  Keeping
@@ -48,9 +48,11 @@ __all__ = [
     "bind",
     "differentiate",
     "enclose",
+    "evaluate",
     "free_variables",
     "parse",
     "the_variable",
+    "unparse",
 ]
 
 FUNCTIONS = ("sin", "cos", "arccos", "sqrt")
@@ -107,6 +109,9 @@ class Expression:
     """Base class for expression nodes.  All nodes are frozen records
     (``revolve._record``), so structural equality and hashing come for
     free."""
+
+    def __str__(self) -> str:
+        return unparse(self)
 
 
 @record
@@ -328,8 +333,47 @@ def parse(source: str, variable: str | None = None,
 
 
 # ---------------------------------------------------------------------------
-# Reference operations: every domain check and its error message, shared by
-# the compiled code, constant folding and the interval enclosures
+# Evaluation
+
+def evaluate(e: Expression, bindings: Bindings | None = None) -> float:
+    """Evaluate ``e`` in IEEE double precision by walking the tree.
+
+    This is the reference evaluator: :func:`bind` compiles the same
+    operations in the same order and must agree with it bit for bit.
+    Every variable and parameter must be present in ``bindings``; there are
+    no defaults.
+    """
+    b = bindings or {}
+    return _eval(e, b)
+
+
+def _lookup(b: Bindings, name: str) -> float:
+    try:
+        return float(b[name])
+    except KeyError:
+        raise UnboundIdentifierError(name) from None
+
+
+def _eval(e: Expression, b: Bindings) -> float:
+    match e:
+        case Const(value):
+            return value
+        case PiConst():
+            return math.pi
+        case Var(name):
+            return _lookup(b, name)
+        case Param(name):
+            return _lookup(b, name)
+        case Neg(arg):
+            return -_eval(arg, b)
+        case Call(func, arg):
+            return _apply(func, _eval(arg, b))
+        case BinOp(op, left, right):
+            x = _eval(left, b)
+            y = _eval(right, b)
+            return _binary(op, x, y)
+    raise TypeError(f"not an expression node: {e!r}")
+
 
 def _apply(func: str, x: float) -> float:
     if func == "sin":
@@ -494,6 +538,71 @@ def _neg(a: Expression) -> Expression:
 
 
 # ---------------------------------------------------------------------------
+# Printing
+
+_PREC_ADD = 1
+_PREC_MUL = 2
+_PREC_NEG = 3
+_PREC_POW = 4
+_PREC_ATOM = 5
+
+
+def _prec(e: Expression) -> int:
+    match e:
+        case Const(value):
+            # a -0.0 literal prints as "-0.0", which binds like a negation
+            return _PREC_ATOM if math.copysign(1.0, value) > 0.0 else _PREC_NEG
+        case PiConst() | Var() | Param() | Call():
+            return _PREC_ATOM
+        case Neg():
+            return _PREC_NEG
+        case BinOp(op, _, _):
+            if op in "+-":
+                return _PREC_ADD
+            if op in "*/":
+                return _PREC_MUL
+            return _PREC_POW
+    raise TypeError(f"not an expression node: {e!r}")
+
+
+def _wrap(e: Expression, minimum: int) -> str:
+    text = unparse(e)
+    return f"({text})" if _prec(e) < minimum else text
+
+
+def unparse(e: Expression) -> str:
+    """Render ``e`` as source text.  ``parse(unparse(e))`` reproduces ``e``
+    structurally."""
+    match e:
+        case Const(value):
+            if math.isinf(value):
+                # "inf" is no literal of the grammar; 1e999 parses to inf
+                return "1e999" if value > 0.0 else "-1e999"
+            return repr(value)
+        case PiConst():
+            return "pi"
+        case Var(name):
+            return name
+        case Param(name):
+            return name
+        case Neg(arg):
+            return "-" + _wrap(arg, _PREC_NEG)
+        case Call(func, arg):
+            return f"{func}({unparse(arg)})"
+        case BinOp("+", left, right):
+            return f"{_wrap(left, _PREC_ADD)} + {_wrap(right, _PREC_ADD + 1)}"
+        case BinOp("-", left, right):
+            return f"{_wrap(left, _PREC_ADD)} - {_wrap(right, _PREC_ADD + 1)}"
+        case BinOp("*", left, right):
+            return f"{_wrap(left, _PREC_MUL)}*{_wrap(right, _PREC_MUL + 1)}"
+        case BinOp("/", left, right):
+            return f"{_wrap(left, _PREC_MUL)}/{_wrap(right, _PREC_MUL + 1)}"
+        case BinOp("^", left, right):
+            return f"{_wrap(left, _PREC_ATOM)}^{_wrap(right, _PREC_NEG)}"
+    raise TypeError(f"not an expression node: {e!r}")
+
+
+# ---------------------------------------------------------------------------
 # Helpers for the numeric layers
 
 def free_variables(e: Expression) -> frozenset[str]:
@@ -525,17 +634,15 @@ def bind(e: Expression, variable: str,
     ``float -> float`` function of ``variable``.
 
     The tree is lowered once to straight-line Python source and compiled;
-    the result computes what walking the tree with ``_apply`` and
-    ``_binary`` computes, in the same order, bit for bit and error for
-    error (``tests/reference.py`` holds that tree walker and checks it).
-    A name with no value raises
+    the result computes exactly what :func:`evaluate` computes, bit for bit
+    and error for error.  A name with no value raises
     ``UnboundIdentifierError`` only when a call reaches it.  The returned
     callable is pure and safe for concurrent use.
     """
     return _Compiler(variable, dict(parameters or {})).compile(e)
 
 
-# Each domain check the reference operations make, as a condition on the
+# Each domain check the reference evaluator makes, as a condition on the
 # operands {0} (and {1}); when it holds, the reference operation raises.
 _DOMAIN_CHECKS = {
     "arccos": "not -1.0 <= {0} <= 1.0",
@@ -647,29 +754,27 @@ class _Compiler:
 
 def enclose(e: Expression, variable: str, parameters: Bindings | None = None
             ) -> Callable[[float, float], tuple[float, float] | None]:
-    """Lower ``e``, closed over ``parameters``, to an interval enclosure of
-    its value as a function of ``variable``.
+    """An interval enclosure of ``e``, closed over ``parameters``, as a
+    function of ``variable``.
 
     The returned function maps ``(lo, hi)`` to ``(low, high)`` with
     low <= e(x) <= high for every x in [lo, hi], both for the exact real
-    value and for what :func:`bind` computes at a float x.  A variable-free
-    subtree is computed once, by the reference operations, and enters both
-    as the float ``bind`` gives it.  Every other bound is rounded outward
-    with ``math.nextafter`` (two steps for sin, cos, arccos and ``^``,
-    which come from the platform library), except a zero that is exact.
-    The result is ``None``, "undecided", wherever a domain check could fail
-    somewhere on [lo, hi], a name has no value, or a bound is not finite;
-    the enclosure never raises for those.
+    value and for what :func:`bind` computes at a float x.  It walks the
+    tree as :func:`evaluate` does: constants and parameter values enter
+    exactly, an exponent is evaluated, and every bound an operation
+    computes is rounded outward with ``math.nextafter`` (two steps for
+    sin, cos, arccos and ``^``, which come from the platform library),
+    except a zero that is exact.  The result is ``None``, "undecided",
+    wherever a domain check could fail somewhere on [lo, hi], a name has
+    no value, or a bound is not finite; the enclosure never raises for
+    those.
     """
-    node = _lower_interval(e, variable, dict(parameters or {}))
-    if not callable(node):
-        pair = (node, node) if -_INF < node < _INF else None
-        return lambda lo, hi: pair
+    params = dict(parameters or {})
 
     def enclosure(lo: float, hi: float) -> tuple[float, float] | None:
         try:
-            return node(lo, hi)
-        except (_Undecided, ArithmeticError, ValueError):
+            return _eval_interval(e, variable, params, (lo, hi))
+        except (_Undecided, ExpressionError, ArithmeticError, ValueError):
             return None
     return enclosure
 
@@ -681,10 +786,6 @@ class _Undecided(Exception):
 _INF = math.inf
 _TWO_PI = 2.0 * math.pi
 _nextafter = math.nextafter
-
-
-def _never(lo: float, hi: float):
-    raise _Undecided
 
 
 def _round_out(low: float, high: float, steps: int = 1,
@@ -780,65 +881,25 @@ def _pow_interval(lo: float, hi: float, y: float) -> tuple[float, float]:
     return low, high
 
 
-def _point(reference: Callable[..., float], *operands) -> float | Callable:
-    """A variable-free node's value by the reference operation, or
-    ``_never`` when that raises."""
-    try:
-        return reference(*operands)
-    except (DomainError, ArithmeticError, ValueError):
-        return _never
-
-
-def _as_node(value: float | Callable) -> Callable:
-    if callable(value):
-        return value
-    if not -_INF < value < _INF:
-        return _never
-    pair = (value, value)
-    return lambda lo, hi: pair
-
-
-def _lower_interval(e: Expression, variable: str, params: dict[str, object]
-                    ) -> float | Callable:
-    """``e`` lowered for :func:`enclose`, the second target of the grammar
-    next to ``_Compiler``: a float for a variable-free subtree and a
-    ``(lo, hi) -> (low, high)`` closure otherwise; ``_never`` stands for a
-    subtree that is never decided."""
+def _eval_interval(e: Expression, variable: str, params: Bindings,
+                   x: tuple[float, float]) -> tuple[float, float]:
+    """Bounds on ``e`` for ``variable`` in the interval ``x``: the twin of
+    ``_eval``."""
     match e:
-        case Const(value):
-            return value
-        case PiConst():
-            return math.pi
-        case Var(name) | Param(name):
-            if name == variable:
-                return lambda lo, hi: (lo, hi)
-            try:
-                return float(params[name])
-            except (KeyError, TypeError, ValueError, OverflowError):
-                return _never
-        case Neg(arg):
-            a = _lower_interval(arg, variable, params)
-            if not callable(a):
-                return -a
-
-            def negated(lo: float, hi: float) -> tuple[float, float]:
-                low, high = a(lo, hi)
-                return -high, -low
-            return negated
-        case Call(func, arg) if func in FUNCTIONS:
-            a = _lower_interval(arg, variable, params)
-            if callable(a):
-                return lambda lo, hi: _apply_interval(func, a(lo, hi))
-            return _point(_apply, func, a)
         case BinOp(op, left, right) if op in ("+", "-", "*", "/", "^"):
-            a = _lower_interval(left, variable, params)
-            b = _lower_interval(right, variable, params)
-            if not (callable(a) or callable(b)):
-                return _point(_binary, op, a, b)
-            if op != "^":
-                a, b = _as_node(a), _as_node(b)
-                return lambda lo, hi: _binary_interval(op, a(lo, hi), b(lo, hi))
-            if callable(b) or not -_INF < b < _INF:
-                return _never  # the grammar keeps the variable out of exponents
-            return lambda lo, hi: _pow_interval(*a(lo, hi), b)
-    raise TypeError(f"not an expression node: {e!r}")
+            if op == "^":  # the grammar keeps the variable out of exponents
+                return _pow_interval(*_eval_interval(left, variable, params, x),
+                                     _eval(right, params))
+            return _binary_interval(op, _eval_interval(left, variable, params, x),
+                                    _eval_interval(right, variable, params, x))
+        case Call(func, arg) if func in FUNCTIONS:
+            return _apply_interval(func, _eval_interval(arg, variable, params, x))
+        case Var(name) | Param(name) if name == variable:
+            return x
+        case Neg(arg):
+            low, high = _eval_interval(arg, variable, params, x)
+            return -high, -low
+    value = _eval(e, params)  # a constant or a parameter's value
+    if -_INF < value < _INF:
+        return value, value
+    raise _Undecided

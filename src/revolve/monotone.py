@@ -22,8 +22,10 @@ grid width, down to a fixed depth; a sign change of f' at the ends of a
 cell at that depth still counts as an extremum, and a cell left without
 one is reported as unproven instead of being passed over.  Nonnegativity
 follows: on proven monotone pieces the minimum is a breakpoint value.
-Where no partition is built, f >= -1e-12 is proven cell by cell from the
-enclosure of f (or of f', which puts the minimum at a cell's end).
+Where no partition is built, or it left a cell unproven, f >= -1e-12 is
+proven cell by cell from the enclosure of f (or of f', which puts the
+minimum at a cell's end).  Both certificates bisect the same way
+(``_bisect``).
 
 A piece's direction is sgn(f(hi) - f(lo)) of its end values, as the paper
 orients a curve; the derivative serves only to find the breakpoints.
@@ -40,7 +42,8 @@ from .errors import RevolveError
 # on this module, so they stay until the tracer stops wrapping them.
 from .expr import bind, differentiate  # noqa: F401
 from .numerics import scan_sign_changes  # noqa: F401
-from .numerics import Interval, Tolerances, _checked, find_root_bracketed
+from .numerics import (Interval, Tolerances, _abscissa, _checked,
+                       find_root_bracketed)
 
 __all__ = [
     "AlternationViolationError",
@@ -86,6 +89,9 @@ RULE_MULTIPLE_INTERSECTION = "multiple-intersection"
 RULE_ALTERNATION = "alternation"
 RULE_NOT_MONOTONE = "not-strictly-monotone"
 
+# a cell [lo, hi] of the query interval
+Cell = tuple[float, float]
+
 class PreconditionViolatedError(RevolveError):
     """Input fails the boundary conditions of the parity check."""
 
@@ -125,7 +131,7 @@ class CriticalPoints:
     """
 
     points: tuple[float, ...]
-    unproven: tuple[tuple[float, float], ...] = ()
+    unproven: tuple[Cell, ...] = ()
 
 
 @record
@@ -142,7 +148,7 @@ class MonotonePartition:
     breakpoints: tuple[float, ...]
     directions: tuple[str, ...]
     extremum_values: tuple[float, ...]
-    unproven: tuple[tuple[float, float], ...] = ()
+    unproven: tuple[Cell, ...] = ()
 
     def __post_init__(self):
         if len(self.breakpoints) < 2:
@@ -189,7 +195,7 @@ class HypothesisReport:
     d: float
     violations: tuple[tuple[str, float], ...]
     partition: MonotonePartition | None = None
-    unproven: tuple[tuple[float, float], ...] = ()
+    unproven: tuple[Cell, ...] = ()
 
     def __post_init__(self):
         if self.satisfied != (not self.violations):
@@ -199,50 +205,79 @@ class HypothesisReport:
 # ---------------------------------------------------------------------------
 # Certificates
 
-def _grid(lo: float, hi: float, n: int) -> Callable[[int], float]:
-    # abscissa k of n equal cells on [lo, hi], as numerics.uniform_grid
-    # computes it
-    step = (hi - lo) / n
-    return lambda k: hi if k == n else lo + k * step
+# bounds of an enclosure that cannot decide: across zero
+_UNKNOWN = (-math.inf, math.inf)
 
 
-def _kind(bounds: tuple[float, float] | None) -> str | None:
-    """How a function sits on a cell, from its bounds there: ``"+"`` or
-    ``"-"`` for one strict sign, ``"0"`` for exactly zero, ``"weak"`` for
-    one side of zero touching it, ``None`` when undecided or across it."""
-    if bounds is None:
-        return None
-    low, high = bounds
-    if low > 0.0:
-        return "+"
-    if high < 0.0:
-        return "-"
-    if low >= 0.0 and high <= 0.0:
-        return "0"
-    return "weak" if low >= 0.0 or high <= 0.0 else None
+def _bisect(interval: Interval, cells: int,
+            settle: Callable[[float, float, int], object]) -> list[tuple]:
+    """The leaves ``(lo, hi, state)`` of ``interval``, ascending, bisected
+    the one way both certificates share.
+
+    Cells start as index ranges of the ``cells``-cell grid and are halved
+    while ``settle(lo, hi, width)``, with ``width`` the cell's count of
+    grid cells, returns None; so one-cell-wide cells are settled in grid
+    order before anything narrower.  Each grid cell still unsettled is
+    then bisected below grid width, in order, with ``width`` 0, down to
+    ``_DEPTH_CAP`` levels and within ``_SUBCELL_BUDGET`` cells in all; its
+    state becomes the list of its own leaves, where a leaf left at either
+    limit has state None.
+    """
+    grid = _abscissa(interval.lo, interval.hi, cells)
+    leaves: list[tuple] = []
+    stack = [(0, cells)]
+    while stack:
+        i, j = stack.pop()
+        lo, hi = grid(i), grid(j)
+        state = settle(lo, hi, j - i)
+        if state is None and j - i > 1:
+            m = (i + j) // 2
+            stack += [(m, j), (i, m)]
+        else:
+            leaves.append((lo, hi, state))
+
+    budget = _SUBCELL_BUDGET
+    for index, (lo, hi, state) in enumerate(leaves):
+        if state is not None:
+            continue
+        below = []
+        stack = [(lo, hi, 0)]
+        while stack:
+            a, b, depth = stack.pop()
+            state = settle(a, b, 0)
+            mid = 0.5 * (a + b)
+            if (state is None and depth < _DEPTH_CAP and budget > 0
+                    and a < mid < b):
+                budget -= 2
+                stack += [(mid, b, depth + 1), (a, mid, depth + 1)]
+            else:
+                below.append((a, b, state))
+        leaves[index] = (lo, hi, below)
+    return leaves
 
 
 def _slope_certificate(derivative: Callable[[float], float],
                        enclosures: Enclosures, interval: Interval
-                       ) -> tuple[list[tuple[float, float]],
-                                  list[tuple[float, float]]]:
+                       ) -> tuple[list[Cell], list[Cell]]:
     """Brackets of the sign changes of ``derivative`` on ``interval``, in
     ascending order, and the cells left unproven.
 
-    The cells are index ranges of the 1024-cell grid, bisected until each
-    is settled by :func:`_kind` of f' (``"+"``, ``"-"``, ``"0"``), or is
-    one grid cell wide and f' is ``"weak"``, strictly monotone because f''
-    has one strict sign (``"mono"``), or neither (``"deep"``, bisected
-    further by :func:`_subcells`).  f' is evaluated at the grid ends of
-    every one-cell leaf in grid order, so a grid point where it fails
-    raises as a grid scan would.  The brackets are then those of a scan
-    over every point whose sign is known: between consecutive points where
-    f' is nonzero and of opposite sign.  On a grid where all cells settle
-    at grid width these are exactly the brackets ``scan_sign_changes``
-    returns.
+    A cell of :func:`_bisect` on the 1024-cell grid is settled when the
+    enclosure of f' is of one strict sign or exactly zero, or, one grid
+    cell wide or narrower, when it keeps one side of zero or f'' has one
+    strict sign, so that f' changes sign at most once, between the cell's
+    ends.  f' is evaluated at the ends of every unsettled one-cell cell in
+    grid order, so a grid point where it fails raises as a grid scan
+    would.  The brackets are those of a scan over the ends of the leaves:
+    between consecutive ends where f' is nonzero and of opposite sign
+    (and the midpoint of a leaf whose ends are both zeros).  Inside a
+    settled cell f' keeps the sign of its ends, so where every cell
+    settles at grid width these are exactly the brackets
+    ``scan_sign_changes`` returns; a grid cell bisected further that holds
+    one sign change between grid ends of opposite sign keeps its grid
+    bracket too.
     """
     slope, curvature = enclosures.slope, enclosures.curvature
-    grid = _grid(interval.lo, interval.hi, _SCAN_CELLS)
     values: dict[float, float] = {}
 
     def value(x: float) -> float:
@@ -251,60 +286,47 @@ def _slope_certificate(derivative: Callable[[float], float],
             v = values[x] = _checked(derivative, x)
         return v
 
-    leaves: list[tuple[str, float, float]] = []
-    stack = [(0, _SCAN_CELLS)]
-    while stack:
-        i, j = stack.pop()
-        a, b = grid(i), grid(j)
-        kind = _kind(slope(a, b))
-        if kind in ("+", "-", "0"):
-            leaves.append((kind, a, b))
-        elif j - i > 1:
-            m = (i + j) // 2
-            stack += [(m, j), (i, m)]
-        else:
+    def settle(a: float, b: float, width: int) -> bool | None:
+        low, high = slope(a, b) or _UNKNOWN
+        if low > 0.0 or high < 0.0 or low == high == 0.0:
+            return True
+        if width > 1:
+            return None
+        if width == 1:
             value(a), value(b)
-            if kind is None:
-                kind = ("mono" if _kind(curvature(a, b)) in ("+", "-")
-                        else "deep")
-            leaves.append((kind, a, b))
+        if low >= 0.0 or high <= 0.0:
+            return True
+        low, high = curvature(a, b) or _UNKNOWN
+        return True if low > 0.0 or high < 0.0 else None
 
-    brackets: list[tuple[float, float]] = []
-    unproven: list[tuple[float, float]] = []
+    brackets: list[Cell] = []
+    unproven: list[Cell] = []
     last: tuple[float, bool] | None = None  # last point where f' != 0, f' < 0
 
-    def visit(x: float, v: float) -> None:
+    def visit(x: float) -> None:
         nonlocal last
+        v = value(x)
         if v != 0.0:
             if last is not None and last[1] != (v < 0.0):
                 brackets.append((last[0], x))
             last = (x, v < 0.0)
 
-    def sweep(kind: str, a: float, b: float) -> None:
-        nonlocal last
-        if kind in ("+", "-"):
-            visit(a, -1.0 if kind == "-" else 1.0)
-            last = (b, kind == "-")
-        elif kind != "0":
-            va, vb = value(a), value(b)
-            visit(a, va)
-            if kind == "weak" and va == 0.0 and vb == 0.0:
-                visit(0.5 * (a + b), value(0.5 * (a + b)))
-            visit(b, vb)
-            if kind == "cap" and not va * vb < 0.0:
-                unproven.append((a, b))
+    def sweep(a: float, b: float, state: object) -> None:
+        visit(a)
+        if value(a) == 0.0 == value(b):
+            visit(0.5 * (a + b))
+        visit(b)
+        # a leaf at the limits still shows a sign change at its ends
+        if state is None and not value(a) * value(b) < 0.0:
+            unproven.append((a, b))
 
-    budget = _SUBCELL_BUDGET
-    for kind, a, b in leaves:
-        if kind != "deep":
-            sweep(kind, a, b)
+    for a, b, state in _bisect(interval, _SCAN_CELLS, settle):
+        if not isinstance(state, list):
+            sweep(a, b, state)
             continue
         start = len(brackets)
-        visit(a, value(a))
-        subcells, budget = _subcells(slope, curvature, a, b, budget)
-        for leaf in subcells:
+        for leaf in state:
             sweep(*leaf)
-        visit(b, value(b))
         # one sign change between grid ends of opposite sign: refine it on
         # the grid bracket, as the scan did
         if len(brackets) == start + 1 and value(a) * value(b) < 0.0:
@@ -312,98 +334,55 @@ def _slope_certificate(derivative: Callable[[float], float],
     return brackets, unproven
 
 
-def _subcells(slope: Callable, curvature: Callable, a: float, b: float,
-              budget: int) -> tuple[list[tuple[str, float, float]], int]:
-    """Leaves of the grid cell [a, b] bisected below grid width, with the
-    kinds of :func:`_slope_certificate` (``"weak"`` at any width) and
-    ``"cap"`` for a cell undecided at the depth cap or once ``budget``
-    cells are spent; returns them and the budget left."""
-    leaves = []
-    mid = 0.5 * (a + b)
-    stack = [(mid, b, 1), (a, mid, 1)]
-    while stack:
-        lo, hi, depth = stack.pop()
-        kind = _kind(slope(lo, hi))
-        if kind is None and _kind(curvature(lo, hi)) in ("+", "-"):
-            kind = "mono"
-        if kind is not None:
-            leaves.append((kind, lo, hi))
-            continue
-        mid = 0.5 * (lo + hi)
-        if depth >= _DEPTH_CAP or budget <= 0 or not lo < mid < hi:
-            leaves.append(("cap", lo, hi))
-            continue
-        budget -= 2
-        stack += [(mid, hi, depth + 1), (lo, mid, depth + 1)]
-    return leaves, budget
+class _Below(Exception):
+    """The curve is below the floor at ``args``: ``(x, f(x))``."""
 
 
 def _floor_certificate(fn: Callable[[float], float], enclosures: Enclosures,
-                       interval: Interval) -> tuple[tuple[float, float] | None,
-                                                    list[tuple[float, float]]]:
+                       interval: Interval
+                       ) -> tuple[tuple[float, float] | None, list[Cell]]:
     """Prove ``fn >= _NONNEG_FLOOR`` on ``interval``.
 
     Returns ``(negative, unproven)``: ``negative`` is ``(x, fn(x))`` at the
-    first point found below the floor, or ``None``.  A cell is proven when
-    the enclosure of f stays above the floor, or when the enclosure of f'
-    keeps one side of zero, so that f is monotone there, and f at the end
-    where it is least does.  Cells are
-    aligned to the 4096-cell grid; at one grid cell an undecided cell has f
-    evaluated at its grid points in order, over the whole interval before
-    any cell is bisected below grid width, so a curve negative at some grid
-    point is reported at the first such point.  Below grid width f is
-    evaluated at each cell's midpoint.
+    first point found below the floor, or ``None``.  A cell of
+    :func:`_bisect` on the 4096-cell grid is proven when the enclosure of
+    f stays above the floor, or when the enclosure of f' keeps one side of
+    zero, so that f is monotone there, and f at the end where it is least
+    does.  An unproven cell one grid cell wide has f evaluated at its grid
+    points, in grid order and before any cell is bisected below grid
+    width, so a curve negative at some grid point is reported at the first
+    such point; below grid width f is evaluated at each cell's midpoint.
     """
     curve, slope = enclosures.curve, enclosures.slope
 
-    def proven(a: float, b: float) -> bool:
+    def check(x: float) -> None:
+        v = fn(x)
+        if v < _NONNEG_FLOOR:
+            raise _Below(x, v)
+
+    def settle(a: float, b: float, width: int) -> bool | None:
         bounds = curve(a, b)
-        if bounds is None:
-            return False  # f may fail to evaluate somewhere on [a, b]
-        if bounds[0] >= _NONNEG_FLOOR:
-            return True
-        slope_bounds = slope(a, b)
-        if _kind(slope_bounds) is None:
-            return False
-        # f is monotone on [a, b]: its least value is at one end
-        return fn(a if slope_bounds[0] >= 0.0 else b) >= _NONNEG_FLOOR
+        if bounds is not None:  # else f may fail to evaluate on [a, b]
+            if bounds[0] >= _NONNEG_FLOOR:
+                return True
+            low, high = slope(a, b) or _UNKNOWN
+            # f is monotone on [a, b]: its least value is at one end
+            if (low >= 0.0 or high <= 0.0) and fn(
+                    a if low >= 0.0 else b) >= _NONNEG_FLOOR:
+                return True
+        if width == 1:
+            check(a)
+            check(b)
+        elif width == 0:
+            check(0.5 * (a + b))
+        return None
 
-    grid = _grid(interval.lo, interval.hi, _NONNEG_CELLS)
-    pending: list[tuple[float, float]] = []
-    stack = [(0, _NONNEG_CELLS)]
-    while stack:
-        i, j = stack.pop()
-        a, b = grid(i), grid(j)
-        if proven(a, b):
-            continue
-        if j - i > 1:
-            m = (i + j) // 2
-            stack += [(m, j), (i, m)]
-            continue
-        for x in (a, b):
-            v = fn(x)
-            if v < _NONNEG_FLOOR:
-                return (x, v), []
-        pending.append((a, b))
-
-    unproven: list[tuple[float, float]] = []
-    budget = _SUBCELL_BUDGET
-    for a, b in pending:
-        cells = [(a, b, 0)]
-        while cells:
-            lo, hi, depth = cells.pop()
-            if depth and proven(lo, hi):
-                continue
-            mid = 0.5 * (lo + hi)
-            if depth >= _DEPTH_CAP or budget <= 0 or not lo < mid < hi:
-                unproven.append((lo, hi))
-                continue
-            v = fn(mid)
-            if v < _NONNEG_FLOOR:
-                return (mid, v), unproven
-            budget -= 2
-            cells += [(mid, hi, depth + 1), (lo, mid, depth + 1)]
-    return None, unproven
+    try:
+        leaves = _bisect(interval, _NONNEG_CELLS, settle)
+    except _Below as below:
+        return below.args, []
+    return None, [(lo, hi) for _, _, state in leaves if isinstance(state, list)
+                  for lo, hi, settled in state if settled is None]
 
 
 # ---------------------------------------------------------------------------
@@ -510,8 +489,10 @@ def validate_revolution_hypotheses(fn: Callable[[float], float],
       constant curve fails it) and piece directions strictly alternate
       (``RULE_ALTERNATION``);
     * the curve is nonnegative within roundoff slack
-      (``RULE_NEGATIVE_VALUE``): on a proven partition its minimum is a
-      breakpoint value, and without one it is proven cell by cell;
+      (``RULE_NEGATIVE_VALUE``): on a partition with no unproven cell its
+      minimum is a breakpoint value; without a partition, or with such a
+      cell, where a pair of extrema could hide, the enclosure of f
+      proves it cell by cell;
     * every interior extremum value lies strictly between the endpoint
       values, which for piecewise strictly monotone curves is equivalent
       to the top and bottom boundary lines meeting the curve only once
@@ -521,23 +502,24 @@ def validate_revolution_hypotheses(fn: Callable[[float], float],
     nonnegativity proof stayed undecided are reported as ``unproven``.
     """
     tol = tol or Tolerances()
-    return _validate(fn, interval, tol,
-                     lambda: partition(fn, derivative, enclosures, interval, tol),
-                     lambda: _floor_certificate(fn, enclosures, interval))
+    return _validate(fn, enclosures, interval, tol,
+                     lambda: partition(fn, derivative, enclosures, interval, tol))
 
 
-def _validate_with_partition(fn: Callable[[float], float], p: MonotonePartition,
+def _validate_with_partition(fn: Callable[[float], float],
+                             enclosures: Enclosures, p: MonotonePartition,
                              tol: Tolerances | None) -> HypothesisReport:
     """:func:`validate_revolution_hypotheses` over ``p``'s span, reusing
     ``p`` instead of building the partition again.  ``p`` must be what
     ``partition(fn, derivative, enclosures, span, tol)`` returns."""
     span = Interval(p.breakpoints[0], p.breakpoints[-1])
-    return _validate(fn, span, tol or Tolerances(), lambda: p, None)
+    return _validate(fn, enclosures, span, tol or Tolerances(), lambda: p)
 
 
-def _validate(fn: Callable[[float], float], interval: Interval, tol: Tolerances,
-              build_partition: Callable[[], MonotonePartition],
-              prove_floor: Callable[[], tuple] | None) -> HypothesisReport:
+def _validate(fn: Callable[[float], float], enclosures: Enclosures,
+              interval: Interval, tol: Tolerances,
+              build_partition: Callable[[], MonotonePartition]
+              ) -> HypothesisReport:
     f_a = fn(interval.lo)
     f_b = fn(interval.hi)
     c, d = min(f_a, f_b), max(f_a, f_b)
@@ -552,16 +534,20 @@ def _validate(fn: Callable[[float], float], interval: Interval, tol: Tolerances,
     except AlternationViolationError as exc:
         violations.append((exc.rule, interval.lo))
 
+    extrema = []
+    negative, unproven = None, []
     if part is not None:
         # monotone pieces take their least value at a breakpoint
         extrema = list(zip(part.breakpoints[1:-1], part.extremum_values))
         worst = min([(interval.lo, f_a), (interval.hi, f_b), *extrema],
                     key=lambda point: point[1])
-        negative = worst if worst[1] < _NONNEG_FLOOR else None
-        unproven = part.unproven
-    else:
-        extrema = []
-        negative, unproven = prove_floor()
+        if worst[1] < _NONNEG_FLOOR:
+            negative = worst
+        unproven = list(part.unproven)
+    # without a proven partition a dip may hide anywhere: prove the floor
+    if negative is None and (part is None or part.unproven):
+        negative, floor_unproven = _floor_certificate(fn, enclosures, interval)
+        unproven = sorted({*unproven, *floor_unproven})
     if negative is not None:
         violations.append((RULE_NEGATIVE_VALUE, negative[0]))
 

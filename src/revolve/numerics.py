@@ -354,13 +354,18 @@ def find_root_bracketed(f: Callable[[float], float], lo: float, hi: float,
         f"[{min(b, c)!r}, {max(b, c)!r}]")
 
 
+def _abscissa(lo: float, hi: float, n: int) -> Callable[[int], float]:
+    """Abscissa ``k`` of ``n`` equal cells on [lo, hi], as a function of
+    ``k``; ``k = n`` gives ``hi`` exactly.  The one place the grids of the
+    scan, the CLI's samples and the monotone certificates are computed."""
+    step = (hi - lo) / n
+    return lambda k: hi if k == n else lo + k * step
+
+
 def uniform_grid(lo: float, hi: float, n: int) -> Iterator[float]:
     """The ``n + 1`` abscissae of ``n`` equal cells on [lo, hi], ending at
     ``hi`` exactly."""
-    step = (hi - lo) / n
-    for i in range(n):
-        yield lo + i * step
-    yield hi
+    return map(_abscissa(lo, hi, n), range(n + 1))
 
 
 def scan_sign_changes(f: Callable[[float], float], a: float, b: float,

@@ -195,7 +195,7 @@ class VolumeReport:
 
 # The only compile sites: ``solve`` and the cross-validation frames compile
 # f once, and f' only where it is evaluated, and hand both functions down,
-# with enclosures that each compile on their first use.
+# with the enclosures where a method proves a hypothesis.
 def _curve_function(curve: Expression, parameters: Mapping[str, float] | None
                     ) -> Callable[[float], float]:
     return bind(curve, the_variable(curve) or "_", parameters)
@@ -211,20 +211,10 @@ def _derivative_function(curve: Expression,
 def _curve_enclosures(curve: Expression, parameters: Mapping[str, float] | None
                       ) -> Enclosures:
     var = the_variable(curve) or "_"
-    trees = [curve]
-
-    def lazy(order: int):
-        compiled = []
-
-        def enclosure(lo: float, hi: float):
-            if not compiled:
-                while len(trees) <= order:
-                    trees.append(differentiate(trees[-1], var))
-                compiled.append(enclose(trees[order], var, parameters))
-            return compiled[0](lo, hi)
-        return enclosure
-
-    return Enclosures(lazy(0), lazy(1), lazy(2))
+    slope = differentiate(curve, var)
+    return Enclosures(enclose(curve, var, parameters),
+                      enclose(slope, var, parameters),
+                      enclose(differentiate(slope, var), var, parameters))
 
 
 def _clamp(raw: float, err: float) -> float:
@@ -512,8 +502,9 @@ def _piecewise_value(fn: Callable[[float], float], p: MonotonePartition,
         for (piece, _), h_lo, h_hi in zip(p.pieces(), ends, ends[1:]))
 
 
-def piecewise_signed_sum(fn: Callable[[float], float], p: MonotonePartition,
-                         tol: Tolerances | None = None) -> VolumeReport:
+def piecewise_signed_sum(fn: Callable[[float], float], enclosures: Enclosures,
+                         p: MonotonePartition, tol: Tolerances | None = None
+                         ) -> VolumeReport:
     """Alternating sum of per-piece boundary-term volumes.
 
     Piece i contributes (-1)^i times its own (nonnegative) volume; the
@@ -522,10 +513,11 @@ def piecewise_signed_sum(fn: Callable[[float], float], p: MonotonePartition,
 
     ``p`` must be ``partition``'s result for ``fn`` over its span: the
     revolution hypotheses are validated against ``p``, not against a fresh
-    partition.
+    partition, and ``enclosures`` prove f >= 0 where ``p`` left a cell
+    unproven.
     """
     tol = tol or Tolerances()
-    report = _validate_with_partition(fn, p, tol)
+    report = _validate_with_partition(fn, enclosures, p, tol)
     if not report.satisfied:
         raise HypothesisViolationError(report)
     ends = tuple(fn(x) for x in p.breakpoints)
@@ -722,12 +714,12 @@ def solve(problem: VolumeProblem) -> VolumeReport:
         raise ValueError("theorem3 applies to x-of-y curves about the x-axis")
 
     fn = _curve_function(problem.curve, problem.parameters)
-    enclosures = _curve_enclosures(problem.curve, problem.parameters)
-    if method == "shell":
-        return shell_volume(fn, enclosures, interval, tol)
     if method == "disk" and not formula_frame:
         # the curve is the disk radius itself
         return disk_volume_y_axis(fn, interval.lo, interval.hi, tol)
+    enclosures = _curve_enclosures(problem.curve, problem.parameters)
+    if method == "shell":
+        return shell_volume(fn, enclosures, interval, tol)
     derivative = _derivative_function(problem.curve, problem.parameters)
     if method == "disk":
         # the radius is the inverse curve, over the curve's value range
@@ -738,7 +730,8 @@ def solve(problem: VolumeProblem) -> VolumeReport:
         # partition first, so a malformed curve reports the partition's
         # error rather than a hypothesis violation
         return piecewise_signed_sum(
-            fn, partition(fn, derivative, enclosures, interval, tol), tol)
+            fn, enclosures, partition(fn, derivative, enclosures, interval, tol),
+            tol)
     if method == "theorem1":
         return theorem1_y(fn, derivative, enclosures, interval, tol)
     if method == "theorem2":

@@ -48,7 +48,7 @@ def test_criterion_1_flagship_curve_reproduction():
     fn, derivative, enclosures = compiled(curve)
     formula = theorem2_y(fn, derivative, enclosures, FULL)
     pieces = piecewise_signed_sum(
-        fn, partition(fn, derivative, enclosures, FULL))
+        fn, enclosures, partition(fn, derivative, enclosures, FULL))
     elapsed = time.perf_counter() - start
 
     formula_rel = abs(formula.value - expected) / expected

@@ -22,12 +22,13 @@ from revolve.expr import (
     bind,
     differentiate,
     enclose,
+    evaluate,
     free_variables,
     parse,
     the_variable,
+    unparse,
 )
 from corpus import CURVES
-from reference import evaluate, unparse
 
 
 class TestParse:

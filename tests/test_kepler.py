@@ -35,7 +35,7 @@ class TestKeplerCurve:
         KeplerCurve(1.0 - 1e-6)
 
     def test_as_expression_matches_forward(self):
-        from reference import evaluate
+        from revolve.expr import evaluate
 
         curve = KeplerCurve(0.37)
         tree, params = curve.as_expression()

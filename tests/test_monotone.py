@@ -224,6 +224,15 @@ class TestCertificate:
         part = partition(*compiled(DIP), Interval(0.0, 2.0))
         assert part.directions == (INCREASING, DECREASING, INCREASING)
 
+    def test_one_sign_change_below_grid_width_keeps_the_grid_bracket(self):
+        # f'' = 12*(x - 0.3)^2 touches 0 at the minimum, so its grid cell is
+        # bisected below grid width; its one sign change is still refined on
+        # the grid's bracket, as the scan did
+        curve = parse("(x-0.3)^4", variable="x")
+        found = critical_points(*compiled(curve)[1:], Interval(0.0, 1.0))
+        assert len(found.points) == 1 and found.unproven == ()
+        assert found.points == _grid_scan_points(curve, Interval(0.0, 1.0))
+
     def test_tangential_zero_gives_no_breakpoint(self):
         # x^3 has f'(0) = 0 without a sign change, at a grid point of [-1, 1]
         curve = parse("x^3", variable="x")
@@ -255,6 +264,26 @@ class TestCertificate:
         report = validate_revolution_hypotheses(
             lambda x: 2.0 + math.sin(x), math.cos, never, Interval(0.0, 1.0))
         assert report.satisfied and report.unproven
+
+    def test_dip_in_an_unproven_cell_is_found(self):
+        # a dip below zero about 1e-6 wide, centred on a point of the
+        # 4096-cell grid between two points of the 1024-cell grid, where f'
+        # is positive: the partition has no breakpoint near it and leaves
+        # its cell unproven, so nonnegativity is proven cell by cell too
+        centre = 2050 / 4096
+
+        def fn(x):
+            return x + 1.0 - 2.0 / (1.0 + 1e12 * (x - centre) ** 2)
+
+        def slope(x):
+            return 1.0 + 4e12 * (x - centre) / (1.0 + 1e12 * (x - centre) ** 2) ** 2
+
+        never = Enclosures(_undecided, _undecided, _undecided)
+        report = validate_revolution_hypotheses(fn, slope, never,
+                                                Interval(0.0, 1.0))
+        assert report.partition.breakpoints == (0.0, 1.0)
+        assert report.partition.unproven
+        assert report.violations == ((RULE_NEGATIVE_VALUE, centre),)
 
 
 class TestCheckLemma1:

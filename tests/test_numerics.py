@@ -200,6 +200,22 @@ class TestFindRootBracketed:
         with pytest.raises(NoSignChangeError):
             find_root_bracketed(lambda x: x, 0.0, 1.0)
 
+    def test_bracket_residuals_are_not_evaluated_again(self):
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return x * x - 2.0
+
+        newton_solve(f, lambda x: 2.0 * x, 1.5, bracket=Interval(1.0, 2.0),
+                     residuals=(-1.0, 2.0))
+        assert 1.0 not in calls and 2.0 not in calls
+
+    def test_non_finite_bracket_residual_rejected(self):
+        with pytest.raises(NonFiniteEvaluationError):
+            newton_solve(lambda x: x - 1.5, lambda x: 1.0, 1.5,
+                         bracket=Interval(1.0, 2.0), residuals=(math.nan, 0.5))
+
     def test_max_iterations(self):
         tol = Tolerances(max_iter=2, residual_tol=1e-300, abs_tol=1e-300)
         with pytest.raises(MaxIterationsExceededError):

@@ -23,12 +23,12 @@ LISTED_EXPORTS = [
     "UnknownIdentifierError", "Var", "VolumeProblem", "VolumeReport",
     "WARN_UNPROVEN", "bind",
     "check_lemma1", "critical_points", "cross_validate", "differentiate",
-    "disk_volume_x_axis", "disk_volume_y_axis", "enclose",
+    "disk_volume_x_axis", "disk_volume_y_axis", "enclose", "evaluate",
     "find_root_bracketed", "forward", "free_variables", "integrate",
     "inverse", "kronrod_panel", "newton_solve", "parse", "partition",
     "piecewise_signed_sum", "reference_volumes", "scan_sign_changes",
     "shell_volume", "solve", "the_variable", "theorem1_x", "theorem1_y",
-    "theorem2_y", "theorem3_x", "validate_revolution_hypotheses",
+    "theorem2_y", "theorem3_x", "unparse", "validate_revolution_hypotheses",
 ]
 
 
@@ -44,7 +44,7 @@ def test_exports_are_the_modules_all_lists():
 
 
 def test_listed_exports_still_import():
-    assert len(LISTED_EXPORTS) == 66
+    assert len(LISTED_EXPORTS) == 68
     assert set(LISTED_EXPORTS) <= set(revolve.__all__)
     assert all(hasattr(revolve, name) for name in LISTED_EXPORTS)
 

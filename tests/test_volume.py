@@ -286,30 +286,35 @@ class TestTheorem3:
 
 class TestPiecewiseSignedSum:
     def test_ramp_plus_wave_matches_formula(self):
-        part = partition(*compiled(RAMP_WAVE), FULL)
-        report = piecewise_signed_sum(compiled(RAMP_WAVE)[0], part)
-        formula = theorem2_y(*compiled(RAMP_WAVE), FULL)
+        fn, derivative, enclosures = compiled(RAMP_WAVE)
+        part = partition(fn, derivative, enclosures, FULL)
+        report = piecewise_signed_sum(fn, enclosures, part)
+        formula = theorem2_y(fn, derivative, enclosures, FULL)
         assert report.value == pytest.approx(formula.value, rel=1e-10)
         assert report.partition is part
 
     def test_single_piece(self):
-        part = partition(*compiled(LINE), Interval(1.0, 2.0))
-        report = piecewise_signed_sum(compiled(LINE)[0], part)
+        fn, derivative, enclosures = compiled(LINE)
+        part = partition(fn, derivative, enclosures, Interval(1.0, 2.0))
+        report = piecewise_signed_sum(fn, enclosures, part)
         assert report.value == pytest.approx(7.0 * PI / 3.0, rel=1e-12)
 
     def test_decreasing_mirror_branch(self):
-        part = partition(*compiled(MIRROR_WAVE), FULL)
-        report = piecewise_signed_sum(compiled(MIRROR_WAVE)[0], part)
+        fn, derivative, enclosures = compiled(MIRROR_WAVE)
+        part = partition(fn, derivative, enclosures, FULL)
+        report = piecewise_signed_sum(fn, enclosures, part)
         assert report.value == pytest.approx(RAMP_WAVE_VOLUME, rel=1e-10)
         assert report.sign_factor == -1
 
     def test_hypotheses_checked(self):
-        part = partition(*compiled(SHIFTED_WAVE), Interval(0.0, 1.5 * PI))
+        fn, derivative, enclosures = compiled(SHIFTED_WAVE)
+        part = partition(fn, derivative, enclosures, Interval(0.0, 1.5 * PI))
         with pytest.raises(HypothesisViolationError):
-            piecewise_signed_sum(compiled(SHIFTED_WAVE)[0], part)
+            piecewise_signed_sum(fn, enclosures, part)
 
     def test_validates_against_the_given_partition(self, monkeypatch):
-        part = partition(*compiled(RAMP_WAVE), FULL)
+        fn, derivative, enclosures = compiled(RAMP_WAVE)
+        part = partition(fn, derivative, enclosures, FULL)
         calls = []
 
         def counted(*args, **kwargs):
@@ -318,7 +323,7 @@ class TestPiecewiseSignedSum:
 
         monkeypatch.setattr(revolve.monotone, "partition", counted)
         monkeypatch.setattr(revolve.volume, "partition", counted)
-        piecewise_signed_sum(compiled(RAMP_WAVE)[0], part)
+        piecewise_signed_sum(fn, enclosures, part)
         assert len(calls) == 0
 
 
@@ -517,7 +522,7 @@ class TestSolveDispatch:
         solve(VolumeProblem(curve=curve, interval=interval, curve_role=role,
                             axis=axis, method=method))
         assert compiles == {"f": 1, "f'": derivative_compiles}
-        # f, f' and f'' each enclosed at most once, and only where used
+        # f, f' and f'' each enclosed at most once
         assert len(enclosed) == len(set(enclosed)) <= 3
 
     def test_x_axis_names_are_the_y_axis_functions(self):
