@@ -328,7 +328,7 @@ def _slope_certificate(derivative: Callable[[float], float],
         for leaf in state:
             sweep(*leaf)
         # one sign change between grid ends of opposite sign: refine it on
-        # the grid bracket, as the scan did
+        # the grid bracket, the one scan_sign_changes gives
         if len(brackets) == start + 1 and value(a) * value(b) < 0.0:
             brackets[start] = (a, b)
     return brackets, unproven
