@@ -447,11 +447,13 @@ theorem1_x = theorem1_y
 def _theorem2(fn: Callable[[float], float],
               derivative: Callable[[float], float], enclosures: Enclosures,
               interval: Interval, tol: Tolerances | None, tag: str
-              ) -> tuple[VolumeReport, tuple[float, ...], QuadratureResult]:
+              ) -> tuple[VolumeReport, tuple[float, ...], QuadratureResult,
+                         tuple[tuple[float, float], ...]]:
     """The validated boundary-term formula over the whole interval.
 
     Besides the report, returns what cross-validation reuses: the curve's
-    breakpoint values and the quadrature.
+    breakpoint values, the quadrature and the cells the validation left
+    unproven.
     """
     tol = tol or Tolerances()
     if interval.lo < 0.0:
@@ -467,7 +469,7 @@ def _theorem2(fn: Callable[[float], float],
                                     ends[0], ends[-1], tol)
     primary = _method_report(tag, value, err, quad, sign=_sign(ends[0], ends[-1]),
                              partition=report.partition, unproven=report.unproven)
-    return primary, ends, quad
+    return primary, ends, quad, report.unproven
 
 
 def theorem2_y(fn: Callable[[float], float],
@@ -577,7 +579,7 @@ def _cross_theorem_frame(problem: VolumeProblem) -> VolumeReport:
     fn = _curve_function(problem.curve, problem.parameters)
     derivative = _derivative_function(problem.curve, problem.parameters)
     enclosures = _curve_enclosures(problem.curve, problem.parameters)
-    primary, ends, quad = _theorem2(
+    primary, ends, quad, unproven = _theorem2(
         fn, derivative, enclosures, interval, tol,
         "theorem2" if problem.axis == AXIS_Y else "theorem3")
     part = primary.partition
@@ -606,7 +608,7 @@ def _cross_theorem_frame(problem: VolumeProblem) -> VolumeReport:
                  _clamp(primary.sign_factor * (boundary - shell_value), err), err))
 
     warnings = _quad_warnings(quad, *piecewise_quads, *disk_quads) + \
-        _unproven_warnings(part.unproven) + _pairwise_warnings(rows, tol)
+        _unproven_warnings(unproven) + _pairwise_warnings(rows, tol)
     cross = tuple((name, v, abs(v - value)) for name, v, _ in rows[1:])
     return VolumeReport(value=value, method=primary.method, error_estimate=err,
                         sign_factor=primary.sign_factor, partition=part,
