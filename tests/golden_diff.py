@@ -1,19 +1,24 @@
-"""Show that two golden CLI files differ only in disk-route numbers.
+"""Show that two golden CLI files differ only in numbers computed on the
+curve's numeric inverse.
 
-When a change to the disk route's quadrature regenerates
+When a change to the disk route's quadrature or inversion regenerates
 ``tests/golden/cli_corpus.json``, this script proves the regeneration
 moved nothing else:
 
 * the two files record the same invocations in the same order;
 * every exit code and every stderr byte is unchanged;
-* a changed stdout differs only in numbers, and only in numbers of the
-  disk route that inverts the curve: in the formula frame (the curve read
-  along the axis perpendicular to the rotation axis), the ``value`` and
-  ``error_estimate`` of ``--method disk`` and the ``disk`` row's value and
-  delta under ``--method all``.  In the disk frame nothing may move.
+* a changed stdout differs only in numbers, and only in numbers of a
+  route that inverts the curve.  In the formula frame (the curve read
+  along the axis perpendicular to the rotation axis) that is the disk
+  route: the ``value`` and ``error_estimate`` of ``--method disk`` and the
+  ``disk`` row's value and delta under ``--method all``.  In the disk frame
+  it is the boundary-term row of ``--method all`` (``theorem1`` about y,
+  ``theorem3`` about x), the formula applied to the inverse curve: its
+  value and delta.  Nothing else may move; the same row names in the
+  formula frame are the direct formula and stay fixed.
 
 It prints every moved number with its relative shift and, where the
-corpus curve's formula-frame volume has a closed form, the error of the
+corpus curve's volume in that frame has a closed form, the error of the
 old and of the new value against it.  Exit status 1 means some byte moved
 that may not.
 
@@ -56,6 +61,25 @@ CLOSED_FORMS = {
                                             - 0.8 * 0.01 ** 2.5 - 1e-6 / 3.0)),
 }
 
+# disk-frame volumes of the monotone corpus curves: pi*Int f(t)^2 dt over
+# the curve's own interval, which the boundary-term row computes on the
+# inverse curve
+DISK_FRAME_FORMS = {
+    "x": lambda p: 7.0 * PI / 3.0,
+    "3 - x": lambda p: 7.0 * PI / 3.0,
+    "x^2": lambda p: 31.0 * PI / 5.0,
+    "y - eps*sin(y)": lambda p: reference_volumes(KeplerCurve(p["eps"]))[0],
+    "sqrt(x)": lambda p: PI * (16.0 - 1e-4) / 2.0,
+    # Int arccos(t)^2 dt = t*arccos(t)^2 - 2*sqrt(1 - t^2)*arccos(t) - 2*t
+    "arccos(x)": lambda p: PI * (
+        0.9 * (math.acos(0.9) ** 2 + math.acos(-0.9) ** 2)
+        - 2.0 * math.sqrt(0.19) * (math.acos(0.9) - math.acos(-0.9)) - 3.6),
+    # (2*t^0.5 + t)^2 = 4*t + 4*t^1.5 + t^2
+    "2*x^0.5 + x": lambda p: PI * (2.0 * (9.0 - 1e-4)
+                                   + 1.6 * (3.0 ** 2.5 - 0.01 ** 2.5)
+                                   + (27.0 - 1e-6) / 3.0),
+}
+
 _NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
 
 
@@ -69,8 +93,14 @@ def _formula_frame(argv: list[str]) -> bool:
     return (_option(argv, "--axis", "y") == "y") == (role == "y-of-x")
 
 
+def _inverted_rows(argv: list[str]) -> tuple[str, ...]:
+    """Names of the ``--method all`` rows computed on the numeric inverse."""
+    return ("disk",) if _formula_frame(argv) else ("theorem1", "theorem3")
+
+
 def _closed_form(argv: list[str]) -> float | None:
-    form = CLOSED_FORMS.get(_option(argv, "--curve"))
+    forms = CLOSED_FORMS if _formula_frame(argv) else DISK_FRAME_FORMS
+    form = forms.get(_option(argv, "--curve"))
     if form is None:
         return None
     params = dict(argv[i + 1].split("=") for i, arg in enumerate(argv)
@@ -78,16 +108,17 @@ def _closed_form(argv: list[str]) -> float | None:
     return form({name: float(value) for name, value in params.items()})
 
 
-def _json_moves(old: str, new: str) -> tuple[list, list]:
+def _json_moves(argv: list[str], old: str, new: str) -> tuple[list, list]:
     """``(allowed, forbidden)`` lists of ``(field, old, new)``."""
     a, b = json.loads(old), json.loads(new)
+    inverted = _inverted_rows(argv)
     allowed, forbidden = [], []
     for key in dict.fromkeys([*a, *b]):
         if key == "cross_checks":
             continue
         if a.get(key) != b.get(key):
             moves = allowed if key in ("value", "error_estimate") \
-                and a.get("method") == "disk" else forbidden
+                and a.get("method") in inverted else forbidden
             moves.append((key, a.get(key), b.get(key)))
     rows_a, rows_b = a.get("cross_checks", []), b.get("cross_checks", [])
     if [r["method"] for r in rows_a] != [r["method"] for r in rows_b]:
@@ -96,18 +127,19 @@ def _json_moves(old: str, new: str) -> tuple[list, list]:
     for ra, rb in zip(rows_a, rows_b):
         for key in ("value", "delta"):
             if ra[key] != rb[key]:
-                moves = allowed if ra["method"] == "disk" else forbidden
+                moves = allowed if ra["method"] in inverted else forbidden
                 moves.append((f"{ra['method']}.{key}", ra[key], rb[key]))
     return allowed, forbidden
 
 
-def _text_moves(old: str, new: str) -> tuple[list, list]:
+def _text_moves(argv: list[str], old: str, new: str) -> tuple[list, list]:
     """``(allowed, forbidden)`` lists of ``(field, old, new)``, read from
     ``revolve volume``'s text report line by line."""
     la, lb = old.splitlines(), new.splitlines()
     if len(la) != len(lb):
         return [], [("stdout", old, new)]
-    primary_disk = la[:1] == ["method: disk"]
+    inverted = _inverted_rows(argv)
+    primary_disk = la[:1] == ["method: disk"] and "disk" in inverted
     allowed, forbidden = [], []
     for line_a, line_b in zip(la, lb):
         if line_a == line_b:
@@ -116,14 +148,17 @@ def _text_moves(old: str, new: str) -> tuple[list, list]:
             forbidden.append(("line", line_a, line_b))
             continue
         label = line_a.split(":")[0].strip()
-        if line_a.startswith("  disk "):
-            fields = ("disk.value", "disk.delta")
+        row = line_a.split()[0] if line_a.startswith("  ") else None
+        if row in inverted:
+            fields = (f"{row}.value", f"{row}.delta")
         elif primary_disk and label in ("value", "error_estimate"):
             fields = (label,)
         else:
             forbidden.append(("line", line_a, line_b))
             continue
-        numbers = zip(_NUMBER.findall(line_a), _NUMBER.findall(line_b))
+        # the numbers after the row name or label ("theorem3" holds a digit)
+        numbers = zip(_NUMBER.findall(line_a.split(None, 1)[1]),
+                      _NUMBER.findall(line_b.split(None, 1)[1]))
         for field, (x, y) in zip(fields, numbers):
             if x != y:
                 allowed.append((field, float(x), float(y)))
@@ -144,12 +179,12 @@ def compare(old_runs: list[dict], new_runs: list[dict]) -> tuple[list, list]:
         if a["exit"] != b["exit"] or a["stderr"] != b["stderr"]:
             problems.append(f"{argv}: exit code or stderr changed")
             continue
-        if argv[0] != "volume" or not _formula_frame(argv):
+        if argv[0] != "volume":
             problems.append(f"{argv}: stdout changed outside the inverted "
-                            "disk route")
+                            "routes")
             continue
         moves = _json_moves if "--json" in argv else _text_moves
-        allowed, forbidden = moves(a["stdout"], b["stdout"])
+        allowed, forbidden = moves(argv, a["stdout"], b["stdout"])
         problems += [f"{argv}: {field} {x!r} -> {y!r}"
                      for field, x, y in forbidden]
         moved += [(argv, field, x, y) for field, x, y in allowed]
@@ -167,7 +202,7 @@ def _describe(argv: list[str], field: str, old: float, new: float) -> str:
     if old != 0.0:
         line += f" (rel {(new - old) / abs(old):+.1e})"
     exact = _closed_form(argv)
-    if exact is not None and field in ("value", "disk.value"):
+    if exact is not None and field.split(".")[-1] == "value":
         line += (f"; exact {exact!r}, error {abs(old - exact):.1e} -> "
                  f"{abs(new - exact):.1e}")
     return line
@@ -186,7 +221,7 @@ def main(argv: list[str]) -> int:
         print(_describe(args, field, old, new))
     changed = sum(a != b for a, b in zip(old_runs, new_runs))
     print(f"{changed} of {len(old_runs)} invocations changed; "
-          f"{len(moved)} disk-route numbers moved; "
+          f"{len(moved)} inverted-route numbers moved; "
           f"{len(problems)} forbidden differences")
     for problem in problems:
         print(f"FORBIDDEN {problem}")

@@ -122,7 +122,7 @@ def test_golden_diff_allows_only_inverted_disk_numbers(monkeypatch):
     text = run_in_process([*line, "--axis", "y", "--role", "y-of-x",
                            "--method", "all"])
     rows = [row["method"] for row in json.loads(formula["stdout"])["cross_checks"]]
-    disk_row = rows.index("disk")
+    disk_row, theorem1_row = rows.index("disk"), rows.index("theorem1")
 
     moved, problems = _moved(formula, _edit_json(
         ("cross_checks", disk_row, "value"), 1.5))
@@ -135,9 +135,36 @@ def test_golden_diff_allows_only_inverted_disk_numbers(monkeypatch):
     assert [field for _, field, _, _ in moved] == ["disk.delta"]
     assert not problems
 
+    # in the disk frame the boundary-term row is the one computed on the
+    # inverse: theorem1 for x-of-y about y, theorem3 for y-of-x about x
+    disk_frames = [run_in_process([*line, "--axis", axis, "--role", role,
+                                   "--method", "all", "--json"])
+                   for axis, role in (("y", "x-of-y"), ("x", "y-of-x"))]
+    for entry, tag in zip(disk_frames, ("theorem1", "theorem3")):
+        assert [row["method"] for row in json.loads(entry["stdout"])[
+            "cross_checks"]] == [tag]
+        moved, problems = _moved(entry, _edit_json(
+            ("cross_checks", 0, "value"), 1.5))
+        assert [field for _, field, _, _ in moved] == [f"{tag}.value"]
+        assert not problems
+        moved, problems = _moved(entry, _edit_json(
+            ("cross_checks", 0, "delta"), 1e-15))
+        assert [field for _, field, _, _ in moved] == [f"{tag}.delta"]
+        assert not problems
+    disk_text = run_in_process([*line, "--axis", "x", "--role", "y-of-x",
+                                "--method", "all"])
+    moved, problems = _moved(disk_text, lambda e: e.update(stdout=re.sub(
+        r"(  theorem3 .*= ).*", r"\g<1>9.999e-15", e["stdout"])))
+    assert [field for _, field, _, _ in moved] == ["theorem3.delta"]
+    assert not problems
+
     for entry, edit in [
             (formula, _edit_json(("value",), 1.5)),
-            (formula, _edit_json(("cross_checks", 0, "value"), 1.5)),
+            (formula, _edit_json(("cross_checks", theorem1_row, "value"), 1.5)),
+            (text, lambda e: e.update(stdout=re.sub(
+                r"(  theorem1 .*= ).*", r"\g<1>9.999e-15", e["stdout"]))),
+            (disk_frames[0], _edit_json(("value",), 1.5)),
+            (disk_frames[1], _edit_json(("error_estimate",), 1.0)),
             (formula, _edit_json(("warnings",), ["methods disagree"])),
             (direct, _edit_json(("value",), 1.5)),
             (inverted, lambda e: e.update(exit=3)),
