@@ -15,7 +15,7 @@ import math
 
 from ._record import record
 from .expr import Expression, parse
-from .numerics import Interval, Tolerances, newton_solve
+from .numerics import Tolerances, newton_solve
 
 __all__ = ["KeplerCurve", "forward", "inverse", "reference_volumes"]
 
@@ -55,16 +55,16 @@ def inverse(curve: KeplerCurve, x: float,
     """
     e = curve.eccentricity
 
-    def residual(y: float) -> float:
-        return y - e * math.sin(y) - x
+    def curve_at(y: float) -> float:
+        return y - e * math.sin(y)
 
     def slope(y: float) -> float:
         return 1.0 - e * math.cos(y)
 
     seed = x + e * math.sin(x)
     lo, hi = x - e, x + e
-    return newton_solve(residual, slope, seed, Interval(lo, hi),
-                        (residual(lo), residual(hi)), tol).root
+    return newton_solve(curve_at, slope, x, seed, (lo, hi),
+                        (curve_at(lo) - x, curve_at(hi) - x), tol).root
 
 
 def reference_volumes(curve: KeplerCurve) -> tuple[float, float]:

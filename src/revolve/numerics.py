@@ -116,6 +116,7 @@ class RootResult:
     residual: float
     iterations: int
     method_used: str  # "bracketed" | "newton" | "newton-with-bisection-fallback"
+    value: float  # f(root) as evaluated; residual is value - target
 
 
 def _checked(f: Callable[[float], float], x: float) -> float:
@@ -309,7 +310,7 @@ def find_root_bracketed(f: Callable[[float], float], lo: float, hi: float,
         tol1 = 2.0 * _EPS * abs(b) + 0.5 * tol.abs_tol
         xm = 0.5 * (c - b)
         if abs(fb) <= tol.residual_tol or abs(xm) <= tol1:
-            return RootResult(b, fb, iterations, "bracketed")
+            return RootResult(b, fb, iterations, "bracketed", fb)
 
         if abs(e) < tol1 or abs(fa) <= abs(fb):
             d = e = xm
@@ -396,20 +397,28 @@ def scan_sign_changes(f: Callable[[float], float], a: float, b: float,
 
 
 def newton_solve(f: Callable[[float], float], fprime: Callable[[float], float],
-                 x0: float, bracket: Interval, residuals: tuple[float, float],
+                 target: float, x0: float, bracket: tuple[float, float],
+                 residuals: tuple[float, float],
                  tol: Tolerances | None = None) -> RootResult:
-    """Newton iteration safeguarded by a bracket around the root.
+    """Newton iteration for f(x) = target, safeguarded by a bracket around
+    the root.
 
-    ``residuals`` is ``(f(bracket.lo), f(bracket.hi))``, which every caller
-    already holds, so f is not evaluated at the ends again.  The bracket is
-    kept up to date from every residual evaluation.  One bisection step
-    replaces the Newton step whenever that step would leave the bracket,
-    the derivative is below 1e-14 in magnitude, or |f(x)| has not fallen
-    below 0.9 times its value two iterations earlier; the last rule breaks
-    Newton cycles that bounce between the ends of the bracket.
+    ``bracket`` is ``(lo, hi)`` with ``lo <= hi``, and ``residuals`` is
+    ``(f(lo) - target, f(hi) - target)``, which every caller already
+    holds, so f is not evaluated at the ends again.  The bracket is kept up
+    to date from every residual evaluation.  One bisection step replaces
+    the Newton step whenever that step would leave the bracket, the
+    derivative is below 1e-14 in magnitude, or |f(x) - target| has not
+    fallen below 0.9 times its value two iterations earlier; the last rule
+    breaks Newton cycles that bounce between the ends of the bracket.  The
+    result's ``value`` is f(root) as evaluated, so a caller can bracket
+    later targets with it.
     """
     tol = tol or Tolerances()
-    lo, hi = bracket.lo, bracket.hi
+    lo, hi = bracket
+    if not -math.inf < lo <= hi < math.inf:
+        raise ValueError(f"bracket endpoints must be finite and ordered: "
+                         f"({lo!r}, {hi!r})")
     flo, fhi = residuals
     if not math.isfinite(flo):
         raise NonFiniteEvaluationError(lo, flo)
@@ -420,32 +429,39 @@ def newton_solve(f: Callable[[float], float], fprime: Callable[[float], float],
             f"bracket [{lo!r}, {hi!r}] has no sign change")
 
     x = float(x0)
+    if not lo <= x <= hi:
+        # a seed outside the bracket starts from its nearer end
+        x = lo if x < lo else hi
+    residual_tol = tol.residual_tol
     fell_back = False
-    # |f| one and two iterations back
+    # |f - target| one and two iterations back
     last = before_last = math.inf
     for iteration in range(tol.max_iter + 1):
-        fx = _checked(f, x)
+        value = f(x)
+        fx = value - target
+        if not math.isfinite(fx):
+            raise NonFiniteEvaluationError(x, fx)
         if lo <= x <= hi:
             if (fx < 0.0) == (flo < 0.0):
                 lo, flo = x, fx
             else:
                 hi, fhi = x, fx
-        if abs(fx) <= tol.residual_tol:
+        size = abs(fx)
+        if size <= residual_tol:
             method = "newton-with-bisection-fallback" if fell_back else "newton"
-            return RootResult(x, fx, iteration, method)
+            return RootResult(x, fx, iteration, method, value)
 
-        stalled = abs(fx) >= 0.9 * before_last
-        before_last, last = last, abs(fx)
+        stalled = size >= 0.9 * before_last
+        before_last, last = last, size
         dfx = fprime(x)
-        step_ok = not stalled and math.isfinite(dfx) and abs(dfx) >= 1e-14
-        if step_ok:
+        # a finite derivative at least 1e-14 in magnitude
+        if not stalled and 1e-14 <= abs(dfx) < math.inf:
             candidate = x - fx / dfx
-            step_ok = lo <= candidate <= hi
-        if step_ok:
-            x = candidate
-        else:
-            x = 0.5 * (lo + hi)
-            fell_back = True
+            if lo <= candidate <= hi:
+                x = candidate
+                continue
+        x = 0.5 * (lo + hi)
+        fell_back = True
 
     raise MaxIterationsExceededError(
         f"no convergence in {tol.max_iter} iterations; last iterate {x!r}")

@@ -55,6 +55,7 @@ the x-axis is the mirror image.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from typing import Callable, Iterable, Mapping, Sequence
 
 from ._record import factory, record
@@ -328,18 +329,30 @@ def _inverse_on_piece(fn: Callable[[float], float],
     """Evaluator for the inverse of ``fn`` restricted to a monotone piece,
     whose end values fn(piece.lo), fn(piece.hi) are ``ends``.
 
-    Each call solves fn(t) = s by Newton iteration, bracketed by the piece
-    and seeded with the previous root.  The flagship x/pi + sin(x) over
-    [0, 2*pi] makes 105 calls per cross-check, at 5.5 iterations per call
-    (574 in all).
+    Each call solves fn(t) = s by Newton iteration.  The points solved so
+    far, starting with the piece ends, are kept sorted by fn value; s is
+    bracketed by its two nearest solved neighbours, whose stored values
+    minus s are the bracket's residuals, and Newton is seeded by linear
+    interpolation between them.  Each root is stored with fn(root) as
+    Newton evaluated it, so every later bracket's residuals carry the signs
+    fn gives.  The flagship x/pi + sin(x) over [0, 2*pi] makes 105 calls
+    per cross-check, at 3.0 iterations per call (312 in all).
     """
-    seed = [piece.midpoint]
-    f_lo, f_hi = ends
+    (v_lo, t_lo), (v_hi, t_hi) = sorted(zip(ends, (piece.lo, piece.hi)))
+    values, roots = [v_lo, v_hi], [t_lo, t_hi]
 
     def inverse(s: float) -> float:
-        result = newton_solve(lambda t: fn(t) - s, derivative, seed[0],
-                              piece, (f_lo - s, f_hi - s), tol)
-        seed[0] = result.root
+        i = bisect_left(values, s, 1, len(values) - 1)
+        v0, v1, t0, t1 = values[i - 1], values[i], roots[i - 1], roots[i]
+        seed = t0 + (t1 - t0) * ((s - v0) / (v1 - v0)) if v0 < v1 else t0
+        if t0 <= t1:
+            bracket, residuals = (t0, t1), (v0 - s, v1 - s)
+        else:
+            bracket, residuals = (t1, t0), (v1 - s, v0 - s)
+        result = newton_solve(fn, derivative, s, seed, bracket, residuals, tol)
+        i = bisect_left(values, result.value)
+        values.insert(i, result.value)
+        roots.insert(i, result.root)
         return result.root
 
     return inverse

@@ -35,8 +35,9 @@ RECORDS = [
     (lambda: QuadratureResult(2.0, 1e-15, 15, True),
      "QuadratureResult(value=2.0, error_estimate=1e-15, evaluations=15, "
      "converged=True)"),
-    (lambda: RootResult(0.5, -1e-17, 4, "newton"),
-     "RootResult(root=0.5, residual=-1e-17, iterations=4, method_used='newton')"),
+    (lambda: RootResult(0.5, -1e-17, 4, "newton", 2.0),
+     "RootResult(root=0.5, residual=-1e-17, iterations=4, method_used='newton', "
+     "value=2.0)"),
     (lambda: MonotonePartition((0.0, 1.0, 2.0), ("increasing", "decreasing"),
                                (3.0,)),
      "MonotonePartition(breakpoints=(0.0, 1.0, 2.0), directions=('increasing', "

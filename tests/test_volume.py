@@ -4,6 +4,7 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import revolve.monotone
 import revolve.volume
@@ -12,6 +13,7 @@ from revolve.kepler import KeplerCurve, reference_volumes
 from revolve.monotone import AlternationViolationError, Enclosures, partition
 from revolve.numerics import Interval, newton_solve
 from revolve.volume import (
+    _inverse_on_piece,
     AXIS_X,
     AXIS_Y,
     ROLE_X_OF_Y,
@@ -170,6 +172,52 @@ class TestDiskVolumeXAxis:
                                     derivative=KEPLER_DERIVATIVE,
                                     enclosures=KEPLER_ENCLOSURES)
         assert report.value == pytest.approx(expected, rel=1e-8)
+
+
+# the transmuted-Kepler family x/p + A*sin(w*x + phi) + c; with
+# |A*w*p| <= 1 its slope 1/p + A*w*cos(w*x + phi) never changes sign, so
+# every interval is one monotone piece (|A*w*p| = 1 touches a zero slope)
+TRANSMUTED_KEPLER = parse("x/p + A*sin(w*x + phi) + c", variable="x",
+                          parameters=("p", "A", "w", "phi", "c"))
+
+# node requests: a fraction of the piece's value range, or a value already
+# met: an end value, a repeated request, or a solved root's stored value
+_requests = st.lists(st.floats(0.0, 1.0) | st.sampled_from(
+    ["lo", "hi", "again", "stored"]), min_size=1, max_size=40)
+
+
+class TestInverseOnPiece:
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(p=st.floats(0.5, 5.0), falling=st.booleans(),
+           ratio=st.floats(-1.0, 1.0), w=st.floats(0.2, 5.0),
+           phi=st.floats(0.0, TWO_PI), c=st.floats(-3.0, 3.0),
+           lo=st.floats(-5.0, 5.0), width=st.floats(0.01, 10.0),
+           requests=_requests)
+    def test_every_node_is_bracketed_and_solved(self, p, falling, ratio, w,
+                                                phi, c, lo, width, requests):
+        params = {"p": -p if falling else p, "A": ratio / (w * p), "w": w,
+                  "phi": phi, "c": c}
+        fn, derivative, _ = compiled(TRANSMUTED_KEPLER, params)
+        piece = Interval(lo, lo + width)
+        ends = (fn(piece.lo), fn(piece.hi))
+        tol = revolve.numerics.Tolerances()
+        inverse = _inverse_on_piece(fn, derivative, piece, ends, tol)
+        v_min, v_max = min(ends), max(ends)
+        asked, roots = [], []
+        for request in requests:
+            if request == "lo" or request == "hi":
+                s = ends[request == "hi"]
+            elif request == "again":
+                s = asked[-1] if asked else ends[0]
+            elif request == "stored":
+                s = fn(roots[-1]) if roots else ends[1]
+            else:
+                s = min(max(v_min + request * (v_max - v_min), v_min), v_max)
+            root = inverse(s)
+            assert piece.lo <= root <= piece.hi
+            assert abs(fn(root) - s) <= tol.residual_tol
+            asked.append(s)
+            roots.append(root)
 
 
 class TestTheorem1:
@@ -460,17 +508,23 @@ class TestSolveDispatch:
         assert len(calls) == 1
 
     def test_flagship_cross_check_newton_budget(self, monkeypatch):
-        # the disk row inverts the curve once per quadrature node; 2,355
-        # inversions before its nodes were clustered at the piece ends
-        calls = []
+        # the disk row inverts the curve once per quadrature node (2,355
+        # inversions before its nodes were clustered at the piece ends).
+        # Each inversion is bracketed by its solved neighbours: 574
+        # iterations and 39 bisection fallbacks when every node was
+        # bracketed by the whole piece and seeded with the previous root
+        results = []
 
         def counted(*args, **kwargs):
-            calls.append(args)
-            return newton_solve(*args, **kwargs)
+            results.append(newton_solve(*args, **kwargs))
+            return results[-1]
 
         monkeypatch.setattr(revolve.volume, "newton_solve", counted)
         solve(VolumeProblem(curve=RAMP_WAVE, interval=FULL, method="all"))
-        assert 0 < len(calls) <= 150
+        assert len(results) == 105
+        assert sum(r.iterations for r in results) <= 330
+        assert sum(r.method_used == "newton-with-bisection-fallback"
+                   for r in results) <= 10
 
     @pytest.mark.parametrize("axis, role, method, derivative_compiles", [
         # formula frames
