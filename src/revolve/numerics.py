@@ -405,8 +405,10 @@ def newton_solve(f: Callable[[float], float], fprime: Callable[[float], float],
 
     ``bracket`` is ``(lo, hi)`` with ``lo <= hi``, and ``residuals`` is
     ``(f(lo) - target, f(hi) - target)``, which every caller already
-    holds, so f is not evaluated at the ends again.  The bracket is kept up
-    to date from every residual evaluation.  One bisection step replaces
+    holds, so f is not evaluated at the ends again.  A seed ``x0`` outside
+    the bracket starts from its nearer end, so the root always lies in the
+    bracket.  The bracket is kept up to date from every residual
+    evaluation.  One bisection step replaces
     the Newton step whenever that step would leave the bracket, the
     derivative is below 1e-14 in magnitude, or |f(x) - target| has not
     fallen below 0.9 times its value two iterations earlier; the last rule
@@ -430,7 +432,6 @@ def newton_solve(f: Callable[[float], float], fprime: Callable[[float], float],
 
     x = float(x0)
     if not lo <= x <= hi:
-        # a seed outside the bracket starts from its nearer end
         x = lo if x < lo else hi
     residual_tol = tol.residual_tol
     fell_back = False

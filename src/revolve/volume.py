@@ -350,8 +350,11 @@ def _inverse_on_piece(fn: Callable[[float], float],
         else:
             bracket, residuals = (t1, t0), (v1 - s, v0 - s)
         result = newton_solve(fn, derivative, s, seed, bracket, residuals, tol)
-        i = bisect_left(values, result.value)
-        values.insert(i, result.value)
+        value = result.value
+        if not v0 <= value <= v1:
+            # fn is monotone only up to rounding
+            i = bisect_left(values, value)
+        values.insert(i, value)
         roots.insert(i, result.root)
         return result.root
 
@@ -396,7 +399,8 @@ def disk_volume_y_axis(fn: Callable[[float], float], lo: float, hi: float,
     and is inverted numerically: it must be strictly monotone on
     ``curve_interval``, whose image is [lo, hi], which ``derivative`` and
     ``enclosures`` prove, and each quadrature node solves fn(t) = s by
-    Newton iteration with ``derivative`` and the interval as bracket.
+    Newton iteration with ``derivative``, bracketed within the interval by
+    the nearest nodes already solved.
 
     ``disk_volume_x_axis``, its mirror for y = f(x) about the x-axis, is
     this same function: only the axis labels differ.

@@ -349,3 +349,25 @@ class TestNewtonSolve:
             lo, hi = x - eps - 1e-6, x + eps + 1e-6
             brent = find_root_bracketed(f, lo, hi)
             assert abs(newton.root - brent.root) <= 1e-10
+
+    def test_solves_for_a_target(self):
+        f = lambda x: x * x
+        r = newton_solve(f, lambda x: 2.0 * x, 2.0, 1.5, bracket=(1.0, 2.0),
+                         residuals=(-1.0, 2.0))
+        assert abs(r.root - math.sqrt(2.0)) <= 1e-12
+        assert r.value == f(r.root)
+        assert r.residual == r.value - 2.0
+
+    def test_seed_outside_bracket_starts_at_nearer_end(self):
+        # the seed 0.0 meets the residual tolerance, but lies outside
+        r = newton_solve(lambda x: x, lambda x: 1.0, 1e-13, 0.0,
+                         bracket=(1e-13, 1.0), residuals=(0.0, 1.0 - 1e-13))
+        assert r.root == 1e-13
+        assert r.iterations == 0
+
+    @pytest.mark.parametrize("bracket", [(2.0, 1.0), (math.nan, 1.0),
+                                         (0.0, math.inf)])
+    def test_bracket_must_be_finite_and_ordered(self, bracket):
+        with pytest.raises(ValueError):
+            newton_solve(lambda x: x - 1.5, lambda x: 1.0, 0.0, 1.5,
+                         bracket=bracket, residuals=(-0.5, 0.5))
