@@ -408,13 +408,12 @@ def newton_solve(f: Callable[[float], float], fprime: Callable[[float], float],
     holds, so f is not evaluated at the ends again.  A seed ``x0`` outside
     the bracket starts from its nearer end, so the root always lies in the
     bracket.  The bracket is kept up to date from every residual
-    evaluation.  One bisection step replaces
-    the Newton step whenever that step would leave the bracket, the
-    derivative is below 1e-14 in magnitude, or |f(x) - target| has not
-    fallen below 0.9 times its value two iterations earlier; the last rule
-    breaks Newton cycles that bounce between the ends of the bracket.  The
-    result's ``value`` is f(root) as evaluated, so a caller can bracket
-    later targets with it.
+    evaluation.  One bisection step replaces the Newton step whenever that
+    step would leave the bracket, the derivative is below 1e-14 in
+    magnitude, or |f(x) - target| has not fallen below 0.9 times its value
+    two iterations earlier; the last rule breaks Newton cycles that bounce
+    between the ends of the bracket.  The result's ``value`` is f(root) as
+    evaluated, so a caller can bracket later targets with it.
     """
     tol = tol or Tolerances()
     lo, hi = bracket
