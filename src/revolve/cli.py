@@ -58,9 +58,7 @@ from .volume import (
     VolumeProblem,
     VolumeReport,
     WARN_NOT_CONVERGED,
-    _curve_enclosures,
-    _curve_function,
-    _derivative_function,
+    _compile,
     solve,
 )
 
@@ -224,7 +222,7 @@ def _curve_inputs(ns: argparse.Namespace
     if ns.csv is not None:
         if ns.samples < 1:
             raise _UsageError("--samples must be at least 1")
-        fn = _curve_function(curve, parameters)
+        fn, _ = _compile(curve, parameters)
         with open(ns.csv, "w", encoding="utf-8") as handle:
             for x in uniform_grid(lo, hi, ns.samples):
                 handle.write(f"{x:.15g},{fn(x):.15g}\n")
@@ -318,9 +316,8 @@ def _run_volume(ns: argparse.Namespace) -> int:
 
 def _run_partition(ns: argparse.Namespace) -> int:
     curve, interval, parameters, tol = _curve_inputs(ns)
-    fn = _curve_function(curve, parameters)
-    part = partition(fn, _derivative_function(curve, parameters),
-                     _curve_enclosures(curve, parameters), interval, tol)
+    fn, slope_functions = _compile(curve, parameters)
+    part = partition(fn, *slope_functions(), interval, tol)
     f_a, f_b = fn(interval.lo), fn(interval.hi)
     try:
         verdict: bool | None = check_lemma1(part, f_a, f_b)
@@ -361,10 +358,8 @@ def _verify_payload(report: HypothesisReport) -> dict:
 
 def _run_verify(ns: argparse.Namespace) -> int:
     curve, interval, parameters, tol = _curve_inputs(ns)
-    report = validate_revolution_hypotheses(
-        _curve_function(curve, parameters),
-        _derivative_function(curve, parameters),
-        _curve_enclosures(curve, parameters), interval, tol)
+    fn, slope_functions = _compile(curve, parameters)
+    report = validate_revolution_hypotheses(fn, *slope_functions(), interval, tol)
     lines = [
         f"satisfied: {report.satisfied}",
         f"c: {report.c:.12g}",

@@ -194,28 +194,22 @@ class VolumeReport:
 # ---------------------------------------------------------------------------
 # Internal helpers
 
-# The only compile sites: ``solve`` and the cross-validation frames compile
-# f once, and f' only where it is evaluated, and hand both functions down,
-# with the enclosures where a method proves a hypothesis.
-def _curve_function(curve: Expression, parameters: Mapping[str, float] | None
-                    ) -> Callable[[float], float]:
-    return bind(curve, the_variable(curve) or "_", parameters)
-
-
-def _derivative_function(curve: Expression,
-                         parameters: Mapping[str, float] | None
-                         ) -> Callable[[float], float]:
+# The only compile site.  ``solve``, the cross-validation frames and the CLI
+# call it once per request: f is compiled at once, and ``slope_functions``
+# returns f' (unless ``derivative`` is false) and the enclosures of f, f'
+# and f''.  The variable is resolved once and f differentiated once: the one
+# slope tree serves both f' and the enclosures.
+def _compile(curve: Expression, parameters: Mapping[str, float] | None
+             ) -> tuple[Callable[[float], float], Callable]:
     var = the_variable(curve) or "_"
-    return bind(differentiate(curve, var), var, parameters)
 
-
-def _curve_enclosures(curve: Expression, parameters: Mapping[str, float] | None
-                      ) -> Enclosures:
-    var = the_variable(curve) or "_"
-    slope = differentiate(curve, var)
-    return Enclosures(enclose(curve, var, parameters),
-                      enclose(slope, var, parameters),
-                      enclose(differentiate(slope, var), var, parameters))
+    def slope_functions(derivative: bool = True):
+        slope = differentiate(curve, var)
+        return (bind(slope, var, parameters) if derivative else None,
+                Enclosures(enclose(curve, var, parameters),
+                           enclose(slope, var, parameters),
+                           enclose(differentiate(slope, var), var, parameters)))
+    return bind(curve, var, parameters), slope_functions
 
 
 def _clamp(raw: float, err: float) -> float:
@@ -593,9 +587,8 @@ def _cross_theorem_frame(problem: VolumeProblem) -> VolumeReport:
     if interval.lo < 0.0:
         raise ValueError("the boundary-term formulas require an interval "
                          "within [0, inf)")
-    fn = _curve_function(problem.curve, problem.parameters)
-    derivative = _derivative_function(problem.curve, problem.parameters)
-    enclosures = _curve_enclosures(problem.curve, problem.parameters)
+    fn, slope_functions = _compile(problem.curve, problem.parameters)
+    derivative, enclosures = slope_functions()
     primary, ends, quad, unproven = _theorem2(
         fn, derivative, enclosures, interval, tol,
         "theorem2" if problem.axis == AXIS_Y else "theorem3")
@@ -642,7 +635,7 @@ def _cross_disk_frame(problem: VolumeProblem) -> VolumeReport:
     """
     tol = problem.tol
     interval = problem.interval
-    fn = _curve_function(problem.curve, problem.parameters)
+    fn, slope_functions = _compile(problem.curve, problem.parameters)
 
     value, err, quad = _disk_value(fn, interval.lo, interval.hi, tol)
     rows: list[tuple[str, float, float]] = [("disk", value, err)]
@@ -652,11 +645,9 @@ def _cross_disk_frame(problem: VolumeProblem) -> VolumeReport:
     h_lo, h_hi = fn(interval.lo), fn(interval.hi)
     mirror_tag = "theorem1" if problem.axis == AXIS_Y else "theorem3"
 
-    derivative = (None if h_lo == h_hi
-                  else _derivative_function(problem.curve, problem.parameters))
+    derivative, enclosures = (None, None) if h_lo == h_hi else slope_functions()
     found = None if derivative is None else critical_points(
-        derivative, _curve_enclosures(problem.curve, problem.parameters),
-        interval, tol)
+        derivative, enclosures, interval, tol)
     if found is None or found.points:
         warnings.append(
             "curve is not strictly monotone: no independent formula route")
@@ -732,14 +723,13 @@ def solve(problem: VolumeProblem) -> VolumeReport:
     if method == "theorem3" and (axis != AXIS_X or role != ROLE_X_OF_Y):
         raise ValueError("theorem3 applies to x-of-y curves about the x-axis")
 
-    fn = _curve_function(problem.curve, problem.parameters)
+    fn, slope_functions = _compile(problem.curve, problem.parameters)
     if method == "disk" and not formula_frame:
         # the curve is the disk radius itself
         return disk_volume_y_axis(fn, interval.lo, interval.hi, tol)
-    enclosures = _curve_enclosures(problem.curve, problem.parameters)
+    derivative, enclosures = slope_functions(method != "shell")
     if method == "shell":
         return shell_volume(fn, enclosures, interval, tol)
-    derivative = _derivative_function(problem.curve, problem.parameters)
     if method == "disk":
         # the radius is the inverse curve, over the curve's value range
         lo_v, hi_v = fn(interval.lo), fn(interval.hi)

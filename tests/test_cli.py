@@ -6,7 +6,9 @@ import math
 
 import pytest
 
+import revolve.volume
 from revolve.cli import main
+from revolve.expr import differentiate, the_variable
 
 PI = math.pi
 
@@ -208,6 +210,30 @@ class TestVerify:
         assert payload["c"] == pytest.approx(0.0, abs=1e-12)
         assert payload["d"] == pytest.approx(2.0, abs=1e-12)
         assert payload["violations"] == []
+
+
+@pytest.mark.parametrize("argv", [
+    VOLUME_ARGS,
+    ["partition", "--curve", "x/pi + sin(x)", "--interval", "0", "2*pi"],
+    ["verify", "--curve", "x/pi + sin(x)", "--interval", "0", "2*pi"],
+])
+def test_one_derivation_per_command(capsys, monkeypatch, argv):
+    # the variable is resolved once, and f and f' are differentiated once
+    # each, as in solve
+    calls = []
+
+    def counted(name, original):
+        def wrapper(*args):
+            calls.append(name)
+            return original(*args)
+        return wrapper
+
+    monkeypatch.setattr(revolve.volume, "the_variable",
+                        counted("the_variable", the_variable))
+    monkeypatch.setattr(revolve.volume, "differentiate",
+                        counted("differentiate", differentiate))
+    assert run_cli(capsys, argv)[0] == 0
+    assert sorted(calls) == ["differentiate", "differentiate", "the_variable"]
 
 
 class TestConstantCurve:

@@ -19,6 +19,7 @@ from revolve.expr import (
     UnboundIdentifierError,
     UnknownIdentifierError,
     Var,
+    _code,
     bind,
     differentiate,
     enclose,
@@ -346,14 +347,20 @@ def test_compiled_matches_reference(tree, x, eps):
     differs between CPython's generic and specialized float paths, so
     ``evaluate`` itself returns other NaN bits once ``_binary`` has been
     specialized.  A NaN that differs must then be the reference's NaN for the
-    mirrored tree, which takes the other operand at every such node."""
+    mirrored tree, which takes the other operand at every such node.
+
+    Each tree is bound twice: cold, from a cleared code cache, and warm,
+    from the code the first bind compiled and its call specialized."""
     params = {} if eps is None else {"eps": eps}
-    fn = bind(tree, "x", params)  # an unbound name must not raise here
-    got = _outcome(fn, x)
-    want = _outcome(evaluate, tree, {**params, "x": x})
-    if got != want and _is_nan(got) and _is_nan(want):
-        want = _outcome(evaluate, _mirror(tree), {**params, "x": x})
-    assert got == want
+    _code.cache_clear()
+    for _ in ("cold", "warm"):
+        fn = bind(tree, "x", params)  # an unbound name must not raise here
+        got = _outcome(fn, x)
+        want = _outcome(evaluate, tree, {**params, "x": x})
+        if got != want and _is_nan(got) and _is_nan(want):
+            want = _outcome(evaluate, _mirror(tree), {**params, "x": x})
+        assert got == want
+    assert _code.cache_info().hits == 1
 
 
 _NAN_BITS = [0x7FF8000000000000, 0xFFF8000000000000, 0x7FF8000000000123,
@@ -399,6 +406,62 @@ def test_uncoercible_parameter_raises_on_the_call_like_evaluate():
     fn = bind(e, "x", {"c": "oops"})
     assert _outcome(fn, 1.0) == _outcome(evaluate, e, {"c": "oops", "x": 1.0})
     assert _outcome(fn, 1.0)[0] is ValueError
+
+
+@pytest.mark.parametrize("first, second", [
+    (("2*x", "x", {}), ("3*x", "x", {})),
+    # a change of frame renames the variable
+    (("y - eps*sin(y)", "y", {"eps": 0.3}), ("x - eps*sin(x)", "x", {"eps": 0.7})),
+])
+def test_binds_of_one_shape_share_code(first, second):
+    """Constants and parameter values reach the compiled code by name, so
+    trees that differ only in them share one code object, and each function
+    keeps its own values."""
+    _code.cache_clear()
+    functions = []
+    for text, var, params in (first, second):
+        tree = parse(text, variable=var, parameters=params.keys())
+        fn = bind(tree, var, params)
+        functions.append(fn)
+        for i in range(65):
+            x = -4.0 + i / 8.0
+            assert _outcome(fn, x) == _outcome(evaluate, tree, {**params, var: x})
+    assert functions[0].__code__ is functions[1].__code__
+    assert _code.cache_info().misses == 1
+
+
+def test_errors_survive_a_code_cache_hit():
+    """Shared code keeps every error of a fresh compile: an unbound name
+    raises on the call, and a value ``float()`` cannot coerce raises the
+    reference error, from code apart from a float parameter's."""
+    e = parse("c*x", variable="x", parameters=("c",))
+    unbound = [bind(e, "x", {}) for _ in range(2)]
+    oops = [bind(e, "x", {"c": "oops"}) for _ in range(2)]
+    scaled = bind(e, "x", {"c": 2.0})
+    assert unbound[0].__code__ is unbound[1].__code__
+    assert oops[0].__code__ is oops[1].__code__
+    assert len({fn.__code__ for fn in (unbound[0], oops[0], scaled)}) == 3
+    for fn in unbound:
+        with pytest.raises(UnboundIdentifierError, match="'c'"):
+            fn(1.0)
+    for fn in oops:
+        assert _outcome(fn, 1.0) == _outcome(evaluate, e, {"c": "oops", "x": 1.0})
+    assert scaled(1.5) == 3.0
+
+
+def test_code_cache_stays_bounded():
+    # 300 distinct shapes: sin nested i // 20 deep plus cos nested i % 20 deep
+    _code.cache_clear()
+    for i in range(300):
+        left, right = Var("x"), Var("x")
+        for _ in range(i // 20):
+            left = Call("sin", left)
+        for _ in range(i % 20):
+            right = Call("cos", right)
+        bind(BinOp("+", left, right), "x")
+    info = _code.cache_info()
+    assert info.misses == 300
+    assert info.currsize <= info.maxsize < 300
 
 
 def test_bind_coerces_the_variable_like_evaluate():

@@ -8,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 import revolve.monotone
 import revolve.volume
-from revolve.expr import BinOp, Const, bind, enclose, parse
+from revolve.expr import (BinOp, Const, _code, bind, differentiate, enclose,
+                          parse, the_variable)
 from revolve.kepler import KeplerCurve, reference_volumes
 from revolve.monotone import AlternationViolationError, Enclosures, partition
 from revolve.numerics import Interval, newton_solve
@@ -551,18 +552,30 @@ class TestSolveDispatch:
                             monkeypatch):
         # bind(f) receives the request's own tree, bind(f') its derivative;
         # no route compiles again what solve compiled, or f' where it is
-        # not evaluated.  theorem1 and the inverting disk route need a
-        # monotone curve.
+        # not evaluated.  The variable is resolved once, and f and f' are
+        # differentiated once each, only where the enclosures are built: the
+        # one slope tree is both compiled and enclosed.  theorem1 and the
+        # inverting disk route need a monotone curve.
         var = "x" if role == ROLE_Y_OF_X else "y"
         text, interval = (("{v}^2", Interval(1.0, 2.0))
                           if method in ("theorem1", "disk")
                           else ("{v}/pi + sin({v})", FULL))
         curve = parse(text.format(v=var), variable=var)
         compiles = {"f": 0, "f'": 0}
+        resolved, differentiated, bound = [], [], []
 
         def counted(tree, *args, **kwargs):
             compiles["f" if tree is curve else "f'"] += 1
+            bound.append(tree)
             return bind(tree, *args, **kwargs)
+
+        def counted_variable(tree):
+            resolved.append(tree)
+            return the_variable(tree)
+
+        def counted_differentiate(tree, var):
+            differentiated.append((tree, differentiate(tree, var)))
+            return differentiated[-1][1]
 
         enclosed = []
 
@@ -573,11 +586,32 @@ class TestSolveDispatch:
         monkeypatch.setattr(revolve.monotone, "bind", counted)
         monkeypatch.setattr(revolve.volume, "bind", counted)
         monkeypatch.setattr(revolve.volume, "enclose", counted_enclose)
+        monkeypatch.setattr(revolve.volume, "the_variable", counted_variable)
+        monkeypatch.setattr(revolve.volume, "differentiate",
+                            counted_differentiate)
         solve(VolumeProblem(curve=curve, interval=interval, curve_role=role,
                             axis=axis, method=method))
         assert compiles == {"f": 1, "f'": derivative_compiles}
-        # f, f' and f'' each enclosed at most once
-        assert len(enclosed) == len(set(enclosed)) <= 3
+        assert resolved == [curve]
+        if enclosed:
+            (_, slope), (second_from, second) = differentiated
+            assert differentiated[0][0] is curve and second_from is slope
+            assert list(map(id, enclosed)) == [id(curve), id(slope), id(second)]
+            assert list(map(id, bound)) == [id(curve)] + [id(slope)] * derivative_compiles
+        else:
+            assert differentiated == [] and derivative_compiles == 0
+
+    def test_kepler_sweep_compiles_two_code_objects(self):
+        # the source bind compiles depends on the curve's shape alone, so a
+        # sweep over eps compiles f and f' once (f'' is only enclosed); a
+        # parameter value printed into the source would compile 40
+        _code.cache_clear()
+        for i in range(20):
+            solve(VolumeProblem(curve=KEPLER_EXPR, interval=FULL,
+                                curve_role=ROLE_X_OF_Y, axis=AXIS_X,
+                                method="all",
+                                parameters={"eps": 0.05 + 0.045 * i}))
+        assert _code.cache_info().misses == 2
 
     def test_x_axis_names_are_the_y_axis_functions(self):
         assert disk_volume_x_axis is disk_volume_y_axis
