@@ -24,6 +24,7 @@ import math
 import os
 import re
 import sys
+from typing import Callable
 
 from . import kepler as kepler_mod
 from .errors import RevolveError
@@ -210,8 +211,8 @@ def _parse_bound(text: str) -> float:
 def _curve_inputs(ns: argparse.Namespace
                   ) -> tuple[Expression, Interval, dict[str, float], Tolerances]:
     """The shared start of ``volume``/``partition``/``verify``: parse the
-    parameters, tolerances, curve and interval in that order, then write
-    the ``--csv`` export if one was asked for."""
+    parameters, tolerances, curve and interval in that order, then check
+    ``--samples`` if a ``--csv`` export was asked for."""
     parameters = _parameters(ns.param)
     tol = _tolerances(ns)
     curve = parse(ns.curve, variable=ns.var, parameters=parameters.keys())
@@ -219,14 +220,18 @@ def _curve_inputs(ns: argparse.Namespace
     if not lo < hi:
         raise _UsageError(f"interval bounds must satisfy lo < hi: {lo!r}, {hi!r}")
     interval = Interval(lo, hi)
-    if ns.csv is not None:
-        if ns.samples < 1:
-            raise _UsageError("--samples must be at least 1")
-        fn, _ = _compile(curve, parameters)
-        with open(ns.csv, "w", encoding="utf-8") as handle:
-            for x in uniform_grid(lo, hi, ns.samples):
-                handle.write(f"{x:.15g},{fn(x):.15g}\n")
+    if ns.csv is not None and ns.samples < 1:
+        raise _UsageError("--samples must be at least 1")
     return curve, interval, parameters, tol
+
+
+def _write_csv(ns: argparse.Namespace, fn: Callable[[float], float],
+               interval: Interval) -> None:
+    """Write the ``--csv`` export of ``fn``, if one was asked for."""
+    if ns.csv is not None:
+        with open(ns.csv, "w", encoding="utf-8") as handle:
+            for x in uniform_grid(interval.lo, interval.hi, ns.samples):
+                handle.write(f"{x:.15g},{fn(x):.15g}\n")
 
 
 def _emit(payload: dict, ns: argparse.Namespace, text: str) -> None:
@@ -298,6 +303,8 @@ def _report_text(report: VolumeReport) -> str:
 
 def _run_volume(ns: argparse.Namespace) -> int:
     curve, interval, parameters, tol = _curve_inputs(ns)
+    if ns.csv is not None:  # solve compiles the curve on its own
+        _write_csv(ns, _compile(curve, parameters)[0], interval)
     problem = VolumeProblem(
         curve=curve,
         interval=interval,
@@ -317,6 +324,7 @@ def _run_volume(ns: argparse.Namespace) -> int:
 def _run_partition(ns: argparse.Namespace) -> int:
     curve, interval, parameters, tol = _curve_inputs(ns)
     fn, slope_functions = _compile(curve, parameters)
+    _write_csv(ns, fn, interval)
     part = partition(fn, *slope_functions(), interval, tol)
     f_a, f_b = fn(interval.lo), fn(interval.hi)
     try:
@@ -359,6 +367,7 @@ def _verify_payload(report: HypothesisReport) -> dict:
 def _run_verify(ns: argparse.Namespace) -> int:
     curve, interval, parameters, tol = _curve_inputs(ns)
     fn, slope_functions = _compile(curve, parameters)
+    _write_csv(ns, fn, interval)
     report = validate_revolution_hypotheses(fn, *slope_functions(), interval, tol)
     lines = [
         f"satisfied: {report.satisfied}",

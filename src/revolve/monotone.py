@@ -14,18 +14,19 @@ monotonicity and are deliberately excluded.
 
 Both hypotheses are proven rather than sampled.  The interval is bisected
 into cells aligned to a 1024-cell grid; a cell is settled when the
-enclosure of f' keeps one sign on it, or when it is one grid cell wide and
-the enclosure of f'' excludes 0, so that f' is strictly monotone there and
-changes sign at most once, between the cell's ends, where bracketed root
-finding refines the extremum.  Any other cell is bisected again, below
-grid width, down to a fixed depth; a sign change of f' at the ends of a
-cell at that depth still counts as an extremum, and a cell left without
-one is reported as unproven instead of being passed over.  Nonnegativity
-follows: on proven monotone pieces the minimum is a breakpoint value.
-Where no partition is built, or it left a cell unproven, f >= -1e-12 is
-proven cell by cell from the enclosure of f (or of f', which puts the
-minimum at a cell's end).  Both certificates bisect the same way
-(``_bisect``).
+enclosure of f' keeps one sign on it, or when the enclosure of f'' excludes
+0, so that f' is strictly monotone there and changes sign at most once.
+In a settled cell wider than one grid cell, bisecting grid points finds
+the grid cell around that sign change, where bracketed root finding
+refines the extremum, as it would after a scan of every grid point.  Any
+other cell is bisected again, below grid width, down to a fixed depth; a
+sign change of f' at the ends of a cell at that depth still counts as an
+extremum, and a cell left without one is reported as unproven instead of
+being passed over.  Nonnegativity follows: on proven monotone pieces the
+minimum is a breakpoint value.  Where no partition is built, or it left a
+cell unproven, f >= -1e-12 is proven cell by cell from the enclosure of f
+(or of f', which puts the minimum at a cell's end).  Both certificates
+bisect the same way (``_bisect``).
 
 A piece's direction is sgn(f(hi) - f(lo)) of its end values, as the paper
 orients a curve; the derivative serves only to find the breakpoints.
@@ -209,39 +210,43 @@ class HypothesisReport:
 _UNKNOWN = (-math.inf, math.inf)
 
 
+def _opposite(u: float, v: float) -> bool:
+    # u and v are nonzero and of opposite sign, also where u * v underflows
+    return u < 0.0 < v or v < 0.0 < u
+
+
 def _bisect(interval: Interval, cells: int,
             settle: Callable[[float, float, int], object]) -> list[tuple]:
-    """The leaves ``(lo, hi, state)`` of ``interval``, ascending, bisected
+    """The leaves ``(i, j, state)`` of ``interval``, ascending, bisected
     the one way both certificates share.
 
-    Cells start as index ranges of the ``cells``-cell grid and are halved
-    while ``settle(lo, hi, width)``, with ``width`` the cell's count of
-    grid cells, returns None; so one-cell-wide cells are settled in grid
-    order before anything narrower.  Each grid cell still unsettled is
-    then bisected below grid width, in order, with ``width`` 0, down to
-    ``_DEPTH_CAP`` levels and within ``_SUBCELL_BUDGET`` cells in all; its
-    state becomes the list of its own leaves, where a leaf left at either
-    limit has state None.
+    Cells start as index ranges ``(i, j)`` of the ``cells``-cell grid and
+    are halved while ``settle(lo, hi, width)``, with ``width`` the cell's
+    count of grid cells, returns None; so one-cell-wide cells are settled
+    in grid order before anything narrower.  Each grid cell still
+    unsettled is then bisected below grid width, in order, with ``width``
+    0, down to ``_DEPTH_CAP`` levels and within ``_SUBCELL_BUDGET`` cells
+    in all; its state becomes the list of its own leaves ``(lo, hi,
+    state)``, where a leaf left at either limit has state None.
     """
     grid = _abscissa(interval.lo, interval.hi, cells)
     leaves: list[tuple] = []
     stack = [(0, cells)]
     while stack:
         i, j = stack.pop()
-        lo, hi = grid(i), grid(j)
-        state = settle(lo, hi, j - i)
+        state = settle(grid(i), grid(j), j - i)
         if state is None and j - i > 1:
             m = (i + j) // 2
             stack += [(m, j), (i, m)]
         else:
-            leaves.append((lo, hi, state))
+            leaves.append((i, j, state))
 
     budget = _SUBCELL_BUDGET
-    for index, (lo, hi, state) in enumerate(leaves):
+    for index, (i, j, state) in enumerate(leaves):
         if state is not None:
             continue
         below = []
-        stack = [(lo, hi, 0)]
+        stack = [(grid(i), grid(j), 0)]
         while stack:
             a, b, depth = stack.pop()
             state = settle(a, b, 0)
@@ -252,7 +257,7 @@ def _bisect(interval: Interval, cells: int,
                 stack += [(mid, b, depth + 1), (a, mid, depth + 1)]
             else:
                 below.append((a, b, state))
-        leaves[index] = (lo, hi, below)
+        leaves[index] = (i, j, below)
     return leaves
 
 
@@ -263,21 +268,24 @@ def _slope_certificate(derivative: Callable[[float], float],
     ascending order, and the cells left unproven.
 
     A cell of :func:`_bisect` on the 1024-cell grid is settled when the
-    enclosure of f' is of one strict sign or exactly zero, or, one grid
-    cell wide or narrower, when it keeps one side of zero or f'' has one
-    strict sign, so that f' changes sign at most once, between the cell's
-    ends.  f' is evaluated at the ends of every unsettled one-cell cell in
-    grid order, so a grid point where it fails raises as a grid scan
-    would.  The brackets are those of a scan over the ends of the leaves:
-    between consecutive ends where f' is nonzero and of opposite sign
-    (and the midpoint of a leaf whose ends are both zeros).  Inside a
-    settled cell f' keeps the sign of its ends, so where every cell
-    settles at grid width these are exactly the brackets
+    enclosure of f' is of one strict sign or exactly zero, or when f'' has
+    one strict sign, so that f' changes sign at most once on it; a wider
+    cell needs a decided f' enclosure for the latter, and a cell one grid
+    cell wide or narrower is also settled when f' keeps one side of zero.
+    f' is evaluated at the ends of every unsettled one-cell cell in grid
+    order, so a grid point where it fails raises as a grid scan would.
+    The brackets are those of a scan over the points the leaves visit:
+    their ends (and the midpoint of a narrow leaf whose ends are both
+    zeros) and, in a wider leaf, the grid cell where f' changes sign,
+    found by bisecting grid indices, where a zero of f' at a grid point is
+    stepped over to its neighbours as a scan does.  So where every cell
+    settles at grid width or wider these are exactly the brackets
     ``scan_sign_changes`` returns; a grid cell bisected further that holds
     one sign change between grid ends of opposite sign keeps its grid
     bracket too.
     """
     slope, curvature = enclosures.slope, enclosures.curvature
+    grid = _abscissa(interval.lo, interval.hi, _SCAN_CELLS)
     values: dict[float, float] = {}
 
     def value(x: float) -> float:
@@ -287,15 +295,17 @@ def _slope_certificate(derivative: Callable[[float], float],
         return v
 
     def settle(a: float, b: float, width: int) -> bool | None:
-        low, high = slope(a, b) or _UNKNOWN
+        bounds = slope(a, b)
+        low, high = bounds or _UNKNOWN
         if low > 0.0 or high < 0.0 or low == high == 0.0:
             return True
-        if width > 1:
+        if width <= 1:
+            if width == 1:
+                value(a), value(b)
+            if low >= 0.0 or high <= 0.0:
+                return True
+        elif bounds is None:  # f' may fail at a grid point of the cell
             return None
-        if width == 1:
-            value(a), value(b)
-        if low >= 0.0 or high <= 0.0:
-            return True
         low, high = curvature(a, b) or _UNKNOWN
         return True if low > 0.0 or high < 0.0 else None
 
@@ -311,16 +321,41 @@ def _slope_certificate(derivative: Callable[[float], float],
                 brackets.append((last[0], x))
             last = (x, v < 0.0)
 
+    def crossing(i: int, j: int) -> list[int]:
+        # the grid indices a scan brackets the one sign change of a
+        # monotone f' on [i, j] with, found by bisecting the indices; none
+        # where the ends do not differ in sign.  A zero is stepped over.
+        if not _opposite(value(grid(i)), value(grid(j))):
+            return []
+        while j - i > 1:
+            m = (i + j) // 2
+            v = value(grid(m))
+            if v == 0.0:
+                return [m - 1, m + 1]
+            i, j = (m, j) if _opposite(v, value(grid(j))) else (i, m)
+        return [i, j]
+
     def sweep(a: float, b: float, state: object) -> None:
         visit(a)
         if value(a) == 0.0 == value(b):
             visit(0.5 * (a + b))
         visit(b)
         # a leaf at the limits still shows a sign change at its ends
-        if state is None and not value(a) * value(b) < 0.0:
+        if state is None and not _opposite(value(a), value(b)):
             unproven.append((a, b))
 
-    for a, b, state in _bisect(interval, _SCAN_CELLS, settle):
+    for i, j, state in _bisect(interval, _SCAN_CELLS, settle):
+        a, b = grid(i), grid(j)
+        if j - i > 1:
+            # a zero at an end is stepped over to its neighbour inside
+            points = [i, *crossing(i, j), j]
+            if value(a) == 0.0:
+                points.insert(1, i + 1)
+            if value(b) == 0.0:
+                points.insert(-1, j - 1)
+            for k in points:
+                visit(grid(k))
+            continue
         if not isinstance(state, list):
             sweep(a, b, state)
             continue
@@ -329,7 +364,7 @@ def _slope_certificate(derivative: Callable[[float], float],
             sweep(*leaf)
         # one sign change between grid ends of opposite sign: refine it on
         # the grid bracket, the one scan_sign_changes gives
-        if len(brackets) == start + 1 and value(a) * value(b) < 0.0:
+        if len(brackets) == start + 1 and _opposite(value(a), value(b)):
             brackets[start] = (a, b)
     return brackets, unproven
 

@@ -284,7 +284,8 @@ def find_root_bracketed(f: Callable[[float], float], lo: float, hi: float,
                         tol: Tolerances | None = None) -> RootResult:
     """Brent-style bracketed root finding.
 
-    Requires a strict sign change ``f(lo) * f(hi) < 0``.  Inverse-quadratic
+    Requires a strict sign change: f(lo) and f(hi) nonzero and of opposite
+    sign, however small (their product may underflow).  Inverse-quadratic
     and secant steps are safeguarded by bisection, so the bracket always
     contains the root; convergence is ``|f(root)| <= residual_tol`` or
     bracket width at the ``abs_tol`` floor.
@@ -294,7 +295,7 @@ def find_root_bracketed(f: Callable[[float], float], lo: float, hi: float,
     b = float(hi)
     fa = _checked(f, a)
     fb = _checked(f, b)
-    if fa * fb >= 0.0:
+    if not (fa < 0.0 < fb or fb < 0.0 < fa):
         raise NoSignChangeError(
             f"no strict sign change on [{lo!r}, {hi!r}]: f(lo)={fa!r}, f(hi)={fb!r}")
 

@@ -198,17 +198,25 @@ class VolumeReport:
 # call it once per request: f is compiled at once, and ``slope_functions``
 # returns f' (unless ``derivative`` is false) and the enclosures of f, f'
 # and f''.  The variable is resolved once and f differentiated once: the one
-# slope tree serves both f' and the enclosures.
+# slope tree serves both f' and the enclosures.  f'' is derived and enclosed
+# on the first call of its enclosure, which only cells where the enclosure
+# of f' straddles zero make.
 def _compile(curve: Expression, parameters: Mapping[str, float] | None
              ) -> tuple[Callable[[float], float], Callable]:
     var = the_variable(curve) or "_"
 
     def slope_functions(derivative: bool = True):
         slope = differentiate(curve, var)
+        curvature = None
+
+        def lazy_curvature(lo: float, hi: float):
+            nonlocal curvature
+            if curvature is None:
+                curvature = enclose(differentiate(slope, var), var, parameters)
+            return curvature(lo, hi)
         return (bind(slope, var, parameters) if derivative else None,
                 Enclosures(enclose(curve, var, parameters),
-                           enclose(slope, var, parameters),
-                           enclose(differentiate(slope, var), var, parameters)))
+                           enclose(slope, var, parameters), lazy_curvature))
     return bind(curve, var, parameters), slope_functions
 
 

@@ -8,7 +8,7 @@ import pytest
 
 import revolve.volume
 from revolve.cli import main
-from revolve.expr import differentiate, the_variable
+from revolve.expr import bind, differentiate, the_variable
 
 PI = math.pi
 
@@ -216,10 +216,16 @@ class TestVerify:
     VOLUME_ARGS,
     ["partition", "--curve", "x/pi + sin(x)", "--interval", "0", "2*pi"],
     ["verify", "--curve", "x/pi + sin(x)", "--interval", "0", "2*pi"],
+    ["partition", "--curve", "x/pi + sin(x)", "--interval", "0", "2*pi",
+     "--csv", "{csv}"],
+    ["verify", "--curve", "x/pi + sin(x)", "--interval", "0", "2*pi",
+     "--csv", "{csv}"],
 ])
-def test_one_derivation_per_command(capsys, monkeypatch, argv):
+def test_one_derivation_per_command(capsys, monkeypatch, tmp_path, argv):
     # the variable is resolved once, and f and f' are differentiated once
-    # each, as in solve
+    # each, as in solve; partition and verify write --csv from the f they
+    # compiled, and bind f and f' once each
+    argv = [arg.format(csv=tmp_path / "samples.csv") for arg in argv]
     calls = []
 
     def counted(name, original):
@@ -232,8 +238,10 @@ def test_one_derivation_per_command(capsys, monkeypatch, argv):
                         counted("the_variable", the_variable))
     monkeypatch.setattr(revolve.volume, "differentiate",
                         counted("differentiate", differentiate))
+    monkeypatch.setattr(revolve.volume, "bind", counted("bind", bind))
     assert run_cli(capsys, argv)[0] == 0
-    assert sorted(calls) == ["differentiate", "differentiate", "the_variable"]
+    assert sorted(calls) == ["bind", "bind", "differentiate", "differentiate",
+                             "the_variable"]
 
 
 class TestConstantCurve:

@@ -4,9 +4,10 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import revolve.monotone
-from revolve.expr import bind, differentiate, parse
+from revolve.expr import bind, differentiate, enclose, parse
 from revolve.monotone import (
     DECREASING,
     INCREASING,
@@ -25,8 +26,8 @@ from revolve.monotone import (
     partition,
     validate_revolution_hypotheses,
 )
-from revolve.numerics import (Interval, Tolerances, find_root_bracketed,
-                               scan_sign_changes)
+from revolve.numerics import (Interval, Tolerances, _abscissa,
+                               find_root_bracketed, scan_sign_changes)
 from corpus import CURVES, compiled
 
 TWO_PI = 2.0 * math.pi
@@ -181,11 +182,17 @@ class TestCompiledFunctionContract:
 def _grid_scan_points(curve, interval, params=None):
     """Breakpoints as the 1024-cell sign-change scan found them: brackets
     between grid points, refined by Brent, sorted and deduplicated."""
-    _, derivative, _ = compiled(curve, params)
+    derivative = compiled(curve, params)[1]
+    return _scan_points(derivative, interval,
+                        scan_sign_changes(derivative, interval.lo,
+                                          interval.hi, 1024))
+
+
+def _scan_points(derivative, interval, brackets):
+    """:func:`_grid_scan_points` from the scan's ``brackets``."""
     tol = Tolerances()
     roots = sorted(find_root_bracketed(derivative, b.lo, b.hi, tol).root
-                   for b in scan_sign_changes(derivative, interval.lo,
-                                              interval.hi, 1024))
+                   for b in brackets)
     edge = max(tol.abs_tol, 4.0 * math.ulp(max(abs(interval.lo),
                                                abs(interval.hi), 1.0)))
     points = []
@@ -203,6 +210,27 @@ def _undecided(lo, hi):
 # The 1e-3 dip of x + 1 - 0.001/(1 + 1e8*(x - 1.0005)^2) on [0, 2]: f' < 0
 # on a window about 2.4e-4 wide, inside one cell of the 1024-cell grid
 DIP = parse("x + 1 - 0.001/(1 + 100000000*(x - 1.0005)^2)", variable="x")
+
+
+def _assert_keeps_the_grid_scan(derivative, enclosures, interval):
+    """Where nothing is left unproven, the certificate's breakpoints are
+    the grid scan's, bit for bit, plus any it finds outside every scan
+    bracket: a pair of sign changes, or one next to an end, that the grid
+    points step over (two roots 1e-9 apart, say)."""
+    found = critical_points(derivative, enclosures, interval)
+    if found.unproven:
+        return
+    brackets = scan_sign_changes(derivative, interval.lo, interval.hi, 1024)
+    scanned = _scan_points(derivative, interval, brackets)
+    assert set(scanned) <= set(found.points)
+    for x in set(found.points) - set(scanned):
+        assert not any(b.lo <= x <= b.hi for b in brackets)
+
+
+# f' = (x - 0.75)*(3x + 3.25): an extremum exactly at a grid point of [0, 1.5]
+REST_AT_GRID_POINT = parse("(x-0.75)^2*(x+2)+1", variable="x")
+TRANSMUTED_KEPLER = parse("x/p + A*sin(w*x + phi) + c", variable="x",
+                          parameters=("p", "A", "w", "phi", "c"))
 
 
 class TestCertificate:
@@ -232,6 +260,47 @@ class TestCertificate:
         found = critical_points(*compiled(curve)[1:], Interval(0.0, 1.0))
         assert len(found.points) == 1 and found.unproven == ()
         assert found.points == _grid_scan_points(curve, Interval(0.0, 1.0))
+
+    def test_slope_zero_at_a_grid_point_keeps_the_scan_bracket(self):
+        # f' = (x - 0.75)*(3x + 3.25) is exactly 0 at grid point 512 of
+        # [0, 1.5], inside a cell f'' settles many grid cells wide: the scan
+        # steps over the zero to its neighbours, and so must the certificate
+        interval = Interval(0.0, 1.5)
+        found = critical_points(*compiled(REST_AT_GRID_POINT)[1:], interval)
+        assert found == CriticalPoints((0.75,))
+        assert found.points == _grid_scan_points(REST_AT_GRID_POINT, interval)
+
+    @settings(max_examples=80, derandomize=True, deadline=None)
+    @given(p=st.floats(0.5, 5.0), a=st.floats(-4.0, 4.0),
+           w=st.floats(0.2, 5.0), phi=st.floats(0.0, TWO_PI),
+           c=st.floats(-3.0, 3.0), lo=st.floats(-5.0, 5.0),
+           width=st.floats(0.5, 12.0))
+    def test_transmuted_kepler_keeps_the_grid_scans(self, p, a, w, phi, c,
+                                                    lo, width):
+        params = {"p": p, "A": a, "w": w, "phi": phi, "c": c}
+        _, derivative, enclosures = compiled(TRANSMUTED_KEPLER, params)
+        _assert_keeps_the_grid_scan(derivative, enclosures,
+                                    Interval(lo, lo + width))
+
+    @settings(max_examples=80, derandomize=True, deadline=None)
+    @given(k=st.floats(-3.0, 3.0).filter(bool),
+           roots=st.lists(st.integers(-100, 1124) | st.floats(-0.5, 2.5),
+                          min_size=1, max_size=4),
+           lo=st.sampled_from([0.0, -1.0, 0.3]),
+           width=st.sampled_from([1.5, 2.0, 0.7]))
+    def test_polynomial_keeps_the_grid_scans(self, k, roots, lo, width):
+        # f' = k*(x - r1)*...*(x - rn); an integer root is that point of the
+        # 1024-cell grid, where f' is then exactly 0
+        interval = Interval(lo, lo + width)
+        grid = _abscissa(interval.lo, interval.hi, 1024)
+        text = "*".join([repr(k)] + [
+            f"(x - {grid(r) if isinstance(r, int) else r!r})" for r in roots])
+        slope = parse(text, variable="x")
+        _assert_keeps_the_grid_scan(
+            bind(slope, "x"),
+            Enclosures(_undecided, enclose(slope, "x"),
+                       enclose(differentiate(slope, "x"), "x")),
+            interval)
 
     def test_tangential_zero_gives_no_breakpoint(self):
         # x^3 has f'(0) = 0 without a sign change, at a grid point of [-1, 1]

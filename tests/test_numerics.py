@@ -200,6 +200,12 @@ class TestFindRootBracketed:
         with pytest.raises(NoSignChangeError):
             find_root_bracketed(lambda x: x, 0.0, 1.0)
 
+    def test_sign_change_whose_product_underflows(self):
+        # f(lo) * f(hi) is -0.0 here, yet the ends differ in sign; both are
+        # within residual_tol of 0, so an end is accepted at once
+        r = find_root_bracketed(lambda x: 1e-200 * (x - 0.25), 0.0, 1.0)
+        assert r.root in (0.0, 1.0) and r.iterations == 0
+
     def test_bracket_residuals_are_not_evaluated_again(self):
         calls = []
 

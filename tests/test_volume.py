@@ -555,7 +555,10 @@ class TestSolveDispatch:
         # not evaluated.  The variable is resolved once, and f and f' are
         # differentiated once each, only where the enclosures are built: the
         # one slope tree is both compiled and enclosed.  theorem1 and the
-        # inverting disk route need a monotone curve.
+        # inverting disk route need a monotone curve.  f'' is derived and
+        # enclosed at most once, and only where the certificate consults it:
+        # on the flagship's extrema, never on x^2 over [1, 2] or for shell,
+        # whose floor certificate reads f and f' alone.
         var = "x" if role == ROLE_Y_OF_X else "y"
         text, interval = (("{v}^2", Interval(1.0, 2.0))
                           if method in ("theorem1", "disk")
@@ -594,12 +597,33 @@ class TestSolveDispatch:
         assert compiles == {"f": 1, "f'": derivative_compiles}
         assert resolved == [curve]
         if enclosed:
-            (_, slope), (second_from, second) = differentiated
-            assert differentiated[0][0] is curve and second_from is slope
-            assert list(map(id, enclosed)) == [id(curve), id(slope), id(second)]
+            (first_from, slope), *curvature = differentiated
+            assert first_from is curve
+            assert all(tree is slope for tree, _ in curvature)
+            assert len(curvature) == (method not in ("shell", "theorem1", "disk"))
+            assert list(map(id, enclosed)) == [
+                id(curve), id(slope), *(id(second) for _, second in curvature)]
             assert list(map(id, bound)) == [id(curve)] + [id(slope)] * derivative_compiles
         else:
             assert differentiated == [] and derivative_compiles == 0
+
+    def test_flagship_enclosure_budget(self, monkeypatch):
+        # f'' proves f' monotone on wide cells, so each extremum's grid
+        # bracket is found by bisecting f' point values, not by a descent
+        # of f' enclosures to grid width (41 enclosure calls before)
+        calls = []
+
+        def counted_enclose(tree, *args, **kwargs):
+            enclosure = enclose(tree, *args, **kwargs)
+
+            def counted(lo, hi):
+                calls.append((lo, hi))
+                return enclosure(lo, hi)
+            return counted
+
+        monkeypatch.setattr(revolve.volume, "enclose", counted_enclose)
+        solve(VolumeProblem(curve=RAMP_WAVE, interval=FULL, method="theorem2"))
+        assert len(calls) <= 15
 
     def test_kepler_sweep_compiles_two_code_objects(self):
         # the source bind compiles depends on the curve's shape alone, so a
