@@ -406,7 +406,8 @@ def newton_solve(f: Callable[[float], float], fprime: Callable[[float], float],
 
     ``bracket`` is ``(lo, hi)`` with ``lo <= hi``, and ``residuals`` is
     ``(f(lo) - target, f(hi) - target)``, which every caller already
-    holds, so f is not evaluated at the ends again.  A seed ``x0`` outside
+    holds, so f is not evaluated at the ends again; two residuals of one
+    sign, however small, raise ``NoSignChangeError``.  A seed ``x0`` outside
     the bracket starts from its nearer end, so the root always lies in the
     bracket.  The bracket is kept up to date from every residual
     evaluation.  One bisection step replaces the Newton step whenever that
@@ -418,26 +419,40 @@ def newton_solve(f: Callable[[float], float], fprime: Callable[[float], float],
     """
     tol = tol or Tolerances()
     lo, hi = bracket
+    flo, fhi = residuals
+    root, value, iterations, fell_back = _newton(
+        f, fprime, target, x0, lo, hi, flo, fhi, tol.residual_tol, tol.max_iter)
+    method = "newton-with-bisection-fallback" if fell_back else "newton"
+    return RootResult(root, value - target, iterations, method, value)
+
+
+def _newton(f: Callable[[float], float], fprime: Callable[[float], float],
+            target: float, x0: float, lo: float, hi: float, flo: float,
+            fhi: float, residual_tol: float, max_iter: int
+            ) -> tuple[float, float, int, bool]:
+    """The validation and iteration behind :func:`newton_solve`, which
+    documents them, on the bracket [lo, hi] with residuals ``flo`` and
+    ``fhi``.  Returns ``(root, f(root), iterations, fell_back)``, so a
+    caller that inverts many values builds no record per call."""
     if not -math.inf < lo <= hi < math.inf:
         raise ValueError(f"bracket endpoints must be finite and ordered: "
                          f"({lo!r}, {hi!r})")
-    flo, fhi = residuals
     if not math.isfinite(flo):
         raise NonFiniteEvaluationError(lo, flo)
     if not math.isfinite(fhi):
         raise NonFiniteEvaluationError(hi, fhi)
-    if flo * fhi > 0.0:
+    # of one sign, however small: their product may underflow to 0
+    if flo < 0.0 and fhi < 0.0 or flo > 0.0 and fhi > 0.0:
         raise NoSignChangeError(
             f"bracket [{lo!r}, {hi!r}] has no sign change")
 
     x = float(x0)
     if not lo <= x <= hi:
         x = lo if x < lo else hi
-    residual_tol = tol.residual_tol
     fell_back = False
     # |f - target| one and two iterations back
     last = before_last = math.inf
-    for iteration in range(tol.max_iter + 1):
+    for iteration in range(max_iter + 1):
         value = f(x)
         fx = value - target
         if not math.isfinite(fx):
@@ -449,8 +464,7 @@ def newton_solve(f: Callable[[float], float], fprime: Callable[[float], float],
                 hi, fhi = x, fx
         size = abs(fx)
         if size <= residual_tol:
-            method = "newton-with-bisection-fallback" if fell_back else "newton"
-            return RootResult(x, fx, iteration, method, value)
+            return x, value, iteration, fell_back
 
         stalled = size >= 0.9 * before_last
         before_last, last = last, size
@@ -465,4 +479,4 @@ def newton_solve(f: Callable[[float], float], fprime: Callable[[float], float],
         fell_back = True
 
     raise MaxIterationsExceededError(
-        f"no convergence in {tol.max_iter} iterations; last iterate {x!r}")
+        f"no convergence in {max_iter} iterations; last iterate {x!r}")

