@@ -1,7 +1,7 @@
 """revolve: volumes of solids of revolution by cross-validating methods.
 
-A text expression language describes a curve; adaptive Gauss-Kronrod
-quadrature, bracketed and Newton root finding, monotone partitioning, and
+A text expression language describes a curve; adaptive quadrature,
+bracketed and Newton root finding, monotone partitioning, and
 sign-corrected boundary-term formulas then compute the volume of the
 revolved region several independent ways and compare the answers.
 

@@ -1,18 +1,22 @@
 """Adaptive definite integration and root finding with explicit accuracy
 contracts.
 
-Quadrature is an adaptive Gauss-Kronrod 7-15 pair with recursive interval
-bisection; the nodes and weights are embedded as hex-exact constants so
-results are bit-reproducible across platforms.  Root finding offers a
+Quadrature bisects the panels of a rule adaptively.  The default rule is
+the Gauss-Kronrod 7-15 pair, whose nodes and weights are embedded as
+hex-exact constants so results are bit-reproducible across platforms; a
+nested Clenshaw-Curtis rule, whose weights are computed on first use, serves
+integrands whose every evaluation is costly.  Root finding offers a
 Brent-style bracketed solver, a grid scanner that turns sign changes into
 brackets, and a Newton iteration with bisection fallback.
 """
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 import sys
+from operator import mul
 from typing import Callable, Iterator
 
 from ._record import record
@@ -205,12 +209,121 @@ def kronrod_panel(f: Callable[[float], float], a: float, b: float
     return value, abserr
 
 
+def _kronrod_rule(f: Callable[[float], float], a: float, b: float,
+                  tol: Tolerances, f_a: float | None, f_b: float | None
+                  ) -> tuple[float, float, int, None]:
+    # :func:`kronrod_panel` as a rule for :func:`integrate`: it samples
+    # neither end, so it takes no end values and hands no samples on
+    value, err = kronrod_panel(f, a, b)
+    return value, err, 15, None
+
+
+# ---------------------------------------------------------------------------
+# Nested Clenshaw-Curtis panel
+
+# Level L has 8 << L cells and 8 << L + 1 points: 9, 17, 33, 65, 129.  Its
+# nodes are every (16 >> L)-th node of the last level, whose node K lies at
+# the panel's center minus half its width times cos(K*pi/128), so each
+# level reuses every node of the one before.
+_CC_LEVELS = 5
+_CC_CELLS = 8 << _CC_LEVELS - 1
+
+
+@functools.cache
+def _cc_cosines() -> tuple[float, ...]:
+    """cos(m*pi/128) for m = 0..255, computed on first use.  The first
+    quadrant is built from cos and sin each below pi/4, the rest by
+    symmetry, so cos(pi/2) is exactly 0 and the nodes are exactly
+    symmetric about the panel's center."""
+    step = math.pi / _CC_CELLS
+    quarter = [math.cos(m * step) if 2 * m <= _CC_CELLS // 2
+               else math.sin((_CC_CELLS // 2 - m) * step)
+               for m in range(_CC_CELLS // 2 + 1)]
+    half = quarter + [-c for c in reversed(quarter[:-1])]
+    return tuple(half + half[-2:0:-1])
+
+
+@functools.cache
+def _cc_weights(level: int) -> tuple[float, ...]:
+    """Clenshaw-Curtis weights on [-1, 1] for the ``8 << level`` cells of
+    ``level``, computed on first use (Trefethen, SIAM Review 50(1), 2008):
+    w_k = (c_k/n) * (1 - sum_{j=1}^{n/2} b_j cos(2jk*pi/n) / (4j^2 - 1)),
+    with c_k and b_j 1 at the ends of their ranges and 2 inside."""
+    n = 8 << level
+    stride = _CC_CELLS // n
+    cosine = _cc_cosines()
+    left = []
+    for k in range(n // 2 + 1):
+        terms = [1.0]
+        for j in range(1, n // 2 + 1):
+            b_j = 1.0 if 2 * j == n else 2.0
+            terms.append(-b_j * cosine[2 * j * k * stride % len(cosine)]
+                         / (4 * j * j - 1))
+        left.append((1.0 if k == 0 else 2.0) * math.fsum(terms) / n)
+    return tuple(left + left[-2::-1])
+
+
+def _cc_level(f: Callable[[float], float], center: float, half: float,
+              values: list, level: int) -> float:
+    """Evaluate f at the nodes ``level`` adds to ``values`` and return the
+    level's sum on [-1, 1].
+
+    ``values`` holds f at the last level's 129 nodes, ends included, as far
+    as lower levels have filled it: level 0 adds its 7 interior nodes and
+    every later level the nodes halfway between its predecessor's.
+    """
+    stride = _CC_CELLS >> 3 + level
+    cosine = _cc_cosines()
+    for k in range(stride, _CC_CELLS, stride if level == 0 else 2 * stride):
+        values[k] = _checked(f, center - half * cosine[k])
+    return sum(map(mul, _cc_weights(level), values[::stride]))
+
+
+def _clenshaw_curtis_panel(f: Callable[[float], float], a: float, b: float,
+                           tol: Tolerances, f_a: float | None = None,
+                           f_b: float | None = None
+                           ) -> tuple[float, float, int,
+                                      tuple[float, float, float]]:
+    """One nested Clenshaw-Curtis panel on [a, b], as a rule for
+    :func:`integrate`.
+
+    Climbs the levels of 9, 17, 33, 65 and 129 points and stops at the
+    first level whose difference from the level before meets
+    ``max(abs_tol, rel_tol * |value|)``; a panel that fails at 129 points
+    returns that difference, and :func:`integrate` bisects it.  The
+    error estimate is the last difference, at least 50 ulps of the
+    integral of |f|, as for the Gauss-Kronrod panel.  ``f_a`` and ``f_b``
+    are f at the ends where the caller knows them; f is evaluated at an end
+    only where they are ``None``.  Returns ``(value, error_estimate,
+    evaluations, (f(a), f(midpoint), f(b)))``, the midpoint being exactly
+    ``0.5 * (a + b)``.
+    """
+    values: list = [None] * (_CC_CELLS + 1)
+    values[0] = _checked(f, a) if f_a is None else f_a
+    values[-1] = _checked(f, b) if f_b is None else f_b
+    center, half = 0.5 * (a + b), 0.5 * (b - a)
+    previous = 0.0
+    for level in range(_CC_LEVELS):
+        value = half * _cc_level(f, center, half, values, level)
+        err = abs(value - previous)
+        if level and err <= max(tol.abs_tol, tol.rel_tol * abs(value)):
+            break
+        previous = value
+    resabs = half * sum(map(mul, _cc_weights(level),
+                            map(abs, values[::_CC_CELLS >> 3 + level])))
+    evaluations = (8 << level) - 1 + (f_a is None) + (f_b is None)
+    return (value, max(err, 50.0 * _EPS * resabs), evaluations,
+            (values[0], values[_CC_CELLS // 2], values[-1]))
+
+
 _MAX_SPLITS = 4096
 
 
 def integrate(f: Callable[[float], float], a: float, b: float,
-              tol: Tolerances | None = None) -> QuadratureResult:
-    """Adaptive Gauss-Kronrod integration of ``f`` over [a, b].
+              tol: Tolerances | None = None, rule: Callable | None = None
+              ) -> QuadratureResult:
+    """Adaptive integration of ``f`` over [a, b] by bisecting the panels of
+    ``rule``.
 
     Requires ``a <= b``; callers negate for reversed orientation.  The
     panel with the largest error estimate is bisected repeatedly until the
@@ -219,8 +332,19 @@ def integrate(f: Callable[[float], float], a: float, b: float,
     result is flagged unconverged if the frozen error keeps the total
     above the target.  The whole procedure is sequential and
     deterministic: identical inputs give bit-identical results.
+
+    ``rule(f, lo, hi, tol, f_lo, f_hi)`` integrates one panel and returns
+    ``(value, error_estimate, evaluations, samples)``.  ``f_lo`` and
+    ``f_hi`` are f at the panel's ends where known and ``None`` otherwise;
+    ``samples`` is f at the panel's ends and at its midpoint
+    ``0.5 * (lo + hi)`` if the rule evaluated them, and ``None`` otherwise,
+    and the two halves of a bisected panel get their ends from it, so
+    siblings share their common end.  The default rule is
+    :func:`kronrod_panel`, which samples neither end;
+    ``_clenshaw_curtis_panel`` samples both.
     """
     tol = tol or Tolerances()
+    rule = rule or _kronrod_rule
     a = float(a)
     b = float(b)
     if not (math.isfinite(a) and math.isfinite(b)):
@@ -230,12 +354,11 @@ def integrate(f: Callable[[float], float], a: float, b: float,
     if a == b:
         return QuadratureResult(0.0, 0.0, 0, True)
 
-    value0, err0 = kronrod_panel(f, a, b)
-    evals = 15
-    # active panels as (neg_err, seq, lo, hi, value, err, depth); seq breaks
-    # ties first-in-first-out so the heap order is deterministic
+    value0, err0, evals, samples = rule(f, a, b, tol, None, None)
+    # active panels as (neg_err, seq, lo, hi, value, err, depth, samples);
+    # seq breaks ties first-in-first-out so the heap order is deterministic
     seq = 0
-    active = [(-err0, seq, a, b, value0, err0, 0)]
+    active = [(-err0, seq, a, b, value0, err0, 0, samples)]
     frozen: list[tuple[float, float, float, float]] = []  # lo, hi, value, err
     frozen_err = 0.0
     total_value = value0
@@ -247,26 +370,27 @@ def integrate(f: Callable[[float], float], a: float, b: float,
             break
         if not active or frozen_err > target or splits >= _MAX_SPLITS:
             break
-        neg_err, _, lo, hi, v, e, depth = heapq.heappop(active)
+        _, _, lo, hi, v, e, depth, samples = heapq.heappop(active)
         if depth >= tol.max_depth:
             frozen.append((lo, hi, v, e))
             frozen_err += e
             continue
         mid = 0.5 * (lo + hi)
-        vl, el = kronrod_panel(f, lo, mid)
-        vr, er = kronrod_panel(f, mid, hi)
-        evals += 30
+        f_lo, f_mid, f_hi = samples or (None, None, None)
+        vl, el, nl, sl = rule(f, lo, mid, tol, f_lo, f_mid)
+        vr, er, nr, sr = rule(f, mid, hi, tol, f_mid, f_hi)
+        evals += nl + nr
         splits += 1
         total_value += vl + vr - v
         total_err += el + er - e
         seq += 1
-        heapq.heappush(active, (-el, seq, lo, mid, vl, el, depth + 1))
+        heapq.heappush(active, (-el, seq, lo, mid, vl, el, depth + 1, sl))
         seq += 1
-        heapq.heappush(active, (-er, seq, mid, hi, vr, er, depth + 1))
+        heapq.heappush(active, (-er, seq, mid, hi, vr, er, depth + 1, sr))
 
     # re-sum in interval order: cleaner rounding and independent of the
     # heap's processing history
-    panels = frozen + [(lo, hi, v, e) for _, _, lo, hi, v, e, _ in active]
+    panels = frozen + [(lo, hi, v, e) for _, _, lo, hi, v, e, _, _ in active]
     panels.sort(key=lambda p: p[0])
     value = 0.0
     err = 0.0

@@ -39,7 +39,9 @@ only by bisecting toward it; in u that end is analytic.  The substitution
 only moves the quadrature nodes: each node is still inverted by Newton
 iteration on the curve itself, never through y = f(x) substituted
 analytically, so the disk row still computes a different integrand in the
-transverse variable and stays an independent check.
+transverse variable and stays an independent check.  A nested
+Clenshaw-Curtis rule integrates it in u, so no inverted node is discarded
+when a level or a panel is refined; the formula routes keep Gauss-Kronrod.
 
 Cross-validation also reports ``shell-complement``: the bounding cylinders
 minus the shell volume.  Its shell integral is the formula's own quadrature
@@ -76,6 +78,7 @@ from .numerics import (
     Interval,
     QuadratureResult,
     Tolerances,
+    _clenshaw_curtis_panel,
     _newton,
     integrate,
     newton_solve,  # noqa: F401  (the benchmark's tracer patches it here)
@@ -257,22 +260,32 @@ def _disk_value(radius: Callable[[float], float], lo: float, hi: float,
     return _clamp(math.pi * quad.value, err), err, quad
 
 
-def _inverse_disk_value(inverse: Callable[[float], float], lo: float,
-                        hi: float, tol: Tolerances
+def _inverse_disk_value(inverse: Callable[[float], float],
+                        inversion: list[float], lo: float, hi: float,
+                        tol: Tolerances
                         ) -> tuple[float, float, QuadratureResult]:
     """``(value, error_estimate, quadrature)`` for pi*Int g(y)^2 dy over
-    [lo, hi], where ``g`` is the numeric inverse of a monotone piece.
+    [lo, hi], where ``g`` is the numeric inverse of a monotone piece and
+    ``inversion`` the one-item list in which :func:`_inverse_on_piece`
+    keeps the largest first-order error of g^2 at a node.
 
     At an interior extremum g has a square-root end, so the integral is
     taken in u over [0, 1] with y = lo + (hi-lo)*u^2*(3-2u) and
     dy = 6*(hi-lo)*u*(1-u) du, which makes that end analytic in u.  Above
     u = 1/2, y is measured back from ``hi``, so every node stays within
     [lo, hi] and the inversion's bracket keeps its sign change; measured
-    from ``lo`` it need not (-3.0 + (0.1 - -3.0) rounds above 0.1).
+    from ``lo`` it need not (-3.0 + (0.1 - -3.0) rounds above 0.1).  The
+    nested Clenshaw-Curtis rule integrates it, so a finer level or a
+    bisected panel keeps every node already inverted.  dy/du is 0 at u = 0
+    and u = 1, so the integrand is 0 there without an inversion.  The error
+    estimate adds the inversion's, pi*(hi-lo) times the largest error of
+    g^2, to the quadrature's.
     """
     width = hi - lo
 
     def integrand(u: float) -> float:
+        if u == 0.0 or u == 1.0:
+            return 0.0
         v = 1.0 - u
         if u <= 0.5:
             y = lo + width * (u * u * (3.0 - 2.0 * u))
@@ -280,8 +293,8 @@ def _inverse_disk_value(inverse: Callable[[float], float], lo: float,
             y = hi - width * (v * v * (1.0 + 2.0 * u))
         return inverse(y) ** 2 * (6.0 * width * u * v)
 
-    quad = integrate(integrand, 0.0, 1.0, tol)
-    err = math.pi * quad.error_estimate
+    quad = integrate(integrand, 0.0, 1.0, tol, _clenshaw_curtis_panel)
+    err = math.pi * (quad.error_estimate + width * inversion[0])
     return _clamp(math.pi * quad.value, err), err, quad
 
 
@@ -328,9 +341,12 @@ def _method_report(method: str, value: float, err: float,
 def _inverse_on_piece(fn: Callable[[float], float],
                       derivative: Callable[[float], float],
                       piece: Interval, ends: tuple[float, float],
-                      tol: Tolerances) -> Callable[[float], float]:
+                      tol: Tolerances
+                      ) -> tuple[Callable[[float], float], list[float]]:
     """Evaluator for the inverse of ``fn`` restricted to a monotone piece,
-    whose end values fn(piece.lo), fn(piece.hi) are ``ends``.
+    whose end values fn(piece.lo), fn(piece.hi) are ``ends``, and a
+    one-item list holding the largest first-order error of the inverse's
+    square among the nodes solved so far.
 
     Each call solves fn(t) = s by Newton iteration through the kernel
     behind ``newton_solve``, which builds no record per node.  The points
@@ -339,13 +355,16 @@ def _inverse_on_piece(fn: Callable[[float], float],
     stored values minus s are the bracket's residuals, and Newton is seeded
     by linear interpolation between them.  Each root is stored with
     fn(root) as Newton evaluated it, so every later bracket's residuals
-    carry the signs fn gives.  The flagship x/pi + sin(x) over [0, 2*pi]
-    makes 105 calls per cross-check, at 3.0 iterations per call (312 in
-    all).
+    carry the signs fn gives.  A root whose residual fn(root) - s is not 0
+    is off by about that residual times the bracket's slope |dt/ds|, so its
+    square by twice the root times that; the list keeps the largest.  The
+    flagship x/pi + sin(x) over [0, 2*pi] makes 93 calls per cross-check,
+    at 3.2 iterations per call (300 in all).
     """
     (v_lo, t_lo), (v_hi, t_hi) = sorted(zip(ends, (piece.lo, piece.hi)))
     values, roots = [v_lo, v_hi], [t_lo, t_hi]
     residual_tol, max_iter = tol.residual_tol, tol.max_iter
+    worst = [0.0]
 
     def inverse(s: float) -> float:
         i = bisect_left(values, s, 1, len(values) - 1)
@@ -357,6 +376,10 @@ def _inverse_on_piece(fn: Callable[[float], float],
         else:
             root, value, _, _ = _newton(fn, derivative, s, seed, t1, t0,
                                         v1 - s, v0 - s, residual_tol, max_iter)
+        if value != s and v0 < v1:
+            error = abs(2.0 * root * (value - s) * (t1 - t0) / (v1 - v0))
+            if error > worst[0]:
+                worst[0] = error
         if not v0 <= value <= v1:
             # fn is monotone only up to rounding
             i = bisect_left(values, value)
@@ -364,7 +387,7 @@ def _inverse_on_piece(fn: Callable[[float], float],
         roots.insert(i, root)
         return root
 
-    return inverse
+    return inverse, worst
 
 
 # ---------------------------------------------------------------------------
@@ -423,9 +446,11 @@ def disk_volume_y_axis(fn: Callable[[float], float], lo: float, hi: float,
     if found.points:
         raise NotInvertibleError("curve is not strictly monotone on its interval")
     ends = (fn(curve_interval.lo), fn(curve_interval.hi))
-    inverse = _inverse_on_piece(fn, derivative, curve_interval, ends, tol)
-    return _method_report("disk", *_inverse_disk_value(inverse, lo, hi, tol),
-                          unproven=found.unproven)
+    inverse, inversion = _inverse_on_piece(fn, derivative, curve_interval,
+                                           ends, tol)
+    return _method_report(
+        "disk", *_inverse_disk_value(inverse, inversion, lo, hi, tol),
+        unproven=found.unproven)
 
 
 disk_volume_x_axis = disk_volume_y_axis
@@ -568,7 +593,7 @@ def _disk_pieces_value(fn: Callable[[float], float],
     """
     return _alternating_sum(
         _inverse_disk_value(
-            _inverse_on_piece(fn, derivative, piece, (h_lo, h_hi), tol),
+            *_inverse_on_piece(fn, derivative, piece, (h_lo, h_hi), tol),
             min(h_lo, h_hi), max(h_lo, h_hi), tol)
         for (piece, _), h_lo, h_hi in zip(p.pieces(), ends, ends[1:]))
 
@@ -671,7 +696,8 @@ def _cross_disk_frame(problem: VolumeProblem) -> VolumeReport:
         # node: its variable spans the curve's values, and its values at
         # the ends of that span are the interval's ends
         warnings += _unproven_warnings(found.unproven)
-        inverse = _inverse_on_piece(fn, derivative, interval, (h_lo, h_hi), tol)
+        inverse, _ = _inverse_on_piece(fn, derivative, interval, (h_lo, h_hi),
+                                       tol)
         lo, hi = interval.lo, interval.hi
         limits = (h_lo, h_hi, lo, hi) if h_lo < h_hi else (h_hi, h_lo, hi, lo)
         inv_value, inv_err, inv_quad = _parts_value(inverse, *limits, tol)

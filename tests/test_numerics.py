@@ -15,6 +15,10 @@ from revolve.numerics import (
     NoSignChangeError,
     NonFiniteEvaluationError,
     Tolerances,
+    _cc_cosines,
+    _cc_level,
+    _cc_weights,
+    _clenshaw_curtis_panel,
     find_root_bracketed,
     integrate,
     kronrod_panel,
@@ -175,6 +179,110 @@ class TestIntegrate:
         second = integrate(lambda x: x * math.sin(x), 0.0, TWO_PI)
         assert first.value == second.value
         assert first.error_estimate == second.error_estimate
+
+    @pytest.mark.parametrize("f, a, b, pinned", [
+        # the bits of Gauss-Kronrod integrate before it took a rule
+        (lambda x: x * math.sin(x), 0.0, TWO_PI,
+         ("-0x1.921fb54442d18p+2", "0x1.3a28c59d5433bp-43", 45)),
+        (lambda x: math.sin(50.0 * x) * x, 0.0, TWO_PI,
+         ("-0x1.015bf92172846p-3", "0x1.95dc5c4bc8920p-37", 3135)),
+    ])
+    def test_default_rule_keeps_its_bits(self, f, a, b, pinned):
+        r = integrate(f, a, b)
+        assert (r.value.hex(), r.error_estimate.hex(), r.evaluations) == pinned
+
+
+def _monomial_level_sum(degree, level):
+    """The sum of ``level`` for t^degree on [-1, 1], after the levels
+    below it have filled their nodes."""
+    values = [None] * 129
+    values[0], values[-1] = (-1.0) ** degree, 1.0
+    for k in range(level + 1):
+        total = _cc_level(lambda t: t ** degree, 0.0, 1.0, values, k)
+    return total
+
+
+class TestClenshawCurtis:
+    @pytest.mark.parametrize("level", range(5))
+    def test_exact_up_to_each_levels_degree(self, level):
+        # n + 1 points on n cells integrate degree n + 1 exactly (odd
+        # degrees by symmetry)
+        for degree in range((8 << level) + 2):
+            exact = 2.0 / (degree + 1) if degree % 2 == 0 else 0.0
+            value = _monomial_level_sum(degree, level)
+            assert abs(value - exact) <= 1e-15, degree
+
+    def test_level_zero_is_not_exact_beyond_its_degree(self):
+        assert abs(_monomial_level_sum(10, 0) - 2.0 / 11.0) > 1e-5
+
+    def test_weights_are_positive_and_symmetric(self):
+        # their sum, 2, is the exactness test's degree 0
+        for level in range(5):
+            weights = _cc_weights(level)
+            assert len(weights) == (8 << level) + 1
+            assert min(weights) > 0.0
+            assert weights == weights[::-1]
+        # the end weight of n cells is 1/(n^2 - 1)
+        assert _cc_weights(0)[0] == pytest.approx(1.0 / 63.0, rel=1e-15)
+
+    def test_levels_reuse_every_node(self):
+        # an integrand that vanishes at both ends is never evaluated there
+        seen = []
+
+        def f(x):
+            seen.append(x)
+            return x * (1.0 - x) * math.exp(x)
+
+        values = [None] * 129
+        values[0] = values[-1] = 0.0
+        counts = []
+        for level in range(5):
+            value = 0.5 * _cc_level(f, 0.5, 0.5, values, level)
+            counts.append(len(seen))
+        assert counts == [7, 15, 31, 63, 127]
+        assert len(set(seen)) == 127 and 0.0 < min(seen) and max(seen) < 1.0
+        assert abs(value - (3.0 - math.e)) <= 1e-15
+
+    def test_panel_stops_at_the_first_agreeing_level(self):
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return math.exp(x)
+
+        value, err, evaluations, samples = _clenshaw_curtis_panel(
+            f, 0.0, 1.0, Tolerances())
+        # e^x on [0, 1]: level 1 (17 points) agrees with level 0
+        assert evaluations == len(calls) == 17
+        assert abs(value - (math.e - 1.0)) <= err
+        assert samples == (1.0, math.exp(0.5), math.e)
+
+    def test_bit_identical_on_repeat(self):
+        def run():
+            r = integrate(lambda u: math.sin(3.0 * u) * u * (1.0 - u), 0.0,
+                          1.0, None, _clenshaw_curtis_panel)
+            return r.value.hex(), r.error_estimate.hex(), r.evaluations
+
+        first = run()
+        # the weights and nodes, computed on first use, come out the same
+        _cc_weights.cache_clear()
+        _cc_cosines.cache_clear()
+        assert run() == first == run()
+
+    def test_narrow_bump_is_split_and_converges(self):
+        seen = []
+
+        def bump(x):
+            seen.append(x)
+            return 1.0 / (1.0 + 1e6 * (x - 0.3) ** 2)
+
+        r = integrate(bump, 0.0, 1.0, None, _clenshaw_curtis_panel)
+        exact = (math.atan(700.0) + math.atan(300.0)) / 1e3
+        assert r.converged
+        assert r.evaluations > 129  # one panel of 129 points failed
+        assert abs(r.value - exact) <= r.error_estimate
+        # bisected panels hand their ends and midpoints on
+        assert r.evaluations == len(seen) == len(set(seen))
 
 
 class TestFindRootBracketed:
