@@ -356,23 +356,21 @@ def _lookup(b: Bindings, name: str) -> float:
 
 
 def _eval(e: Expression, b: Bindings) -> float:
-    match e:
-        case Const(value):
-            return value
-        case PiConst():
-            return math.pi
-        case Var(name):
-            return _lookup(b, name)
-        case Param(name):
-            return _lookup(b, name)
-        case Neg(arg):
-            return -_eval(arg, b)
-        case Call(func, arg):
-            return _apply(func, _eval(arg, b))
-        case BinOp(op, left, right):
-            x = _eval(left, b)
-            y = _eval(right, b)
-            return _binary(op, x, y)
+    # isinstance tests: a match class pattern costs several times as much
+    if isinstance(e, BinOp):
+        x = _eval(e.left, b)
+        y = _eval(e.right, b)
+        return _binary(e.op, x, y)
+    if isinstance(e, Const):
+        return e.value
+    if isinstance(e, (Var, Param)):
+        return _lookup(b, e.name)
+    if isinstance(e, Call):
+        return _apply(e.func, _eval(e.arg, b))
+    if isinstance(e, Neg):
+        return -_eval(e.arg, b)
+    if isinstance(e, PiConst):
+        return math.pi
     raise TypeError(f"not an expression node: {e!r}")
 
 
@@ -425,44 +423,45 @@ def differentiate(e: Expression, var: str) -> Expression:
     The result is lightly simplified (0*u -> 0, u+0 -> u, 1*u -> u, and
     constant folding) so derivative trees are structurally stable.
     """
-    match e:
-        case Const() | PiConst() | Param():
-            return Const(0.0)
-        case Var(name):
-            return Const(1.0) if name == var else Const(0.0)
-        case Neg(arg):
-            return _neg(differentiate(arg, var))
-        case Call(func, arg):
-            du = differentiate(arg, var)
-            if func == "sin":
-                return _mul(Call("cos", arg), du)
-            if func == "cos":
-                return _neg(_mul(Call("sin", arg), du))
-            if func == "arccos":
-                radicand = _sub(Const(1.0), _mul(arg, arg))
-                return _neg(_div(du, Call("sqrt", radicand)))
-            if func == "sqrt":
-                return _div(du, _mul(Const(2.0), Call("sqrt", arg)))
-            raise TypeError(f"unknown function {func!r}")
-        case BinOp(op, left, right):
-            dl = differentiate(left, var)
-            dr = differentiate(right, var)
-            if op == "+":
-                return _add(dl, dr)
-            if op == "-":
-                return _sub(dl, dr)
-            if op == "*":
-                return _add(_mul(dl, right), _mul(left, dr))
-            if op == "/":
-                if dr == Const(0.0):
-                    return _div(dl, right)
-                num = _sub(_mul(dl, right), _mul(left, dr))
-                return _div(num, _pow(right, Const(2.0)))
-            if op == "^":
-                # exponent is variable-free by construction
-                k_minus_1 = _sub(right, Const(1.0))
-                return _mul(_mul(right, _pow(left, k_minus_1)), dl)
-            raise TypeError(f"unknown operator {op!r}")
+    if isinstance(e, BinOp):
+        op, left, right = e.op, e.left, e.right
+        dl = differentiate(left, var)
+        dr = differentiate(right, var)
+        if op == "+":
+            return _add(dl, dr)
+        if op == "-":
+            return _sub(dl, dr)
+        if op == "*":
+            return _add(_mul(dl, right), _mul(left, dr))
+        if op == "/":
+            if dr == Const(0.0):
+                return _div(dl, right)
+            num = _sub(_mul(dl, right), _mul(left, dr))
+            return _div(num, _pow(right, Const(2.0)))
+        if op == "^":
+            # exponent is variable-free by construction
+            k_minus_1 = _sub(right, Const(1.0))
+            return _mul(_mul(right, _pow(left, k_minus_1)), dl)
+        raise TypeError(f"unknown operator {op!r}")
+    if isinstance(e, Call):
+        func, arg = e.func, e.arg
+        du = differentiate(arg, var)
+        if func == "sin":
+            return _mul(Call("cos", arg), du)
+        if func == "cos":
+            return _neg(_mul(Call("sin", arg), du))
+        if func == "arccos":
+            radicand = _sub(Const(1.0), _mul(arg, arg))
+            return _neg(_div(du, Call("sqrt", radicand)))
+        if func == "sqrt":
+            return _div(du, _mul(Const(2.0), Call("sqrt", arg)))
+        raise TypeError(f"unknown function {func!r}")
+    if isinstance(e, Var):
+        return Const(1.0) if e.name == var else Const(0.0)
+    if isinstance(e, Neg):
+        return _neg(differentiate(e.arg, var))
+    if isinstance(e, (Const, PiConst, Param)):
+        return Const(0.0)
     raise TypeError(f"not an expression node: {e!r}")
 
 
@@ -549,20 +548,19 @@ _PREC_ATOM = 5
 
 
 def _prec(e: Expression) -> int:
-    match e:
-        case Const(value):
-            # a -0.0 literal prints as "-0.0", which binds like a negation
-            return _PREC_ATOM if math.copysign(1.0, value) > 0.0 else _PREC_NEG
-        case PiConst() | Var() | Param() | Call():
-            return _PREC_ATOM
-        case Neg():
-            return _PREC_NEG
-        case BinOp(op, _, _):
-            if op in "+-":
-                return _PREC_ADD
-            if op in "*/":
-                return _PREC_MUL
-            return _PREC_POW
+    if isinstance(e, BinOp):
+        if e.op in "+-":
+            return _PREC_ADD
+        if e.op in "*/":
+            return _PREC_MUL
+        return _PREC_POW
+    if isinstance(e, Const):
+        # a -0.0 literal prints as "-0.0", which binds like a negation
+        return _PREC_ATOM if math.copysign(1.0, e.value) > 0.0 else _PREC_NEG
+    if isinstance(e, Neg):
+        return _PREC_NEG
+    if isinstance(e, (PiConst, Var, Param, Call)):
+        return _PREC_ATOM
     raise TypeError(f"not an expression node: {e!r}")
 
 
@@ -574,32 +572,27 @@ def _wrap(e: Expression, minimum: int) -> str:
 def unparse(e: Expression) -> str:
     """Render ``e`` as source text.  ``parse(unparse(e))`` reproduces ``e``
     structurally."""
-    match e:
-        case Const(value):
-            if math.isinf(value):
-                # "inf" is no literal of the grammar; 1e999 parses to inf
-                return "1e999" if value > 0.0 else "-1e999"
-            return repr(value)
-        case PiConst():
-            return "pi"
-        case Var(name):
-            return name
-        case Param(name):
-            return name
-        case Neg(arg):
-            return "-" + _wrap(arg, _PREC_NEG)
-        case Call(func, arg):
-            return f"{func}({unparse(arg)})"
-        case BinOp("+", left, right):
-            return f"{_wrap(left, _PREC_ADD)} + {_wrap(right, _PREC_ADD + 1)}"
-        case BinOp("-", left, right):
-            return f"{_wrap(left, _PREC_ADD)} - {_wrap(right, _PREC_ADD + 1)}"
-        case BinOp("*", left, right):
-            return f"{_wrap(left, _PREC_MUL)}*{_wrap(right, _PREC_MUL + 1)}"
-        case BinOp("/", left, right):
-            return f"{_wrap(left, _PREC_MUL)}/{_wrap(right, _PREC_MUL + 1)}"
-        case BinOp("^", left, right):
+    if isinstance(e, BinOp):
+        op, left, right = e.op, e.left, e.right
+        if op == "+" or op == "-":
+            return f"{_wrap(left, _PREC_ADD)} {op} {_wrap(right, _PREC_ADD + 1)}"
+        if op == "*" or op == "/":
+            return f"{_wrap(left, _PREC_MUL)}{op}{_wrap(right, _PREC_MUL + 1)}"
+        if op == "^":
             return f"{_wrap(left, _PREC_ATOM)}^{_wrap(right, _PREC_NEG)}"
+    elif isinstance(e, Const):
+        if math.isinf(e.value):
+            # "inf" is no literal of the grammar; 1e999 parses to inf
+            return "1e999" if e.value > 0.0 else "-1e999"
+        return repr(e.value)
+    elif isinstance(e, (Var, Param)):
+        return e.name
+    elif isinstance(e, Call):
+        return f"{e.func}({unparse(e.arg)})"
+    elif isinstance(e, Neg):
+        return "-" + _wrap(e.arg, _PREC_NEG)
+    elif isinstance(e, PiConst):
+        return "pi"
     raise TypeError(f"not an expression node: {e!r}")
 
 
@@ -608,16 +601,19 @@ def unparse(e: Expression) -> str:
 
 def free_variables(e: Expression) -> frozenset[str]:
     """Names of all ``Var`` nodes in ``e``."""
-    match e:
-        case Const() | PiConst() | Param():
-            return frozenset()
-        case Var(name):
-            return frozenset((name,))
-        case Neg(arg) | Call(_, arg):
-            return free_variables(arg)
-        case BinOp(_, left, right):
-            return free_variables(left) | free_variables(right)
-    raise TypeError(f"not an expression node: {e!r}")
+    names = set()
+    stack = [e]
+    while stack:  # left operands first, so a non-node is met in tree order
+        e = stack.pop()
+        if isinstance(e, BinOp):
+            stack += (e.right, e.left)
+        elif isinstance(e, (Neg, Call)):
+            stack.append(e.arg)
+        elif isinstance(e, Var):
+            names.add(e.name)
+        elif not isinstance(e, (Const, PiConst, Param)):
+            raise TypeError(f"not an expression node: {e!r}")
+    return frozenset(names)
 
 
 def the_variable(e: Expression) -> str | None:
@@ -734,30 +730,32 @@ class _Compiler:
         return self.locals[name]
 
     def _emit(self, e: Expression) -> str:
-        match e:
-            case Const(value):
-                return self._constant(value)
-            case PiConst():
-                return "pi"
-            case Var(name) | Param(name):
-                return self._lookup(name)
-            case Neg(arg):
-                return self._temp(f"-{self._emit(arg)}")
-            case Call(func, arg) if func in FUNCTIONS:
-                a = self._emit(arg)
-                self._check(func, "_apply", a)
-                return self._temp(f"{func}({a})")
-            case BinOp(op, left, right) if op in ("+", "-", "*", "/"):
-                a, b = self._emit(left), self._emit(right)
+        if isinstance(e, BinOp):
+            op = e.op
+            if op in ("+", "-", "*", "/"):
+                a, b = self._emit(e.left), self._emit(e.right)
                 self._check(op, "_binary", a, b)
                 return self._temp(f"{a} {op} {b}")
-            case BinOp("^", left, right):
-                a, b = self._emit(left), self._emit(right)
+            if op == "^":
+                a, b = self._emit(e.left), self._emit(e.right)
                 self._check("^", "_binary", a, b)
                 t = self._name("t")
                 self.lines += [f"try: {t} = {a} ** {b}",
                                f"except OverflowError: _binary('^', {a}, {b})"]
                 return t
+        elif isinstance(e, Const):
+            return self._constant(e.value)
+        elif isinstance(e, (Var, Param)):
+            return self._lookup(e.name)
+        elif isinstance(e, Call):
+            if e.func in FUNCTIONS:
+                a = self._emit(e.arg)
+                self._check(e.func, "_apply", a)
+                return self._temp(f"{e.func}({a})")
+        elif isinstance(e, Neg):
+            return self._temp(f"-{self._emit(e.arg)}")
+        elif isinstance(e, PiConst):
+            return "pi"
         raise TypeError(f"not an expression node: {e!r}")
 
 
@@ -897,20 +895,24 @@ def _eval_interval(e: Expression, variable: str, params: Bindings,
                    x: tuple[float, float]) -> tuple[float, float]:
     """Bounds on ``e`` for ``variable`` in the interval ``x``: the twin of
     ``_eval``."""
-    match e:
-        case BinOp(op, left, right) if op in ("+", "-", "*", "/", "^"):
-            if op == "^":  # the grammar keeps the variable out of exponents
-                return _pow_interval(*_eval_interval(left, variable, params, x),
-                                     _eval(right, params))
-            return _binary_interval(op, _eval_interval(left, variable, params, x),
-                                    _eval_interval(right, variable, params, x))
-        case Call(func, arg) if func in FUNCTIONS:
-            return _apply_interval(func, _eval_interval(arg, variable, params, x))
-        case Var(name) | Param(name) if name == variable:
+    if isinstance(e, BinOp):
+        op = e.op
+        if op == "^":  # the grammar keeps the variable out of exponents
+            return _pow_interval(*_eval_interval(e.left, variable, params, x),
+                                 _eval(e.right, params))
+        if op in ("+", "-", "*", "/"):
+            return _binary_interval(op, _eval_interval(e.left, variable, params, x),
+                                    _eval_interval(e.right, variable, params, x))
+    elif isinstance(e, Call):
+        if e.func in FUNCTIONS:
+            return _apply_interval(e.func,
+                                   _eval_interval(e.arg, variable, params, x))
+    elif isinstance(e, (Var, Param)):
+        if e.name == variable:
             return x
-        case Neg(arg):
-            low, high = _eval_interval(arg, variable, params, x)
-            return -high, -low
+    elif isinstance(e, Neg):
+        low, high = _eval_interval(e.arg, variable, params, x)
+        return -high, -low
     value = _eval(e, params)  # a constant or a parameter's value
     if -_INF < value < _INF:
         return value, value

@@ -1,6 +1,8 @@
 """Expression language: parsing, evaluation, differentiation, printing."""
 
+import json
 import math
+import pathlib
 import random
 import struct
 
@@ -545,3 +547,73 @@ class TestEnclose:
     def test_constant_curve(self):
         assert enclose(parse("2"), "x")(-1.0, 1.0) == (2.0, 2.0)
         assert enclose(parse("1e999"), "x")(-1.0, 1.0) is None
+
+
+# for every corpus curve: f' and f'' as unparse prints them, and the
+# enclosures of f, f' and f'' on the curve's interval and on its two halves
+# as float.hex, all as computed before the walkers dispatched by isinstance
+EXPR_PINS = json.loads(
+    (pathlib.Path(__file__).parent / "golden" / "expr_pins.json").read_text())
+
+
+class TestWalkerPins:
+    def test_every_corpus_curve_is_pinned(self):
+        assert list(EXPR_PINS) == [c[0] for c in CURVES]
+
+    @pytest.mark.parametrize("name, text, var, params, lo, hi", CURVES,
+                             ids=[c[0] for c in CURVES])
+    def test_derivatives_and_enclosures_keep_their_bits(self, name, text, var,
+                                                        params, lo, hi):
+        pin = EXPR_PINS[name]
+        f = parse(text, variable=var, parameters=tuple(params))
+        d1 = differentiate(f, var)
+        d2 = differentiate(d1, var)
+        assert (unparse(d1), unparse(d2)) == (pin["d1"], pin["d2"])
+        mid = 0.5 * (lo + hi)
+        bounds = [[enclose(e, var, params)(a, b)
+                   for a, b in ((lo, hi), (lo, mid), (mid, hi))]
+                  for e in (f, d1, d2)]
+        assert bounds == [[None if pair is None else tuple(map(float.fromhex, pair))
+                           for pair in row] for row in pin["enclose"]]
+
+
+class _Product(BinOp):
+    pass
+
+
+class _Number(Const):
+    pass
+
+
+class TestNodeSubclasses:
+    # a subclass of a node class walks as its base, as it did when the
+    # walkers matched class patterns
+    SUB = _Product("*", _Number(2.0), BinOp("+", Call("sin", Var("x")),
+                                            _Number(0.5)))
+    BASE = BinOp("*", Const(2.0), BinOp("+", Call("sin", Var("x")), Const(0.5)))
+
+    def test_prints_like_its_base(self):
+        assert unparse(self.SUB) == str(self.SUB) == unparse(self.BASE)
+        assert unparse(Neg(self.SUB)) == unparse(Neg(self.BASE))
+        assert unparse(BinOp("^", Var("x"), _Number(-0.0))) == "x^-0.0"
+
+    def test_evaluates_and_binds_like_its_base(self):
+        for x in (0.0, 0.3, 1.7):
+            expected = evaluate(self.BASE, {"x": x})
+            assert evaluate(self.SUB, {"x": x}) == expected
+            assert bind(self.SUB, "x")(x) == expected
+        assert free_variables(self.SUB) == {"x"}
+        assert the_variable(self.SUB) == "x"
+
+    def test_differentiates_like_its_base(self):
+        for order in range(1, 3):
+            sub, base = self.SUB, self.BASE
+            for _ in range(order):
+                sub, base = differentiate(sub, "x"), differentiate(base, "x")
+            assert unparse(sub) == unparse(base)
+            assert bind(sub, "x")(0.3) == bind(base, "x")(0.3)
+
+    def test_encloses_like_its_base(self):
+        for lo, hi in ((0.0, 1.0), (-2.0, 3.0), (0.25, 0.25)):
+            assert (enclose(self.SUB, "x")(lo, hi)
+                    == enclose(self.BASE, "x")(lo, hi))
