@@ -167,6 +167,19 @@ _WG = (
 )
 
 
+def _check_nodes(center: float, half: float, values: tuple) -> None:
+    """Raise what :func:`_checked` would at the first non-finite value of a
+    Kronrod panel's nodes, in their order, stopping at None: not evaluated."""
+    xs = [center]
+    for x in _XGK[:7]:
+        xs += (center - half * x, center + half * x)
+    for x, value in zip(xs, values):
+        if value is None:
+            return
+        if not math.isfinite(value):
+            raise NonFiniteEvaluationError(x, value)
+
+
 def kronrod_panel(f: Callable[[float], float], a: float, b: float
                   ) -> tuple[float, float]:
     """One 15-point Kronrod panel on [a, b].
@@ -174,29 +187,47 @@ def kronrod_panel(f: Callable[[float], float], a: float, b: float
     Returns ``(value, error_estimate)``.  The error estimate follows the
     QUADPACK model: the Gauss/Kronrod difference is rescaled against the
     panel's variation, which sharply penalizes unresolved structure.
+
+    ``f`` is called once per node, in this order: the center c, then
+    c - h*x_j and c + h*x_j for j = 0..6 (h the half-width, x_j outermost
+    first).  A NaN or infinite value raises ``NonFiniteEvaluationError``
+    for the first such node once every node is evaluated.  If ``f`` raises,
+    no later node is called, and an earlier non-finite value is reported.
     """
     center = 0.5 * (a + b)
     half = 0.5 * (b - a)
-
-    fc = _checked(f, center)
-    resk = _WGK[7] * fc
-    resg = _WG[3] * fc
-    resabs = _WGK[7] * abs(fc)
-    pairs = []
-    for j in range(7):
-        dx = half * _XGK[j]
-        f1 = _checked(f, center - dx)
-        f2 = _checked(f, center + dx)
-        pairs.append((f1, f2))
-        resk += _WGK[j] * (f1 + f2)
-        resabs += _WGK[j] * (abs(f1) + abs(f2))
-        if j % 2 == 1:
-            resg += _WG[j // 2] * (f1 + f2)
-
-    reskh = 0.5 * resk
-    resasc = _WGK[7] * abs(fc - reskh)
-    for j, (f1, f2) in enumerate(pairs):
-        resasc += _WGK[j] * (abs(f1 - reskh) + abs(f2 - reskh))
+    x0, x1, x2, x3, x4, x5, x6, _ = _XGK
+    (k0, k1, k2, k3, k4, k5, k6, k7), (g0, g1, g2, g3) = _WGK, _WG
+    fc = l0 = r0 = l1 = r1 = l2 = r2 = l3 = r3 = l4 = r4 = l5 = r5 = l6 = r6 = None
+    try:
+        fc = f(center)
+        d = half * x0; l0 = f(center - d); r0 = f(center + d)  # noqa: E702
+        d = half * x1; l1 = f(center - d); r1 = f(center + d)  # noqa: E702
+        d = half * x2; l2 = f(center - d); r2 = f(center + d)  # noqa: E702
+        d = half * x3; l3 = f(center - d); r3 = f(center + d)  # noqa: E702
+        d = half * x4; l4 = f(center - d); r4 = f(center + d)  # noqa: E702
+        d = half * x5; l5 = f(center - d); r5 = f(center + d)  # noqa: E702
+        d = half * x6; l6 = f(center - d); r6 = f(center + d)  # noqa: E702
+        # each sum term by term, in the order of a loop over j
+        resk = (k7 * fc + k0 * (l0 + r0) + k1 * (l1 + r1) + k2 * (l2 + r2)
+                + k3 * (l3 + r3) + k4 * (l4 + r4) + k5 * (l5 + r5) + k6 * (l6 + r6))
+        resg = g3 * fc + g0 * (l1 + r1) + g1 * (l3 + r3) + g2 * (l5 + r5)
+        resabs = (k7 * abs(fc) + k0 * (abs(l0) + abs(r0)) + k1 * (abs(l1) + abs(r1))
+                  + k2 * (abs(l2) + abs(r2)) + k3 * (abs(l3) + abs(r3))
+                  + k4 * (abs(l4) + abs(r4)) + k5 * (abs(l5) + abs(r5))
+                  + k6 * (abs(l6) + abs(r6)))
+        m = 0.5 * resk  # QUADPACK's reskh: the mean of f on the panel
+        resasc = (k7 * abs(fc - m) + k0 * (abs(l0 - m) + abs(r0 - m))
+                  + k1 * (abs(l1 - m) + abs(r1 - m)) + k2 * (abs(l2 - m) + abs(r2 - m))
+                  + k3 * (abs(l3 - m) + abs(r3 - m)) + k4 * (abs(l4 - m) + abs(r4 - m))
+                  + k5 * (abs(l5 - m) + abs(r5 - m)) + k6 * (abs(l6 - m) + abs(r6 - m)))
+    except Exception:  # as in a node loop, a bad value before f raised wins
+        _check_nodes(center, half, (fc, l0, r0, l1, r1, l2, r2, l3, r3, l4, r4,
+                                    l5, r5, l6, r6))
+        raise
+    if not math.isfinite(resabs):  # so is some value, or their sum overflowed
+        _check_nodes(center, half, (fc, l0, r0, l1, r1, l2, r2, l3, r3, l4, r4,
+                                    l5, r5, l6, r6))
 
     value = resk * half
     resabs *= abs(half)

@@ -117,6 +117,14 @@ class TestVolume:
         assert code == 1
         assert "lo < hi" in err
 
+    def test_non_finite_shell_integrand_exit_code(self, capsys):
+        # x*f(x) overflows at the first panel node, the center of [0, 10]
+        code, out, err = run_cli(capsys, [
+            "volume", "--curve", "1e308*x*x", "--interval", "0", "10",
+            "--method", "shell", "--json"])
+        assert (code, out) == (3, "")
+        assert err == "error: non-finite evaluation f(5.0) = inf\n"
+
     def test_unconverged_quadrature_exit_code(self, capsys):
         code, out, _ = run_cli(capsys, [
             "volume", "--curve", "sin(100*y)", "--var", "y",

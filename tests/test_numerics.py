@@ -19,6 +19,7 @@ from revolve.numerics import (
     _cc_level,
     _cc_weights,
     _clenshaw_curtis_panel,
+    _XGK,
     find_root_bracketed,
     integrate,
     kronrod_panel,
@@ -108,6 +109,70 @@ class TestKronrodPanel:
         with pytest.raises(NonFiniteEvaluationError) as excinfo:
             kronrod_panel(lambda x: math.nan, 0.0, 1.0)
         assert 0.0 <= excinfo.value.x <= 1.0
+
+
+# the panel's nodes on [0, 10] in evaluation order: the center, then
+# center - half*x_j and center + half*x_j for each abscissa, outermost first
+PANEL_NODES = [5.0] + [x for j in range(7)
+                       for x in (5.0 - 5.0 * _XGK[j], 5.0 + 5.0 * _XGK[j])]
+
+
+def _recording(values):
+    """An integrand returning ``values[k]`` at its k-th call, or raising it
+    when it is an exception, and the list of the abscissae it was called at."""
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        value = values.get(len(calls) - 1, 1.0)
+        if isinstance(value, Exception):
+            raise value
+        return value
+    return f, calls
+
+
+class TestKronrodPanelFailures:
+    # node 4 is node 3's mirror, evaluated on the same line
+    @pytest.mark.parametrize("raises", [5, 4])
+    def test_first_non_finite_node_wins_over_a_later_raise(self, raises):
+        f, calls = _recording({3: math.nan, raises: ZeroDivisionError("late")})
+        with pytest.raises(NonFiniteEvaluationError) as excinfo:
+            kronrod_panel(f, 0.0, 10.0)
+        assert excinfo.value.x == PANEL_NODES[3]
+        assert math.isnan(excinfo.value.value)
+        assert calls == PANEL_NODES[:len(calls)]
+
+    def test_first_non_finite_node_in_order_is_reported(self):
+        f, calls = _recording({9: math.inf, 12: math.nan, 14: -math.inf})
+        with pytest.raises(NonFiniteEvaluationError) as excinfo:
+            kronrod_panel(f, 0.0, 10.0)
+        assert (excinfo.value.x, excinfo.value.value) == (PANEL_NODES[9], math.inf)
+
+    @pytest.mark.parametrize("k", range(15))
+    def test_raise_stops_evaluation_in_node_order(self, k):
+        error = ZeroDivisionError(f"at node {k}")
+        f, calls = _recording({k: error})
+        with pytest.raises(ZeroDivisionError) as excinfo:
+            kronrod_panel(f, 0.0, 10.0)
+        assert excinfo.value is error
+        assert calls == PANEL_NODES[:k + 1]
+
+    def test_every_node_evaluated_once_in_order(self):
+        f, calls = _recording({})
+        kronrod_panel(f, 0.0, 10.0)
+        assert calls == PANEL_NODES
+
+    @pytest.mark.parametrize("f, pinned", [
+        (lambda x: 1e308, ("inf", "inf")),
+        # an odd step about the center: resk stays finite, resabs overflows
+        (lambda x: 1e308 if x >= 5.0 else -1e308,
+         ("0x1.2a4ffe199d1b0p+1023", "inf")),
+    ])
+    def test_finite_values_whose_sums_overflow_do_not_raise(self, f, pinned):
+        # every value is finite, so no node fails; hex bits from before the
+        # panel was written as straight-line code
+        value, err = kronrod_panel(f, 0.0, 10.0)
+        assert (float.hex(value), float.hex(err)) == pinned
 
 
 class TestIntegrate:
