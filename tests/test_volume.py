@@ -39,7 +39,7 @@ from revolve.volume import (
     theorem3_x,
 )
 from corpus import CURVES, compiled
-from golden_diff import CLOSED_FORMS
+from golden_diff import CLOSED_FORMS, DISK_FRAME_FORMS
 
 PI = math.pi
 TWO_PI = 2.0 * math.pi
@@ -753,6 +753,35 @@ class TestErrorCoverage:
             error = abs(report.value - exact)
             if error > report.error_estimate + 1e-15 * abs(exact):
                 misses.append((eps, error, report.error_estimate))
+        assert not misses, misses
+
+    def test_inverse_row_estimate_covers_disk_frame_closed_forms(
+            self, monkeypatch):
+        # disk frame: the boundary-term row runs on the numeric inverse, and
+        # its estimate, which only _pairwise_warnings reads, must count the
+        # inversion's error; without it arccos(x) was 5.3e-13 off against
+        # 1.2e-13, and Kepler about the y-axis at eps = 0.015 7.5e-12 against
+        # 5.8e-12
+        rows = []
+        pairwise = revolve.volume._pairwise_warnings
+        monkeypatch.setattr(revolve.volume, "_pairwise_warnings",
+                            lambda r, tol: rows.append(r) or pairwise(r, tol))
+        arccos = (parse("arccos(x)", variable="x"), Interval(-0.9, 0.9), AXIS_X,
+                  ROLE_Y_OF_X, {}, DISK_FRAME_FORMS["arccos(x)"]({}))
+        kepler = [(KEPLER_EXPR, FULL, AXIS_Y, ROLE_X_OF_Y, {"eps": i / 200.0},
+                   reference_volumes(KeplerCurve(i / 200.0))[0])
+                  for i in range(2, 199)]
+        misses = []
+        for curve, interval, axis, role, params, exact in [arccos, *kepler]:
+            rows.clear()
+            report = solve(VolumeProblem(
+                curve=curve, interval=interval, axis=axis, curve_role=role,
+                method="all", parameters=params))
+            assert report.warnings == ()
+            (name, value, err), = [row for row in rows[0] if row[0] != "disk"]
+            assert name == ("theorem1" if axis == AXIS_Y else "theorem3")
+            if abs(value - exact) > err + 1e-15 * abs(exact):
+                misses.append((params, abs(value - exact), err))
         assert not misses, misses
 
 
