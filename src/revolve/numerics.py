@@ -225,7 +225,7 @@ def kronrod_panel(f: Callable[[float], float], a: float, b: float
         _check_nodes(center, half, (fc, l0, r0, l1, r1, l2, r2, l3, r3, l4, r4,
                                     l5, r5, l6, r6))
         raise
-    if not math.isfinite(resabs):  # so is some value, or their sum overflowed
+    if not math.isfinite(resabs):  # a value is not finite, or the sum overflowed
         _check_nodes(center, half, (fc, l0, r0, l1, r1, l2, r2, l3, r3, l4, r4,
                                     l5, r5, l6, r6))
 

@@ -359,9 +359,9 @@ def _inverse_on_piece(fn: Callable[[float], float],
     carry the signs fn gives.  A root whose residual fn(root) - s is not 0
     is off by about that residual times the bracket's slope |dt/ds|, so its
     square by twice the root times that, and s times it by |s| times that;
-    the list keeps the largest.  The
-    flagship x/pi + sin(x) over [0, 2*pi] makes 93 calls per cross-check,
-    at 3.2 iterations per call (300 in all).
+    the list keeps the largest.  The flagship x/pi + sin(x) over
+    [0, 2*pi] makes 93 calls per cross-check, at 3.2 iterations per call
+    (300 in all).
     """
     (v_lo, t_lo), (v_hi, t_hi) = sorted(zip(ends, (piece.lo, piece.hi)))
     values, roots = [v_lo, v_hi], [t_lo, t_hi]
