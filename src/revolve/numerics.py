@@ -16,8 +16,8 @@ import functools
 import heapq
 import math
 import sys
-from operator import mul
-from typing import Callable, Iterator
+from operator import add, mul
+from typing import Callable, Iterable, Iterator
 
 from ._record import record
 from .errors import RevolveError
@@ -294,6 +294,12 @@ def _cc_weights(level: int) -> tuple[float, ...]:
     return tuple(left + left[-2::-1])
 
 
+def _dot(weights: Iterable[float], values: Iterable[float]) -> float:
+    # left to right: the built-in sum of floats is compensated from Python
+    # 3.12 on, which would make the nested rule's bits depend on the version
+    return functools.reduce(add, map(mul, weights, values), 0.0)
+
+
 def _cc_level(f: Callable[[float], float], center: float, half: float,
               values: list, level: int) -> float:
     """Evaluate f at the nodes ``level`` adds to ``values`` and return the
@@ -307,7 +313,7 @@ def _cc_level(f: Callable[[float], float], center: float, half: float,
     cosine = _cc_cosines()
     for k in range(stride, _CC_CELLS, stride if level == 0 else 2 * stride):
         values[k] = _checked(f, center - half * cosine[k])
-    return sum(map(mul, _cc_weights(level), values[::stride]))
+    return _dot(_cc_weights(level), values[::stride])
 
 
 def _clenshaw_curtis_panel(f: Callable[[float], float], a: float, b: float,
@@ -340,8 +346,8 @@ def _clenshaw_curtis_panel(f: Callable[[float], float], a: float, b: float,
         if level and err <= max(tol.abs_tol, tol.rel_tol * abs(value)):
             break
         previous = value
-    resabs = half * sum(map(mul, _cc_weights(level),
-                            map(abs, values[::_CC_CELLS >> 3 + level])))
+    resabs = half * _dot(_cc_weights(level),
+                         map(abs, values[::_CC_CELLS >> 3 + level]))
     evaluations = (8 << level) - 1 + (f_a is None) + (f_b is None)
     return (value, max(err, 50.0 * _EPS * resabs), evaluations,
             (values[0], values[_CC_CELLS // 2], values[-1]))

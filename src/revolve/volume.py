@@ -22,9 +22,11 @@ derivative, as the monotone analyses do; where a method checks a
 hypothesis it also takes the curve's interval ``Enclosures``.  ``solve``
 and ``cross_validate`` take a :class:`VolumeProblem` and compile its curve
 once.  A hypothesis the enclosures leave unproven adds a
-``hypotheses-unproven`` warning to the report.  The x-axis
-names ``theorem1_x`` and ``disk_volume_x_axis`` are the same functions as
-their y-axis mirrors: only the axis labels differ.
+``hypotheses-unproven`` warning to the report.  Every report, those of
+cross-validation included, is built by ``_method_report``, which also
+compares the cross-check rows.  The x-axis names ``theorem1_x`` and
+``disk_volume_x_axis`` are the same functions as their y-axis mirrors:
+only the axis labels differ.
 
 The boundary-term formulas are evaluated with a single quadrature plus
 boundary terms, never by numerically inverting the curve; the direct disk
@@ -324,18 +326,45 @@ def _unproven_warnings(cells: Sequence[tuple[float, float]]) -> list[str]:
             f"first [{lo!r}, {hi!r}]"]
 
 
+def _pairwise_warnings(rows: list[tuple[str, float, float]],
+                       tol: Tolerances) -> list[str]:
+    warnings = []
+    scale = max(abs(value) for _, value, _ in rows)
+    floor = max(tol.abs_tol, tol.rel_tol * scale)
+    for i in range(len(rows)):
+        for j in range(i + 1, len(rows)):
+            name_i, value_i, err_i = rows[i]
+            name_j, value_j, err_j = rows[j]
+            allowed = max(err_i + err_j, floor)
+            delta = abs(value_i - value_j)
+            if delta > allowed:
+                warnings.append(
+                    f"methods {name_i} and {name_j} disagree: "
+                    f"|delta| = {delta:.3e} > allowed {allowed:.3e}")
+    return warnings
+
+
 def _method_report(method: str, value: float, err: float,
                    *quads: QuadratureResult, sign: int = 1,
                    partition: MonotonePartition | None = None,
-                   unproven: Sequence[tuple[float, float]] = ()) -> VolumeReport:
+                   unproven: Sequence[tuple[float, float]] = (),
+                   notes: Sequence[str] = (),
+                   checks: Sequence[tuple[str, float, float]] = (),
+                   tol: Tolerances | None = None) -> VolumeReport:
+    """The one place a :class:`VolumeReport` is built.
+
+    ``checks`` are cross-validation rows ``(name, value, error_estimate)``;
+    each pair of rows, the primary's included, that disagrees beyond ``tol``
+    adds a warning after those of unconverged ``quads``, ``notes`` and
+    ``unproven`` cells.
+    """
+    warnings = _quad_warnings(*quads) + [*notes] + _unproven_warnings(unproven)
+    if checks:
+        warnings += _pairwise_warnings([(method, value, err), *checks], tol)
     return VolumeReport(
-        value=value,
-        method=method,
-        error_estimate=err,
-        sign_factor=sign,
-        partition=partition,
-        warnings=tuple(_quad_warnings(*quads) + _unproven_warnings(unproven)),
-    )
+        value=value, method=method, error_estimate=err, sign_factor=sign,
+        partition=partition, warnings=tuple(warnings),
+        cross_checks=tuple((name, v, abs(v - value)) for name, v, _ in checks))
 
 
 def _inverse_on_piece(fn: Callable[[float], float],
@@ -583,50 +612,11 @@ def piecewise_signed_sum(fn: Callable[[float], float], enclosures: Enclosures,
 # ---------------------------------------------------------------------------
 # Cross-validation
 
-def _disk_pieces_value(fn: Callable[[float], float],
-                       derivative: Callable[[float], float],
-                       p: MonotonePartition, ends: tuple[float, ...],
-                       tol: Tolerances
-                       ) -> tuple[float, float, list[QuadratureResult]]:
-    """Alternating sum of per-piece disk volumes via numeric inversion.
-
-    This is the fully independent route: a different integrand, taken in
-    the transverse variable, with the curve inverted per node.  ``ends``
-    holds the curve's value at every breakpoint.
-    """
-    return _alternating_sum(
-        _inverse_disk_value(
-            *_inverse_on_piece(fn, derivative, piece, (h_lo, h_hi), tol),
-            min(h_lo, h_hi), max(h_lo, h_hi), tol)
-        for (piece, _), h_lo, h_hi in zip(p.pieces(), ends, ends[1:]))
-
-
-def _pairwise_warnings(rows: list[tuple[str, float, float]],
-                       tol: Tolerances) -> list[str]:
-    warnings = []
-    scale = max(abs(value) for _, value, _ in rows)
-    floor = max(tol.abs_tol, tol.rel_tol * scale)
-    for i in range(len(rows)):
-        for j in range(i + 1, len(rows)):
-            name_i, value_i, err_i = rows[i]
-            name_j, value_j, err_j = rows[j]
-            allowed = max(err_i + err_j, floor)
-            delta = abs(value_i - value_j)
-            if delta > allowed:
-                warnings.append(
-                    f"methods {name_i} and {name_j} disagree: "
-                    f"|delta| = {delta:.3e} > allowed {allowed:.3e}")
-    return warnings
-
-
 def _cross_theorem_frame(problem: VolumeProblem) -> VolumeReport:
     """Cross-validate a problem whose boundary-term formula applies
     directly (y-of-x about the y-axis, or x-of-y about the x-axis)."""
     tol = problem.tol
     interval = problem.interval
-    if interval.lo < 0.0:
-        raise ValueError("the boundary-term formulas require an interval "
-                         "within [0, inf)")
     fn, slope_functions = _compile(problem.curve, problem.parameters)
     derivative, enclosures = slope_functions()
     primary, ends, quad, unproven = _theorem2(
@@ -634,11 +624,8 @@ def _cross_theorem_frame(problem: VolumeProblem) -> VolumeReport:
         "theorem2" if problem.axis == AXIS_Y else "theorem3")
     part = primary.partition
     value, err = primary.value, primary.error_estimate
-    rows: list[tuple[str, float, float]] = [(primary.method, value, err)]
-
-    if part.interior_count == 0:
-        # the formulas coincide on monotone input; record the tier anyway
-        rows.append(("theorem1", value, err))
+    # the formulas coincide on monotone input; record the tier anyway
+    rows = [] if part.interior_count else [("theorem1", value, err)]
 
     # a single piece's quadrature is the primary's own: the same integrand,
     # interval and tolerances give the same bits, so it is not run again
@@ -647,8 +634,13 @@ def _cross_theorem_frame(problem: VolumeProblem) -> VolumeReport:
         else _alternating_sum([(value, err, quad)]))
     rows.append(("piecewise", piecewise_value, piecewise_err))
 
-    disk_value, disk_err, disk_quads = _disk_pieces_value(
-        fn, derivative, part, ends, tol)
+    # the fully independent route: per-piece disk volumes, a different
+    # integrand taken in the transverse variable, the curve inverted per node
+    disk_value, disk_err, disk_quads = _alternating_sum(
+        _inverse_disk_value(
+            *_inverse_on_piece(fn, derivative, piece, (h_lo, h_hi), tol),
+            min(h_lo, h_hi), max(h_lo, h_hi), tol)
+        for (piece, _), h_lo, h_hi in zip(part.pieces(), ends, ends[1:]))
     rows.append(("disk", disk_value, disk_err))
 
     # complement through the bounding cylinders: the region between the
@@ -660,12 +652,9 @@ def _cross_theorem_frame(problem: VolumeProblem) -> VolumeReport:
     rows.append(("shell-complement",
                  _clamp(primary.sign_factor * (boundary - shell_value), err), err))
 
-    warnings = _quad_warnings(quad, *piecewise_quads, *disk_quads) + \
-        _unproven_warnings(unproven) + _pairwise_warnings(rows, tol)
-    cross = tuple((name, v, abs(v - value)) for name, v, _ in rows[1:])
-    return VolumeReport(value=value, method=primary.method, error_estimate=err,
-                        sign_factor=primary.sign_factor, partition=part,
-                        cross_checks=cross, warnings=tuple(warnings))
+    return _method_report(primary.method, value, err, quad, *piecewise_quads,
+                          *disk_quads, sign=primary.sign_factor, partition=part,
+                          unproven=unproven, checks=rows, tol=tol)
 
 
 def _cross_disk_frame(problem: VolumeProblem) -> VolumeReport:
@@ -681,24 +670,18 @@ def _cross_disk_frame(problem: VolumeProblem) -> VolumeReport:
     fn, slope_functions = _compile(problem.curve, problem.parameters)
 
     value, err, quad = _disk_value(fn, interval.lo, interval.hi, tol)
-    rows: list[tuple[str, float, float]] = [("disk", value, err)]
-    quads = [quad]
-    warnings: list[str] = []
-
+    quads, checks, notes, unproven = [quad], [], [], ()
     h_lo, h_hi = fn(interval.lo), fn(interval.hi)
-    mirror_tag = "theorem1" if problem.axis == AXIS_Y else "theorem3"
-
     derivative, enclosures = (None, None) if h_lo == h_hi else slope_functions()
     found = None if derivative is None else critical_points(
         derivative, enclosures, interval, tol)
     if found is None or found.points:
-        warnings.append(
-            "curve is not strictly monotone: no independent formula route")
+        notes = ["curve is not strictly monotone: no independent formula route"]
     else:
         # boundary-term formula on the inverse curve, one inversion per
         # node: its variable spans the curve's values, and its values at
         # the ends of that span are the interval's ends
-        warnings += _unproven_warnings(found.unproven)
+        unproven = found.unproven
         inverse, inversion = _inverse_on_piece(
             fn, derivative, interval, (h_lo, h_hi), tol, parts=True)
         lo, hi = interval.lo, interval.hi
@@ -706,19 +689,12 @@ def _cross_disk_frame(problem: VolumeProblem) -> VolumeReport:
         inv_value, inv_err, inv_quad = _parts_value(inverse, *limits, tol)
         # 2*pi*Int s*g(s) ds is off by up to 2*pi*|span| times s*g's worst
         inv_err += 2.0 * math.pi * abs(h_hi - h_lo) * inversion[0]
-        rows.append((mirror_tag, inv_value, inv_err))
+        checks = [("theorem1" if problem.axis == AXIS_Y else "theorem3",
+                   inv_value, inv_err)]
         quads.append(inv_quad)
-
-    warnings = _quad_warnings(*quads) + warnings + _pairwise_warnings(rows, tol)
-    cross = tuple((name, v, abs(v - value)) for name, v, _ in rows[1:])
-    return VolumeReport(
-        value=value,
-        method="disk",
-        error_estimate=err,
-        sign_factor=_sign(h_lo, h_hi) if h_lo != h_hi else 1,
-        cross_checks=cross,
-        warnings=tuple(warnings),
-    )
+    return _method_report("disk", value, err, *quads,
+                          sign=_sign(h_lo, h_hi) if h_lo != h_hi else 1,
+                          unproven=unproven, notes=notes, checks=checks, tol=tol)
 
 
 def _formula_frame(problem: VolumeProblem) -> bool:

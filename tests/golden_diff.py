@@ -208,14 +208,9 @@ def _describe(argv: list[str], field: str, old: float, new: float) -> str:
     return line
 
 
-def main(argv: list[str]) -> int:
-    if len(argv) != 2:
-        print("usage: python tests/golden_diff.py OLD.json NEW.json",
-              file=sys.stderr)
-        return 2
-    old_runs, new_runs = (
-        json.loads(pathlib.Path(path).read_text(encoding="utf-8"))
-        for path in argv)
+def report(old_runs: list[dict], new_runs: list[dict]) -> int:
+    """Print every moved number and forbidden difference; return the exit
+    status, 1 if any difference is forbidden."""
     moved, problems = compare(old_runs, new_runs)
     for args, field, old, new in moved:
         print(_describe(args, field, old, new))
@@ -226,6 +221,15 @@ def main(argv: list[str]) -> int:
     for problem in problems:
         print(f"FORBIDDEN {problem}")
     return 1 if problems else 0
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 2:
+        print("usage: python tests/golden_diff.py OLD.json NEW.json",
+              file=sys.stderr)
+        return 2
+    return report(*(json.loads(pathlib.Path(path).read_text(encoding="utf-8"))
+                    for path in argv))
 
 
 if __name__ == "__main__":

@@ -117,6 +117,21 @@ class TestVolume:
         assert code == 1
         assert "lo < hi" in err
 
+    @pytest.mark.parametrize("frame", [
+        ["--method", "all"],
+        ["--method", "theorem1"],
+        ["--method", "theorem2"],
+        ["--method", "all", "--axis", "x", "--role", "x-of-y"],
+        ["--method", "theorem3", "--axis", "x", "--role", "x-of-y"],
+    ])
+    def test_negative_interval_has_one_refusal(self, capsys, frame):
+        # every boundary-term route refuses it with the same line
+        code, out, err = run_cli(capsys, [
+            "volume", "--curve", "x", "--interval", "-1", "1", *frame])
+        assert (code, out) == (1, "")
+        assert err == ("error: the boundary-term formula requires an "
+                       "interval within [0, inf)\n")
+
     def test_non_finite_shell_integrand_exit_code(self, capsys):
         # x*f(x) overflows at the first panel node, the center of [0, 10]
         code, out, err = run_cli(capsys, [

@@ -12,6 +12,10 @@ message to the terminal width, so both the test and ``--write`` pin
 Regenerate (only when such a change is intended) with
 
     PYTHONPATH=src python tests/test_golden.py --write
+
+``--check`` re-runs the corpus without pytest, for interpreters that lack
+it, and prints ``golden_diff``'s report against the committed file; it
+exits 1 on any difference, allowed or not.
 """
 
 import contextlib
@@ -23,7 +27,7 @@ import re
 import sys
 
 from corpus import CURVES
-from golden_diff import compare
+from golden_diff import compare, report
 from revolve.cli import ENV_DEFAULT_TOL, main
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden" / "cli_corpus.json"
@@ -175,9 +179,14 @@ def test_golden_diff_allows_only_inverted_disk_numbers(monkeypatch):
 
 
 if __name__ == "__main__":
-    if sys.argv[1:] != ["--write"]:
-        sys.exit("usage: python tests/test_golden.py --write")
+    if sys.argv[1:] not in (["--write"], ["--check"]):
+        sys.exit("usage: python tests/test_golden.py --write|--check")
     os.environ.pop(ENV_DEFAULT_TOL, None)
     os.environ["COLUMNS"] = COLUMNS
+    if sys.argv[1] == "--check":
+        expected = json.loads(GOLDEN.read_text(encoding="utf-8"))
+        actual = record()
+        report(expected, actual)
+        sys.exit(1 if actual != expected else 0)
     GOLDEN.parent.mkdir(exist_ok=True)
     GOLDEN.write_text(json.dumps(record(), indent=1) + "\n", encoding="utf-8")

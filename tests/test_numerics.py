@@ -290,6 +290,21 @@ class TestClenshawCurtis:
         # the end weight of n cells is 1/(n^2 - 1)
         assert _cc_weights(0)[0] == pytest.approx(1.0 / 63.0, rel=1e-15)
 
+    def test_level_sum_is_taken_left_to_right(self):
+        # terms of 1e16 that cancel: a compensated sum (the built-in sum of
+        # floats from Python 3.12 on) keeps the small middle terms that a
+        # left-to-right sum loses, so the bits would depend on the version
+        def f(x):
+            return 1e16 if x < -0.3 else -1e16 if x > 0.3 else 1.0
+
+        values = [None] * 129
+        values[0], values[-1] = f(-1.0), f(1.0)
+        level_sum = _cc_level(f, 0.0, 1.0, values, 0)
+        expected = 0.0
+        for weight, value in zip(_cc_weights(0), values[::16]):
+            expected += weight * value
+        assert level_sum.hex() == expected.hex()
+
     def test_levels_reuse_every_node(self):
         # an integrand that vanishes at both ends is never evaluated there
         seen = []
