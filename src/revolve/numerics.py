@@ -16,7 +16,6 @@ import functools
 import heapq
 import math
 import sys
-from operator import add, mul
 from typing import Callable, Iterable, Iterator
 
 from ._record import record
@@ -297,7 +296,10 @@ def _cc_weights(level: int) -> tuple[float, ...]:
 def _dot(weights: Iterable[float], values: Iterable[float]) -> float:
     # left to right: the built-in sum of floats is compensated from Python
     # 3.12 on, which would make the nested rule's bits depend on the version
-    return functools.reduce(add, map(mul, weights, values), 0.0)
+    total = 0.0
+    for weight, value in zip(weights, values):
+        total += weight * value
+    return total
 
 
 def _cc_level(f: Callable[[float], float], center: float, half: float,
