@@ -537,24 +537,6 @@ def validate_revolution_hypotheses(fn: Callable[[float], float],
     nonnegativity proof stayed undecided are reported as ``unproven``.
     """
     tol = tol or Tolerances()
-    return _validate(fn, enclosures, interval, tol,
-                     lambda: partition(fn, derivative, enclosures, interval, tol))
-
-
-def _validate_with_partition(fn: Callable[[float], float],
-                             enclosures: Enclosures, p: MonotonePartition,
-                             tol: Tolerances | None) -> HypothesisReport:
-    """:func:`validate_revolution_hypotheses` over ``p``'s span, reusing
-    ``p`` instead of building the partition again.  ``p`` must be what
-    ``partition(fn, derivative, enclosures, span, tol)`` returns."""
-    span = Interval(p.breakpoints[0], p.breakpoints[-1])
-    return _validate(fn, enclosures, span, tol or Tolerances(), lambda: p)
-
-
-def _validate(fn: Callable[[float], float], enclosures: Enclosures,
-              interval: Interval, tol: Tolerances,
-              build_partition: Callable[[], MonotonePartition]
-              ) -> HypothesisReport:
     f_a = fn(interval.lo)
     f_b = fn(interval.hi)
     c, d = min(f_a, f_b), max(f_a, f_b)
@@ -565,7 +547,7 @@ def _validate(fn: Callable[[float], float], enclosures: Enclosures,
 
     part: MonotonePartition | None = None
     try:
-        part = build_partition()
+        part = partition(fn, derivative, enclosures, interval, tol)
     except AlternationViolationError as exc:
         violations.append((exc.rule, interval.lo))
 

@@ -71,9 +71,8 @@ from .monotone import (
     HypothesisReport,
     MonotonePartition,
     _floor_certificate,
-    _validate_with_partition,
     critical_points,
-    partition,
+    partition,  # noqa: F401  (the benchmark's tracer patches it here)
     validate_revolution_hypotheses,
 )
 from .numerics import (
@@ -231,6 +230,11 @@ def _clamp(raw: float, err: float) -> float:
     if raw < 0.0 and -raw <= max(err, 1e-12):
         return 0.0
     return raw
+
+
+def _require_nonnegative(interval: Interval, what: str) -> None:
+    if interval.lo < 0.0:
+        raise ValueError(f"{what} requires an interval within [0, inf)")
 
 
 def _sign(h_lo: float, h_hi: float) -> int:
@@ -437,8 +441,7 @@ def shell_volume(fn: Callable[[float], float], enclosures: Enclosures,
     4096-cell grid below it where there is one.
     """
     tol = tol or Tolerances()
-    if interval.lo < 0.0:
-        raise ValueError("shell quadrature requires an interval within [0, inf)")
+    _require_nonnegative(interval, "shell quadrature")
     negative, unproven = _floor_certificate(fn, enclosures, interval)
     if negative is not None:
         raise NegativeCurveError(*negative)
@@ -504,9 +507,7 @@ def theorem1_y(fn: Callable[[float], float],
     function: only the axis labels differ.
     """
     tol = tol or Tolerances()
-    if interval.lo < 0.0:
-        raise ValueError("the boundary-term formula requires an interval "
-                         "within [0, inf)")
+    _require_nonnegative(interval, "the boundary-term formula")
     found = critical_points(derivative, enclosures, interval, tol)
     if found.points:
         raise NotMonotoneError("curve has interior extrema on the interval")
@@ -524,32 +525,39 @@ def theorem1_y(fn: Callable[[float], float],
 theorem1_x = theorem1_y
 
 
-def _theorem2(fn: Callable[[float], float],
-              derivative: Callable[[float], float], enclosures: Enclosures,
-              interval: Interval, tol: Tolerances | None, tag: str
-              ) -> tuple[VolumeReport, tuple[float, ...], QuadratureResult,
-                         tuple[tuple[float, float], ...]]:
-    """The validated boundary-term formula over the whole interval.
+def _validated(fn: Callable[[float], float],
+               derivative: Callable[[float], float], enclosures: Enclosures,
+               interval: Interval, tol: Tolerances
+               ) -> tuple[HypothesisReport, tuple[float, ...]]:
+    """The one validated entry of the Theorem 2 family: ``theorem2``,
+    ``theorem3``, ``piecewise`` and the formula frame of cross-validation.
 
-    Besides the report, returns what cross-validation reuses: the curve's
-    breakpoint values, the quadrature and the cells the validation left
-    unproven.
+    Refuses an interval reaching below 0 and raises
+    ``HypothesisViolationError`` unless the revolution hypotheses hold;
+    returns the validation's report, whose partition is then proven, and
+    the curve's value at each of its breakpoints.
     """
-    tol = tol or Tolerances()
-    if interval.lo < 0.0:
-        raise ValueError("the boundary-term formula requires an interval "
-                         "within [0, inf)")
+    _require_nonnegative(interval, "the boundary-term formula")
     report = validate_revolution_hypotheses(fn, derivative, enclosures,
                                             interval, tol)
     if not report.satisfied:
         raise HypothesisViolationError(report)
     # the extremum values are fn's own results at the interior breakpoints
-    ends = (fn(interval.lo), *report.partition.extremum_values, fn(interval.hi))
-    value, err, quad = _parts_value(fn, interval.lo, interval.hi,
-                                    ends[0], ends[-1], tol)
-    primary = _method_report(tag, value, err, quad, sign=_sign(ends[0], ends[-1]),
-                             partition=report.partition, unproven=report.unproven)
-    return primary, ends, quad, report.unproven
+    return report, (fn(interval.lo), *report.partition.extremum_values,
+                    fn(interval.hi))
+
+
+def _theorem2(fn: Callable[[float], float],
+              derivative: Callable[[float], float], enclosures: Enclosures,
+              interval: Interval, tol: Tolerances | None, tag: str
+              ) -> VolumeReport:
+    """The validated boundary-term formula over the whole interval."""
+    tol = tol or Tolerances()
+    report, ends = _validated(fn, derivative, enclosures, interval, tol)
+    return _method_report(
+        tag, *_parts_value(fn, interval.lo, interval.hi, ends[0], ends[-1], tol),
+        sign=_sign(ends[0], ends[-1]), partition=report.partition,
+        unproven=report.unproven)
 
 
 def theorem2_y(fn: Callable[[float], float],
@@ -563,7 +571,7 @@ def theorem2_y(fn: Callable[[float], float],
     monotone input this degenerates to :func:`theorem1_y` exactly: both
     run the same code path, so the results agree bit for bit.
     """
-    return _theorem2(fn, derivative, enclosures, interval, tol, "theorem2")[0]
+    return _theorem2(fn, derivative, enclosures, interval, tol, "theorem2")
 
 
 def theorem3_x(fn: Callable[[float], float],
@@ -572,7 +580,7 @@ def theorem3_x(fn: Callable[[float], float],
                ) -> VolumeReport:
     """Mirror of :func:`theorem2_y`: piecewise-monotone x = g(y) rotated
     about the x-axis."""
-    return _theorem2(fn, derivative, enclosures, interval, tol, "theorem3")[0]
+    return _theorem2(fn, derivative, enclosures, interval, tol, "theorem3")
 
 
 def _piecewise_value(fn: Callable[[float], float], p: MonotonePartition,
@@ -584,29 +592,24 @@ def _piecewise_value(fn: Callable[[float], float], p: MonotonePartition,
         for (piece, _), h_lo, h_hi in zip(p.pieces(), ends, ends[1:]))
 
 
-def piecewise_signed_sum(fn: Callable[[float], float], enclosures: Enclosures,
-                         p: MonotonePartition, tol: Tolerances | None = None
-                         ) -> VolumeReport:
+def piecewise_signed_sum(fn: Callable[[float], float],
+                         derivative: Callable[[float], float],
+                         enclosures: Enclosures, interval: Interval,
+                         tol: Tolerances | None = None) -> VolumeReport:
     """Alternating sum of per-piece boundary-term volumes.
 
     Piece i contributes (-1)^i times its own (nonnegative) volume; the
     telescoping of the boundary terms makes the total equal the
     single-formula value, which is exactly what cross-validation checks.
-
-    ``p`` must be ``partition``'s result for ``fn`` over its span: the
-    revolution hypotheses are validated against ``p``, not against a fresh
-    partition, and ``enclosures`` prove f >= 0 where ``p`` left a cell
-    unproven.
+    The revolution hypotheses are validated as :func:`theorem2_y` validates
+    them, and the pieces are those of the validation's partition.
     """
     tol = tol or Tolerances()
-    report = _validate_with_partition(fn, enclosures, p, tol)
-    if not report.satisfied:
-        raise HypothesisViolationError(report)
-    ends = tuple(fn(x) for x in p.breakpoints)
-    value, err, quads = _piecewise_value(fn, p, ends, tol)
+    report, ends = _validated(fn, derivative, enclosures, interval, tol)
+    value, err, quads = _piecewise_value(fn, report.partition, ends, tol)
     return _method_report("piecewise", value, err, *quads,
-                          sign=_sign(ends[0], ends[-1]), partition=p,
-                          unproven=report.unproven)
+                          sign=_sign(ends[0], ends[-1]),
+                          partition=report.partition, unproven=report.unproven)
 
 
 # ---------------------------------------------------------------------------
@@ -619,11 +622,11 @@ def _cross_theorem_frame(problem: VolumeProblem) -> VolumeReport:
     interval = problem.interval
     fn, slope_functions = _compile(problem.curve, problem.parameters)
     derivative, enclosures = slope_functions()
-    primary, ends, quad, unproven = _theorem2(
-        fn, derivative, enclosures, interval, tol,
-        "theorem2" if problem.axis == AXIS_Y else "theorem3")
-    part = primary.partition
-    value, err = primary.value, primary.error_estimate
+    report, ends = _validated(fn, derivative, enclosures, interval, tol)
+    part = report.partition
+    value, err, quad = _parts_value(fn, interval.lo, interval.hi,
+                                    ends[0], ends[-1], tol)
+    sign = _sign(ends[0], ends[-1])
     # the formulas coincide on monotone input; record the tier anyway
     rows = [] if part.interior_count else [("theorem1", value, err)]
 
@@ -650,11 +653,12 @@ def _cross_theorem_frame(problem: VolumeProblem) -> VolumeReport:
     shell_value = _clamp(2.0 * math.pi * quad.value, err)
     boundary = math.pi * (interval.hi ** 2 * ends[-1] - interval.lo ** 2 * ends[0])
     rows.append(("shell-complement",
-                 _clamp(primary.sign_factor * (boundary - shell_value), err), err))
+                 _clamp(sign * (boundary - shell_value), err), err))
 
-    return _method_report(primary.method, value, err, quad, *piecewise_quads,
-                          *disk_quads, sign=primary.sign_factor, partition=part,
-                          unproven=unproven, checks=rows, tol=tol)
+    return _method_report("theorem2" if problem.axis == AXIS_Y else "theorem3",
+                          value, err, quad, *piecewise_quads, *disk_quads,
+                          sign=sign, partition=part, unproven=report.unproven,
+                          checks=rows, tol=tol)
 
 
 def _cross_disk_frame(problem: VolumeProblem) -> VolumeReport:
@@ -724,16 +728,15 @@ def cross_validate(problem: VolumeProblem) -> VolumeReport:
 def solve(problem: VolumeProblem) -> VolumeReport:
     """Dispatch a :class:`VolumeProblem` to the requested method.
 
-    Every method/frame check runs before anything is compiled; then f is
-    compiled once, and f' only for the methods that evaluate it.
+    Every method/frame check and interval refusal runs before anything is
+    compiled; then f is compiled once, and f' only for the methods that
+    evaluate it.
     """
     method = problem.method
     axis, role = problem.axis, problem.curve_role
     interval, tol = problem.interval, problem.tol
     formula_frame = _formula_frame(problem)
 
-    if method == "all":
-        return cross_validate(problem)
     if method in ("shell", "piecewise") and not formula_frame:
         raise ValueError(f"{method} needs the curve expressed along the "
                          "perpendicular axis")
@@ -744,7 +747,13 @@ def solve(problem: VolumeProblem) -> VolumeReport:
         raise ValueError("theorem2 applies to y-of-x curves about the y-axis")
     if method == "theorem3" and (axis != AXIS_X or role != ROLE_X_OF_Y):
         raise ValueError("theorem3 applies to x-of-y curves about the x-axis")
+    if method == "shell":
+        _require_nonnegative(interval, "shell quadrature")
+    elif formula_frame and method != "disk":
+        _require_nonnegative(interval, "the boundary-term formula")
 
+    if method == "all":
+        return cross_validate(problem)
     fn, slope_functions = _compile(problem.curve, problem.parameters)
     if method == "disk" and not formula_frame:
         # the curve is the disk radius itself
@@ -757,14 +766,7 @@ def solve(problem: VolumeProblem) -> VolumeReport:
         lo_v, hi_v = fn(interval.lo), fn(interval.hi)
         return disk_volume_y_axis(fn, min(lo_v, hi_v), max(lo_v, hi_v), tol,
                                   interval, derivative, enclosures)
-    if method == "piecewise":
-        # partition first, so a malformed curve reports the partition's
-        # error rather than a hypothesis violation
-        return piecewise_signed_sum(
-            fn, enclosures, partition(fn, derivative, enclosures, interval, tol),
-            tol)
-    if method == "theorem1":
-        return theorem1_y(fn, derivative, enclosures, interval, tol)
-    if method == "theorem2":
-        return theorem2_y(fn, derivative, enclosures, interval, tol)
-    return theorem3_x(fn, derivative, enclosures, interval, tol)
+    # looked up per call: the benchmark's tracer patches these names
+    formula = {"theorem1": theorem1_y, "theorem2": theorem2_y,
+               "theorem3": theorem3_x, "piecewise": piecewise_signed_sum}
+    return formula[method](fn, derivative, enclosures, interval, tol)

@@ -47,8 +47,7 @@ def test_criterion_1_flagship_curve_reproduction():
     start = time.perf_counter()
     fn, derivative, enclosures = compiled(curve)
     formula = theorem2_y(fn, derivative, enclosures, FULL)
-    pieces = piecewise_signed_sum(
-        fn, enclosures, partition(fn, derivative, enclosures, FULL))
+    pieces = piecewise_signed_sum(fn, derivative, enclosures, FULL)
     elapsed = time.perf_counter() - start
 
     formula_rel = abs(formula.value - expected) / expected

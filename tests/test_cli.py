@@ -123,14 +123,25 @@ class TestVolume:
         ["--method", "theorem2"],
         ["--method", "all", "--axis", "x", "--role", "x-of-y"],
         ["--method", "theorem3", "--axis", "x", "--role", "x-of-y"],
+        ["--method", "piecewise"],
+        ["--method", "piecewise", "--axis", "x", "--role", "x-of-y"],
+        ["--method", "shell"],
     ])
-    def test_negative_interval_has_one_refusal(self, capsys, frame):
-        # every boundary-term route refuses it with the same line
+    def test_negative_interval_has_one_refusal(self, capsys, monkeypatch,
+                                               frame):
+        # every boundary-term route refuses it with the same line, shell
+        # quadrature with its own, and before the curve is compiled
+        def compiled(*args, **kwargs):
+            raise AssertionError("the curve was compiled before the refusal")
+
+        monkeypatch.setattr(revolve.volume, "bind", compiled)
+        monkeypatch.setattr(revolve.volume, "differentiate", compiled)
+        what = ("shell quadrature" if "shell" in frame
+                else "the boundary-term formula")
         code, out, err = run_cli(capsys, [
             "volume", "--curve", "x", "--interval", "-1", "1", *frame])
         assert (code, out) == (1, "")
-        assert err == ("error: the boundary-term formula requires an "
-                       "interval within [0, inf)\n")
+        assert err == f"error: {what} requires an interval within [0, inf)\n"
 
     def test_non_finite_shell_integrand_exit_code(self, capsys):
         # x*f(x) overflows at the first panel node, the center of [0, 10]

@@ -11,7 +11,7 @@ import revolve.volume
 from revolve.expr import (BinOp, Const, _code, bind, differentiate, enclose,
                           parse, the_variable)
 from revolve.kepler import KeplerCurve, reference_volumes
-from revolve.monotone import AlternationViolationError, Enclosures, partition
+from revolve.monotone import Enclosures, partition
 from revolve.numerics import (Interval, NoSignChangeError, Tolerances,
                               _newton, integrate)
 from revolve.volume import (
@@ -348,44 +348,43 @@ class TestTheorem3:
 class TestPiecewiseSignedSum:
     def test_ramp_plus_wave_matches_formula(self):
         fn, derivative, enclosures = compiled(RAMP_WAVE)
-        part = partition(fn, derivative, enclosures, FULL)
-        report = piecewise_signed_sum(fn, enclosures, part)
+        report = piecewise_signed_sum(fn, derivative, enclosures, FULL)
         formula = theorem2_y(fn, derivative, enclosures, FULL)
         assert report.value == pytest.approx(formula.value, rel=1e-10)
-        assert report.partition is part
+        assert report.partition == formula.partition
 
     def test_single_piece(self):
-        fn, derivative, enclosures = compiled(LINE)
-        part = partition(fn, derivative, enclosures, Interval(1.0, 2.0))
-        report = piecewise_signed_sum(fn, enclosures, part)
+        report = piecewise_signed_sum(*compiled(LINE), Interval(1.0, 2.0))
         assert report.value == pytest.approx(7.0 * PI / 3.0, rel=1e-12)
 
     def test_decreasing_mirror_branch(self):
-        fn, derivative, enclosures = compiled(MIRROR_WAVE)
-        part = partition(fn, derivative, enclosures, FULL)
-        report = piecewise_signed_sum(fn, enclosures, part)
+        report = piecewise_signed_sum(*compiled(MIRROR_WAVE), FULL)
         assert report.value == pytest.approx(RAMP_WAVE_VOLUME, rel=1e-10)
         assert report.sign_factor == -1
 
     def test_hypotheses_checked(self):
-        fn, derivative, enclosures = compiled(SHIFTED_WAVE)
-        part = partition(fn, derivative, enclosures, Interval(0.0, 1.5 * PI))
         with pytest.raises(HypothesisViolationError):
-            piecewise_signed_sum(fn, enclosures, part)
+            piecewise_signed_sum(*compiled(SHIFTED_WAVE),
+                                 Interval(0.0, 1.5 * PI))
 
-    def test_validates_against_the_given_partition(self, monkeypatch):
-        fn, derivative, enclosures = compiled(RAMP_WAVE)
-        part = partition(fn, derivative, enclosures, FULL)
-        calls = []
+    @pytest.mark.parametrize("method", ["piecewise", "all"])
+    def test_validates_once_with_one_partition(self, monkeypatch, method):
+        validations, partitions = [], []
 
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return partition(*args, **kwargs)
+        def counting(calls, original):
+            def counted(*args, **kwargs):
+                calls.append(args)
+                return original(*args, **kwargs)
+            return counted
 
-        monkeypatch.setattr(revolve.monotone, "partition", counted)
-        monkeypatch.setattr(revolve.volume, "partition", counted)
-        piecewise_signed_sum(fn, enclosures, part)
-        assert len(calls) == 0
+        monkeypatch.setattr(revolve.volume, "validate_revolution_hypotheses",
+                            counting(validations,
+                                     revolve.volume.validate_revolution_hypotheses))
+        for module in (revolve.monotone, revolve.volume):
+            monkeypatch.setattr(module, "partition",
+                                counting(partitions, module.partition))
+        solve(VolumeProblem(curve=RAMP_WAVE, interval=FULL, method=method))
+        assert (len(validations), len(partitions)) == (1, 1)
 
 
 class TestCrossValidate:
@@ -680,12 +679,17 @@ class TestSolveDispatch:
         assert disk_volume_x_axis is disk_volume_y_axis
         assert theorem1_x is theorem1_y
 
-    def test_piecewise_reports_the_partition_error_first(self):
-        # validation would turn this into a HypothesisViolationError
-        flat = VolumeProblem(curve=parse("2 + 0*x", variable="x"),
-                             interval=Interval(0.0, 1.0), method="piecewise")
-        with pytest.raises(AlternationViolationError):
-            solve(flat)
+    def test_piecewise_validates_as_theorem2_does(self):
+        errors = []
+        for method in ("piecewise", "theorem2"):
+            flat = VolumeProblem(curve=parse("2 + 0*x", variable="x"),
+                                 interval=Interval(0.0, 1.0), method=method)
+            with pytest.raises(HypothesisViolationError) as caught:
+                solve(flat)
+            errors.append((str(caught.value), caught.value.report.violations))
+        assert errors[0] == errors[1]
+        assert errors[0][1] == (("endpoints-equal", 0.0),
+                                ("not-strictly-monotone", 0.0))
 
 
 # Kepler x = y - eps*sin(y) over [0, 2*pi] in each (axis, role) frame, with
