@@ -24,9 +24,12 @@ and ``cross_validate`` take a :class:`VolumeProblem` and compile its curve
 once.  A hypothesis the enclosures leave unproven adds a
 ``hypotheses-unproven`` warning to the report.  Every report, those of
 cross-validation included, is built by ``_method_report``, which also
-compares the cross-check rows.  The x-axis names ``theorem1_x`` and
-``disk_volume_x_axis`` are the same functions as their y-axis mirrors:
-only the axis labels differ.
+compares the cross-check rows.  The Theorem 2 family (``theorem2``,
+``theorem3``, ``piecewise`` and the formula frame of cross-validation) is
+validated in one place, ``_validated``, which also refuses an interval
+reaching below 0; ``solve`` runs every such refusal before compiling.
+The x-axis names ``theorem1_x`` and ``disk_volume_x_axis`` are the same
+functions as their y-axis mirrors: only the axis labels differ.
 
 The boundary-term formulas are evaluated with a single quadrature plus
 boundary terms, never by numerically inverting the curve; the direct disk
@@ -529,14 +532,9 @@ def _validated(fn: Callable[[float], float],
                derivative: Callable[[float], float], enclosures: Enclosures,
                interval: Interval, tol: Tolerances
                ) -> tuple[HypothesisReport, tuple[float, ...]]:
-    """The one validated entry of the Theorem 2 family: ``theorem2``,
-    ``theorem3``, ``piecewise`` and the formula frame of cross-validation.
-
-    Refuses an interval reaching below 0 and raises
-    ``HypothesisViolationError`` unless the revolution hypotheses hold;
-    returns the validation's report, whose partition is then proven, and
-    the curve's value at each of its breakpoints.
-    """
+    """Refuse an interval reaching below 0, then validate the revolution
+    hypotheses, raising ``HypothesisViolationError`` if they fail; return
+    the report and the curve's value at each breakpoint."""
     _require_nonnegative(interval, "the boundary-term formula")
     report = validate_revolution_hypotheses(fn, derivative, enclosures,
                                             interval, tol)
