@@ -7,7 +7,10 @@ Four routes are implemented:
                    between the curve and the abscissa axis;
 * ``disk``      -- direct disk quadrature pi*Int g(y)^2 dy, inverting the
                    curve numerically per quadrature node when it is given
-                   the other way around;
+                   the other way around (``disk_volume_y_axis`` takes the
+                   radius itself; the inverted route runs through
+                   ``solve``: the formula-frame ``disk`` method and the
+                   cross-check's disk row share one per-piece function);
 * ``theorem1``  -- the sign-corrected boundary-term formula
                    sgn(f(b)-f(a)) * {pi*[b^2 f(b) - a^2 f(a)] - 2*pi*Int x*f(x) dx}
                    valid for strictly monotone curves (``theorem3`` is its
@@ -24,10 +27,11 @@ and ``cross_validate`` take a :class:`VolumeProblem` and compile its curve
 once.  A hypothesis the enclosures leave unproven adds a
 ``hypotheses-unproven`` warning to the report.  Every report, those of
 cross-validation included, is built by ``_method_report``, which also
-compares the cross-check rows.  The Theorem 2 family (``theorem2``,
-``theorem3``, ``piecewise`` and the formula frame of cross-validation) is
-validated in one place, ``_validated``, which also refuses an interval
-reaching below 0; ``solve`` runs every such refusal before compiling.
+compares each cross-check row with the primary value.  The Theorem 2
+family (``theorem2``, ``theorem3``, ``piecewise`` and the formula frame
+of cross-validation) is validated in one place, ``_validated``, which
+also refuses an interval reaching below 0; ``solve`` runs every such
+refusal before compiling.
 The x-axis names ``theorem1_x`` and ``disk_volume_x_axis`` are the same
 functions as their y-axis mirrors: only the axis labels differ.
 
@@ -269,14 +273,17 @@ def _disk_value(radius: Callable[[float], float], lo: float, hi: float,
     return _clamp(math.pi * quad.value, err), err, quad
 
 
-def _inverse_disk_value(inverse: Callable[[float], float],
-                        inversion: list[float], lo: float, hi: float,
+def _inverse_disk_value(fn: Callable[[float], float],
+                        derivative: Callable[[float], float],
+                        piece: Interval, ends: tuple[float, float],
                         tol: Tolerances
                         ) -> tuple[float, float, QuadratureResult]:
     """``(value, error_estimate, quadrature)`` for pi*Int g(y)^2 dy over
-    [lo, hi], where ``g`` is the numeric inverse of a monotone piece and
-    ``inversion`` the one-item list in which :func:`_inverse_on_piece`
-    keeps the largest first-order error of g^2 at a node.
+    [lo, hi] = [min(ends), max(ends)], the image of a monotone ``piece``
+    whose end values are ``ends``, where ``g`` is the numeric inverse of
+    ``fn`` that :func:`_inverse_on_piece` builds on it.  This is the one
+    disk route on a numeric inverse: the ``disk`` method and the
+    cross-check's disk row both run it.
 
     At an interior extremum g has a square-root end, so the integral is
     taken in u over [0, 1] with y = lo + (hi-lo)*u^2*(3-2u) and
@@ -290,6 +297,8 @@ def _inverse_disk_value(inverse: Callable[[float], float],
     estimate adds the inversion's, pi*(hi-lo) times the largest error of
     g^2, to the quadrature's.
     """
+    inverse, inversion = _inverse_on_piece(fn, derivative, piece, ends, tol)
+    lo, hi = min(ends), max(ends)
     width = hi - lo
 
     def integrand(u: float) -> float:
@@ -333,24 +342,6 @@ def _unproven_warnings(cells: Sequence[tuple[float, float]]) -> list[str]:
             f"first [{lo!r}, {hi!r}]"]
 
 
-def _pairwise_warnings(rows: list[tuple[str, float, float]],
-                       tol: Tolerances) -> list[str]:
-    warnings = []
-    scale = max(abs(value) for _, value, _ in rows)
-    floor = max(tol.abs_tol, tol.rel_tol * scale)
-    for i in range(len(rows)):
-        for j in range(i + 1, len(rows)):
-            name_i, value_i, err_i = rows[i]
-            name_j, value_j, err_j = rows[j]
-            allowed = max(err_i + err_j, floor)
-            delta = abs(value_i - value_j)
-            if delta > allowed:
-                warnings.append(
-                    f"methods {name_i} and {name_j} disagree: "
-                    f"|delta| = {delta:.3e} > allowed {allowed:.3e}")
-    return warnings
-
-
 def _method_report(method: str, value: float, err: float,
                    *quads: QuadratureResult, sign: int = 1,
                    partition: MonotonePartition | None = None,
@@ -361,13 +352,21 @@ def _method_report(method: str, value: float, err: float,
     """The one place a :class:`VolumeReport` is built.
 
     ``checks`` are cross-validation rows ``(name, value, error_estimate)``;
-    each pair of rows, the primary's included, that disagrees beyond ``tol``
-    adds a warning after those of unconverged ``quads``, ``notes`` and
+    each row that disagrees with the primary beyond ``tol`` adds one
+    warning after those of unconverged ``quads``, ``notes`` and
     ``unproven`` cells.
     """
     warnings = _quad_warnings(*quads) + [*notes] + _unproven_warnings(unproven)
     if checks:
-        warnings += _pairwise_warnings([(method, value, err), *checks], tol)
+        scale = max(abs(value), *(abs(v) for _, v, _ in checks))
+        floor = max(tol.abs_tol, tol.rel_tol * scale)
+        for name, v, row_err in checks:
+            allowed = max(err + row_err, floor)
+            delta = abs(value - v)
+            if delta > allowed:
+                warnings.append(
+                    f"methods {method} and {name} disagree: "
+                    f"|delta| = {delta:.3e} > allowed {allowed:.3e}")
     return VolumeReport(
         value=value, method=method, error_estimate=err, sign_factor=sign,
         partition=partition, warnings=tuple(warnings),
@@ -455,40 +454,19 @@ def shell_volume(fn: Callable[[float], float], enclosures: Enclosures,
 
 
 def disk_volume_y_axis(fn: Callable[[float], float], lo: float, hi: float,
-                       tol: Tolerances | None = None,
-                       curve_interval: Interval | None = None,
-                       derivative: Callable[[float], float] | None = None,
-                       enclosures: Enclosures | None = None) -> VolumeReport:
-    """Disk quadrature pi*Int r(t)^2 dt over [lo, hi].
+                       tol: Tolerances | None = None) -> VolumeReport:
+    """Disk quadrature pi*Int r(t)^2 dt over [lo, hi], where ``fn`` is the
+    disk radius itself (x = g(y) about the y-axis).
 
-    Without ``curve_interval``, ``fn`` is the disk radius itself (x = g(y)
-    about the y-axis).  With it, the curve is given the other way around
-    and is inverted numerically: it must be strictly monotone on
-    ``curve_interval``, whose image is [lo, hi], which ``derivative`` and
-    ``enclosures`` prove, and each quadrature node solves fn(t) = s by
-    Newton iteration with ``derivative``, bracketed within the interval by
-    the nearest nodes already solved.
-
-    ``disk_volume_x_axis``, its mirror for y = f(x) about the x-axis, is
-    this same function: only the axis labels differ.
+    A curve given the other way around is inverted numerically by
+    :func:`solve`: its ``disk`` method in a formula frame, and the disk
+    row of :func:`cross_validate`.  ``disk_volume_x_axis``, the mirror for
+    y = f(x) about the x-axis, is this same function: only the axis labels
+    differ.
     """
     if not lo < hi:
         raise ValueError("disk quadrature requires lo < hi")
-    tol = tol or Tolerances()
-    if curve_interval is None:
-        return _method_report("disk", *_disk_value(fn, lo, hi, tol))
-    if derivative is None or enclosures is None:
-        raise ValueError("inverting the curve requires its derivative and "
-                         "enclosures")
-    found = critical_points(derivative, enclosures, curve_interval, tol)
-    if found.points:
-        raise NotInvertibleError("curve is not strictly monotone on its interval")
-    ends = (fn(curve_interval.lo), fn(curve_interval.hi))
-    inverse, inversion = _inverse_on_piece(fn, derivative, curve_interval,
-                                           ends, tol)
-    return _method_report(
-        "disk", *_inverse_disk_value(inverse, inversion, lo, hi, tol),
-        unproven=found.unproven)
+    return _method_report("disk", *_disk_value(fn, lo, hi, tol or Tolerances()))
 
 
 disk_volume_x_axis = disk_volume_y_axis
@@ -638,9 +616,7 @@ def _cross_theorem_frame(problem: VolumeProblem) -> VolumeReport:
     # the fully independent route: per-piece disk volumes, a different
     # integrand taken in the transverse variable, the curve inverted per node
     disk_value, disk_err, disk_quads = _alternating_sum(
-        _inverse_disk_value(
-            *_inverse_on_piece(fn, derivative, piece, (h_lo, h_hi), tol),
-            min(h_lo, h_hi), max(h_lo, h_hi), tol)
+        _inverse_disk_value(fn, derivative, piece, (h_lo, h_hi), tol)
         for (piece, _), h_lo, h_hi in zip(part.pieces(), ends, ends[1:]))
     rows.append(("disk", disk_value, disk_err))
 
@@ -710,8 +686,8 @@ def cross_validate(problem: VolumeProblem) -> VolumeReport:
     The primary value is the one with the fewest quadrature layers (the
     boundary-term formula where it applies directly, otherwise the direct
     disk quadrature); every other method lands in ``cross_checks`` with
-    its absolute deviation, and any pair disagreeing beyond their combined
-    error budget adds a warning instead of raising.
+    its absolute deviation, and each one disagreeing with the primary
+    beyond their combined error budget adds a warning instead of raising.
     """
     if problem.method != "all":
         raise ValueError("cross_validate requires method='all'")
@@ -760,10 +736,17 @@ def solve(problem: VolumeProblem) -> VolumeReport:
     if method == "shell":
         return shell_volume(fn, enclosures, interval, tol)
     if method == "disk":
-        # the radius is the inverse curve, over the curve's value range
-        lo_v, hi_v = fn(interval.lo), fn(interval.hi)
-        return disk_volume_y_axis(fn, min(lo_v, hi_v), max(lo_v, hi_v), tol,
-                                  interval, derivative, enclosures)
+        # the radius is the inverse curve, which only a strictly monotone
+        # curve has
+        ends = (fn(interval.lo), fn(interval.hi))
+        found = None if ends[0] == ends[1] else critical_points(
+            derivative, enclosures, interval, tol)
+        if found is None or found.points:
+            raise NotInvertibleError("curve is not strictly monotone on its "
+                                     "interval")
+        return _method_report(
+            "disk", *_inverse_disk_value(fn, derivative, interval, ends, tol),
+            unproven=found.unproven)
     # looked up per call: the benchmark's tracer patches these names
     formula = {"theorem1": theorem1_y, "theorem2": theorem2_y,
                "theorem3": theorem3_x, "piecewise": piecewise_signed_sum}

@@ -20,9 +20,12 @@ from revolve.monotone import (
 )
 from revolve.numerics import Interval, integrate
 from revolve.volume import (
-    disk_volume_x_axis,
+    AXIS_X,
+    ROLE_X_OF_Y,
+    VolumeProblem,
     disk_volume_y_axis,
     piecewise_signed_sum,
+    solve,
     theorem1_x,
     theorem1_y,
     theorem2_y,
@@ -74,13 +77,14 @@ def test_criterion_3_x_axis_volume_through_numeric_inversion():
     worst = 0.0
     slowest = 0.0
     for eps in (0.1, 0.5, 0.9):
-        fn, derivative, enclosures = compiled(*KeplerCurve(eps).as_expression())
+        curve, params = KeplerCurve(eps).as_expression()
+        fn, derivative, enclosures = compiled(curve, params)
         expected = 8.0 * PI ** 4 / 3.0 - 4.0 * eps * PI ** 2
 
         start = time.perf_counter()
-        inverted = disk_volume_x_axis(fn, 0.0, TWO_PI, curve_interval=FULL,
-                                      derivative=derivative,
-                                      enclosures=enclosures)
+        inverted = solve(VolumeProblem(
+            curve=curve, interval=FULL, curve_role=ROLE_X_OF_Y, axis=AXIS_X,
+            method="disk", parameters=params))
         elapsed = time.perf_counter() - start
         slowest = max(slowest, elapsed)
         formula = theorem1_x(fn, derivative, enclosures, FULL)
@@ -113,19 +117,15 @@ def test_criterion_4_formula_vs_disk_on_random_monotone_cubics():
         if increasing:
             offset = 0.2 - cubic(lo)
             text = f"{offset} + {slope}*x + {bow}*(x - {center})^3"
-            end_a, end_b = 0.2, offset + cubic(hi)
         else:
             offset = 0.2 + cubic(hi)
             text = f"{offset} - {slope}*x - {bow}*(x - {center})^3"
-            end_a, end_b = offset - cubic(lo), 0.2
-        fn, derivative, enclosures = compiled(parse(text, variable="x"))
+        curve = parse(text, variable="x")
 
-        formula = theorem1_y(fn, derivative, enclosures, Interval(lo, hi))
+        formula = theorem1_y(*compiled(curve), Interval(lo, hi))
         signs[formula.sign_factor] += 1
-        c, d = min(end_a, end_b), max(end_a, end_b)
-        disk = disk_volume_y_axis(fn, c, d, curve_interval=Interval(lo, hi),
-                                  derivative=derivative,
-                                  enclosures=enclosures)
+        disk = solve(VolumeProblem(curve=curve, interval=Interval(lo, hi),
+                                   method="disk"))
         worst = max(worst, abs(formula.value - disk.value) / formula.value)
     _report(4, worst <= 1e-8 and signs[1] == 100 and signs[-1] == 100,
             f"200 monotone cubics, worst |formula - disk| rel {worst:.2e}, "

@@ -85,6 +85,18 @@ class TestVolume:
         assert code == 2
         assert "multiple-intersection" in err
 
+    @pytest.mark.parametrize("curve, hi", [("(x-1)^2 + 1", "2"),
+                                           ("2 + 0*x", "1")])
+    @pytest.mark.parametrize("frame", [[], ["--axis", "x", "--role", "x-of-y"]])
+    def test_disk_refuses_a_non_monotone_curve(self, capsys, curve, hi, frame):
+        # equal end values leave no inverse: a hypothesis refusal, not the
+        # usage error the empty value range [2, 2] once gave
+        code, out, err = run_cli(capsys, [
+            "volume", "--curve", curve, "--interval", "0", hi,
+            "--method", "disk", *frame])
+        assert (code, out) == (2, "")
+        assert err == "error: curve is not strictly monotone on its interval\n"
+
     def test_parse_error_exit_code(self, capsys):
         code, _, err = run_cli(capsys, [
             "volume", "--curve", "x + + 2", "--interval", "0", "1"])

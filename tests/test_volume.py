@@ -139,24 +139,14 @@ class TestDiskVolumeYAxis:
         assert report.value == pytest.approx(expected, rel=1e-10)
 
     def test_inverted_line(self):
-        fn, derivative, enclosures = compiled(LINE)
-        report = disk_volume_y_axis(fn, 1.0, 2.0,
-                                    curve_interval=Interval(1.0, 2.0),
-                                    derivative=derivative,
-                                    enclosures=enclosures)
+        # y = x read as the radius x = g(y): solve inverts it numerically
+        report = solve(VolumeProblem(curve=LINE, interval=Interval(1.0, 2.0),
+                                     method="disk"))
         assert report.value == pytest.approx(7.0 * PI / 3.0, rel=1e-10)
 
     def test_non_monotone_curve_not_invertible(self):
         with pytest.raises(NotInvertibleError):
-            fn, derivative, enclosures = compiled(RAMP_WAVE)
-            disk_volume_y_axis(fn, 0.0, 2.0, curve_interval=FULL,
-                               derivative=derivative,
-                               enclosures=enclosures)
-
-    def test_inversion_needs_the_derivative(self):
-        with pytest.raises(ValueError):
-            disk_volume_y_axis(compiled(LINE)[0], 1.0, 2.0,
-                               curve_interval=Interval(1.0, 2.0))
+            solve(VolumeProblem(curve=RAMP_WAVE, interval=FULL, method="disk"))
 
     def test_bounds_must_be_ordered(self):
         with pytest.raises(ValueError):
@@ -170,10 +160,9 @@ class TestDiskVolumeXAxis:
 
     def test_kepler_inverted_profile(self):
         expected = 8.0 * PI ** 4 / 3.0 - 2.0 * PI ** 2
-        report = disk_volume_x_axis(KEPLER_FN, 0.0, TWO_PI,
-                                    curve_interval=FULL,
-                                    derivative=KEPLER_DERIVATIVE,
-                                    enclosures=KEPLER_ENCLOSURES)
+        report = solve(VolumeProblem(
+            curve=KEPLER_EXPR, interval=FULL, curve_role=ROLE_X_OF_Y,
+            axis=AXIS_X, method="disk", parameters=KEPLER_PARAMS))
         assert report.value == pytest.approx(expected, rel=1e-8)
 
 
@@ -250,11 +239,8 @@ class TestTheorem1:
 
     def test_matches_disk_on_the_inverse(self):
         formula = theorem1_y(*compiled(SQUARE), Interval(1.0, 2.0))
-        fn, derivative, enclosures = compiled(SQUARE)
-        disk = disk_volume_y_axis(fn, 1.0, 4.0,
-                                  curve_interval=Interval(1.0, 2.0),
-                                  derivative=derivative,
-                                  enclosures=enclosures)
+        disk = solve(VolumeProblem(curve=SQUARE, interval=Interval(1.0, 2.0),
+                                   method="disk"))
         assert formula.value == pytest.approx(disk.value, rel=1e-9)
 
     def test_non_monotone_rejected(self):
@@ -495,6 +481,25 @@ class TestCrossValidate:
         with pytest.raises(HypothesisViolationError):
             cross_validate(problem)
 
+    @pytest.mark.parametrize("curve, interval", [(SQUARE, Interval(1.0, 2.0)),
+                                                 (RAMP_WAVE, FULL)])
+    def test_one_warning_per_disagreeing_row(self, curve, interval,
+                                             monkeypatch):
+        # a disk row 1e-6 off disagrees with every other row, but only its
+        # comparison with the primary warns (4 and 3 warnings when every
+        # pair of rows was compared)
+        inverse_disk = revolve.volume._inverse_disk_value
+
+        def skewed(*args):
+            value, err, quad = inverse_disk(*args)
+            return value * (1.0 + 1e-6), err, quad
+
+        monkeypatch.setattr(revolve.volume, "_inverse_disk_value", skewed)
+        report = solve(VolumeProblem(curve=curve, interval=interval))
+        assert len(report.warnings) == 1
+        assert report.warnings[0].startswith(
+            "methods theorem2 and disk disagree: |delta| = ")
+
 
 class TestSolveDispatch:
     def test_method_routing(self):
@@ -715,6 +720,38 @@ MONOTONE_CLOSED_FORMS = [
     if text in CLOSED_FORMS and _monotone(text, var, params, lo, hi)]
 
 
+# monotone corpus curves whose interval the cross-check accepts: it refuses
+# one reaching below 0, as every boundary-term method does
+CROSS_CHECKED_MONOTONE = [curve for curve in CURVES
+                          if curve[4] >= 0.0 and _monotone(*curve[1:])]
+
+
+def _formula_frame(text, var, params, lo, hi, method):
+    # the curve read along the axis perpendicular to the rotation axis
+    axis, role = ((AXIS_Y, ROLE_Y_OF_X) if var == "x"
+                  else (AXIS_X, ROLE_X_OF_Y))
+    return VolumeProblem(curve=parse(text, variable=var, parameters=params),
+                         interval=Interval(lo, hi), axis=axis,
+                         curve_role=role, method=method, parameters=params)
+
+
+class TestInverseDiskRoute:
+    def test_cross_checked_monotone_curves_are_found(self):
+        assert len(CROSS_CHECKED_MONOTONE) == 7
+
+    @pytest.mark.parametrize("name, text, var, params, lo, hi",
+                             CROSS_CHECKED_MONOTONE,
+                             ids=[c[0] for c in CROSS_CHECKED_MONOTONE])
+    def test_disk_method_is_the_cross_check_disk_row(self, name, text, var,
+                                                     params, lo, hi):
+        # one per-piece function serves both, so a single piece gives the
+        # same bits
+        disk = solve(_formula_frame(text, var, params, lo, hi, "disk"))
+        rows = {row: value for row, value, _ in solve(
+            _formula_frame(text, var, params, lo, hi, "all")).cross_checks}
+        assert disk.value.hex() == rows["disk"].hex()
+
+
 class TestErrorCoverage:
     def test_monotone_closed_forms_are_found(self):
         assert len(MONOTONE_CLOSED_FORMS) == 8
@@ -724,16 +761,10 @@ class TestErrorCoverage:
                              ids=[c[0] for c in MONOTONE_CLOSED_FORMS])
     def test_disk_error_estimate_covers_corpus_closed_forms(
             self, name, text, var, params, lo, hi):
-        # formula frame: the curve read along the axis perpendicular to the
-        # rotation axis, which the disk route inverts; arccos(x) was 1.4e-13
-        # from its closed form against an estimate of 3.4e-14 before the
-        # estimate counted the inversion's error
-        axis, role = ((AXIS_Y, ROLE_Y_OF_X) if var == "x"
-                      else (AXIS_X, ROLE_X_OF_Y))
-        report = solve(VolumeProblem(
-            curve=parse(text, variable=var, parameters=params),
-            interval=Interval(lo, hi), axis=axis, curve_role=role,
-            method="disk", parameters=params))
+        # formula frame, which the disk route inverts; arccos(x) was
+        # 1.4e-13 from its closed form against an estimate of 3.4e-14 before
+        # the estimate counted the inversion's error
+        report = solve(_formula_frame(text, var, params, lo, hi, "disk"))
         exact = CLOSED_FORMS[text](params)
         assert report.warnings == ()
         assert abs(report.value - exact) <= (report.error_estimate
@@ -762,14 +793,16 @@ class TestErrorCoverage:
     def test_inverse_row_estimate_covers_disk_frame_closed_forms(
             self, monkeypatch):
         # disk frame: the boundary-term row runs on the numeric inverse, and
-        # its estimate, which only _pairwise_warnings reads, must count the
-        # inversion's error; without it arccos(x) was 5.3e-13 off against
-        # 1.2e-13, and Kepler about the y-axis at eps = 0.015 7.5e-12 against
-        # 5.8e-12
+        # its estimate, which only _method_report's comparison reads, must
+        # count the inversion's error; without it arccos(x) was 5.3e-13 off
+        # against 1.2e-13, and Kepler about the y-axis at eps = 0.015
+        # 7.5e-12 against 5.8e-12
         rows = []
-        pairwise = revolve.volume._pairwise_warnings
-        monkeypatch.setattr(revolve.volume, "_pairwise_warnings",
-                            lambda r, tol: rows.append(r) or pairwise(r, tol))
+        method_report = revolve.volume._method_report
+        monkeypatch.setattr(
+            revolve.volume, "_method_report",
+            lambda *args, **kwargs: rows.append(kwargs.get("checks", ()))
+            or method_report(*args, **kwargs))
         arccos = (parse("arccos(x)", variable="x"), Interval(-0.9, 0.9), AXIS_X,
                   ROLE_Y_OF_X, {}, DISK_FRAME_FORMS["arccos(x)"]({}))
         kepler = [(KEPLER_EXPR, FULL, AXIS_Y, ROLE_X_OF_Y, {"eps": i / 200.0},
@@ -782,7 +815,7 @@ class TestErrorCoverage:
                 curve=curve, interval=interval, axis=axis, curve_role=role,
                 method="all", parameters=params))
             assert report.warnings == ()
-            (name, value, err), = [row for row in rows[0] if row[0] != "disk"]
+            (name, value, err), = rows[0]
             assert name == ("theorem1" if axis == AXIS_Y else "theorem3")
             if abs(value - exact) > err + 1e-15 * abs(exact):
                 misses.append((params, abs(value - exact), err))
@@ -810,16 +843,10 @@ class TestProperties:
                 offset = 0.2 + cubic(hi)
                 text = f"{offset} - {slope}*x - {bow}*(x - {center})^3"
             curve = parse(text, variable="x")
-            fn, derivative, enclosures = compiled(curve)
-            formula = theorem1_y(fn, derivative, enclosures, Interval(lo, hi))
+            formula = theorem1_y(*compiled(curve), Interval(lo, hi))
             assert formula.sign_factor == (1 if increasing else -1)
-            end_a = offset + (cubic(lo) if increasing else -cubic(lo))
-            end_b = offset + (cubic(hi) if increasing else -cubic(hi))
-            c, d = min(end_a, end_b), max(end_a, end_b)
-            disk = disk_volume_y_axis(fn, c, d,
-                                      curve_interval=Interval(lo, hi),
-                                      derivative=derivative,
-                                      enclosures=enclosures)
+            disk = solve(VolumeProblem(curve=curve, interval=Interval(lo, hi),
+                                       method="disk"))
             assert abs(formula.value - disk.value) <= 1e-8 * formula.value
 
     def test_scaling_covariance(self):
