@@ -2,8 +2,8 @@
 without the start-up cost of importing ``dataclasses`` and ``inspect``.
 
 ``@record`` takes the class's own annotations, in order, as its fields; a
-class attribute of the same name is a default, and ``factory(make)`` gives
-each instance its own ``make()``.  The class gains ``__init__`` (which ends
+class attribute of the same name is a default, which every instance
+shares, so it must be immutable.  The class gains ``__init__`` (which ends
 by calling ``__post_init__`` if defined), a dataclass-style ``__repr__``,
 ``__eq__`` and ``__hash__`` over the field tuple within one class,
 ``__match_args__``, and a ``__setattr__``/``__delattr__`` that raise
@@ -12,15 +12,6 @@ construction as fast as a dataclass's.
 """
 
 _MISSING = object()
-
-
-class factory:
-    """Field default that calls ``make()`` once per instance."""
-
-    __slots__ = ("make",)
-
-    def __init__(self, make):
-        self.make = make
 
 
 def _values(self) -> tuple:
@@ -54,16 +45,11 @@ def _frozen_delattr(self, name):
 def record(cls):
     """Make ``cls`` a frozen record of its annotated fields."""
     names = tuple(cls.__dict__.get("__annotations__", {}))
-    scope = {"_MISSING": _MISSING, "_set": object.__setattr__}
+    scope = {"_set": object.__setattr__}
     params, body = ["self"], []
     for name in names:
         default = cls.__dict__.get(name, _MISSING)
-        if isinstance(default, factory):
-            scope[f"_f_{name}"] = default.make
-            params.append(f"{name}=_MISSING")
-            body.append(f"  if {name} is _MISSING: {name} = _f_{name}()")
-            delattr(cls, name)
-        elif default is not _MISSING:
+        if default is not _MISSING:
             scope[f"_d_{name}"] = default
             params.append(f"{name}=_d_{name}")
         else:

@@ -732,13 +732,11 @@ class _Compiler:
     def _emit(self, e: Expression) -> str:
         if isinstance(e, BinOp):
             op = e.op
-            if op in ("+", "-", "*", "/"):
+            if op in ("+", "-", "*", "/", "^"):
                 a, b = self._emit(e.left), self._emit(e.right)
                 self._check(op, "_binary", a, b)
-                return self._temp(f"{a} {op} {b}")
-            if op == "^":
-                a, b = self._emit(e.left), self._emit(e.right)
-                self._check("^", "_binary", a, b)
+                if op != "^":
+                    return self._temp(f"{a} {op} {b}")
                 t = self._name("t")
                 self.lines += [f"try: {t} = {a} ** {b}",
                                f"except OverflowError: _binary('^', {a}, {b})"]

@@ -75,13 +75,6 @@ class Interval:
     def width(self) -> float:
         return self.hi - self.lo
 
-    @property
-    def midpoint(self) -> float:
-        return 0.5 * (self.lo + self.hi)
-
-    def __contains__(self, x: float) -> bool:
-        return self.lo <= x <= self.hi
-
 
 @record
 class Tolerances:

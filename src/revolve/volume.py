@@ -67,9 +67,10 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
+from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Sequence
 
-from ._record import factory, record
+from ._record import record
 from .errors import RevolveError
 from .expr import Expression, bind, differentiate, enclose, the_variable
 from .monotone import (
@@ -168,8 +169,8 @@ class VolumeProblem:
     curve_role: str = ROLE_Y_OF_X
     axis: str = AXIS_Y
     method: str = "all"
-    tol: Tolerances = factory(Tolerances)
-    parameters: Mapping[str, float] = factory(dict)
+    tol: Tolerances = Tolerances()
+    parameters: Mapping[str, float] = MappingProxyType({})
 
     def __post_init__(self):
         if self.curve_role not in (ROLE_Y_OF_X, ROLE_X_OF_Y):
@@ -330,18 +331,6 @@ def _alternating_sum(parts: Iterable[tuple[float, float, QuadratureResult]]
     return _clamp(total, err), err, quads
 
 
-def _quad_warnings(*quads: QuadratureResult) -> list[str]:
-    return [WARN_NOT_CONVERGED] if any(not q.converged for q in quads) else []
-
-
-def _unproven_warnings(cells: Sequence[tuple[float, float]]) -> list[str]:
-    if not cells:
-        return []
-    lo, hi = cells[0]
-    return [f"{WARN_UNPROVEN}: {len(cells)} cell(s) undecided, "
-            f"first [{lo!r}, {hi!r}]"]
-
-
 def _method_report(method: str, value: float, err: float,
                    *quads: QuadratureResult, sign: int = 1,
                    partition: MonotonePartition | None = None,
@@ -356,7 +345,12 @@ def _method_report(method: str, value: float, err: float,
     warning after those of unconverged ``quads``, ``notes`` and
     ``unproven`` cells.
     """
-    warnings = _quad_warnings(*quads) + [*notes] + _unproven_warnings(unproven)
+    warnings = [WARN_NOT_CONVERGED] if any(not q.converged for q in quads) else []
+    warnings += notes
+    if unproven:
+        lo, hi = unproven[0]
+        warnings.append(f"{WARN_UNPROVEN}: {len(unproven)} cell(s) undecided, "
+                        f"first [{lo!r}, {hi!r}]")
     if checks:
         scale = max(abs(value), *(abs(v) for _, v, _ in checks))
         floor = max(tol.abs_tol, tol.rel_tol * scale)
@@ -544,8 +538,10 @@ def theorem2_y(fn: Callable[[float], float],
 
     Validates the revolution hypotheses first (violations raise
     ``HypothesisViolationError`` carrying the report).  On strictly
-    monotone input this degenerates to :func:`theorem1_y` exactly: both
-    run the same code path, so the results agree bit for bit.
+    monotone input that passes, the value is :func:`theorem1_y`'s bit for
+    bit, since both sum the same boundary terms.  Only the checks differ:
+    ``theorem1_y`` refuses end values only when they are equal, while the
+    hypotheses also refuse end values within ``tol`` of each other.
     """
     return _theorem2(fn, derivative, enclosures, interval, tol, "theorem2")
 

@@ -97,6 +97,21 @@ class TestVolume:
         assert (code, out) == (2, "")
         assert err == "error: curve is not strictly monotone on its interval\n"
 
+    @pytest.mark.parametrize("argv, code, message", [
+        (["--curve", "2 + 0*x", "--interval", "0", "1", "--method", "theorem1"],
+         2, "endpoint values are equal"),
+        (["--curve", "x", "--interval", "0", "1", "--csv", "P",
+          "--samples", "0"],
+         1, "--samples must be at least 1"),
+        (["--curve", "x", "--interval", "0", "1e999"],
+         1, "interval bound '1e999' is not finite"),
+    ])
+    def test_refusal_prints_one_line(self, capsys, monkeypatch, tmp_path,
+                                     argv, code, message):
+        monkeypatch.chdir(tmp_path)  # where a CSV would land
+        assert run_cli(capsys, ["volume", *argv]) == (
+            code, "", f"error: {message}\n")
+
     def test_parse_error_exit_code(self, capsys):
         code, _, err = run_cli(capsys, [
             "volume", "--curve", "x + + 2", "--interval", "0", "1"])

@@ -50,7 +50,7 @@ RECORDS = [
     (lambda: VolumeProblem(Var("x"), Interval(0.0, 1.0)),
      "VolumeProblem(curve=Var(name='x'), interval=Interval(lo=0.0, hi=1.0), "
      "curve_role='y-of-x', axis='y-axis', method='all', tol="
-     + TOLERANCES_REPR + ", parameters={})"),
+     + TOLERANCES_REPR + ", parameters=mappingproxy({}))"),
     (lambda: VolumeReport(1.5, "theorem2", 1e-12, -1),
      "VolumeReport(value=1.5, method='theorem2', error_estimate=1e-12, "
      "sign_factor=-1, partition=None, cross_checks=(), warnings=())"),
@@ -69,7 +69,7 @@ class TestContract:
         assert a is not b
         assert a == b and not a != b
         if type(a) is VolumeProblem:
-            with pytest.raises(TypeError):  # its parameters are a dict
+            with pytest.raises(TypeError):  # its parameters are a mapping
                 hash(a)
         else:
             assert hash(a) == hash(b)
@@ -122,13 +122,14 @@ class TestConstruction:
         report = VolumeReport(1.0, "disk", 0.0, 1)
         assert report.cross_checks == () and report.warnings == ()
 
-    def test_each_problem_gets_its_own_factory_defaults(self):
-        a = VolumeProblem(Var("x"), Interval(0.0, 1.0))
-        b = VolumeProblem(Var("x"), Interval(0.0, 1.0))
-        assert a.parameters == {} and a.parameters is not b.parameters
-        assert a.tol == Tolerances() and a.tol is not b.tol
+    def test_problem_defaults_are_immutable(self):
+        problem = VolumeProblem(Var("x"), Interval(0.0, 1.0))
+        assert problem.parameters == {} and problem.tol == Tolerances()
+        with pytest.raises(TypeError):
+            problem.parameters["k"] = 1.0
+        given = {"k": 2.0}
         assert VolumeProblem(Var("x"), Interval(0.0, 1.0),
-                             parameters={"k": 2.0}).parameters == {"k": 2.0}
+                             parameters=given).parameters is given
 
     def test_wrong_arguments_raise_type_error(self):
         with pytest.raises(TypeError):

@@ -152,6 +152,11 @@ class TestDiskVolumeYAxis:
         with pytest.raises(ValueError):
             disk_volume_y_axis(compiled(parse("y", variable="y"))[0], 2.0, 1.0)
 
+    def test_bounds_must_differ(self):
+        with pytest.raises(ValueError) as caught:
+            disk_volume_y_axis(compiled(parse("y", variable="y"))[0], 1.0, 1.0)
+        assert str(caught.value) == "disk quadrature requires lo < hi"
+
 
 class TestDiskVolumeXAxis:
     def test_direct_profile(self):
@@ -500,6 +505,15 @@ class TestCrossValidate:
         assert report.warnings[0].startswith(
             "methods theorem2 and disk disagree: |delta| = ")
 
+    @pytest.mark.parametrize("delta, warnings", [(1.5e-6, 0), (2.5e-6, 1)])
+    def test_row_allowance_is_the_sum_of_both_errors(self, delta, warnings):
+        # errors of 1e-6 on each side allow 2e-6, far above the default
+        # relative floor of 1e-10 at this scale
+        report = revolve.volume._method_report(
+            "theorem2", 1.0, 1e-6, checks=[("disk", 1.0 + delta, 1e-6)],
+            tol=Tolerances())
+        assert len(report.warnings) == warnings
+
 
 class TestSolveDispatch:
     def test_method_routing(self):
@@ -683,6 +697,22 @@ class TestSolveDispatch:
     def test_x_axis_names_are_the_y_axis_functions(self):
         assert disk_volume_x_axis is disk_volume_y_axis
         assert theorem1_x is theorem1_y
+
+    def test_theorem1_accepts_end_values_the_hypotheses_call_equal(self):
+        # theorem1 refuses only equal end values; the hypotheses that
+        # theorem2, piecewise and all validate also refuse end values
+        # within tol of each other
+        def problem(method):
+            return VolumeProblem(curve=parse("1 + 1e-11*x", variable="x"),
+                                 interval=Interval(1.0, 2.0), method=method)
+
+        report = solve(problem("theorem1"))
+        assert report.value == 7.330314133469074e-11
+        assert abs(report.value - 7.0 * PI * 1e-11 / 3.0) <= report.error_estimate
+        for method in ("theorem2", "piecewise", "all"):
+            with pytest.raises(HypothesisViolationError) as caught:
+                solve(problem(method))
+            assert caught.value.report.violations == (("endpoints-equal", 1.0),)
 
     def test_piecewise_validates_as_theorem2_does(self):
         errors = []
