@@ -4,7 +4,9 @@
 of ``revolve partition|verify|volume --json`` for each ``corpus.CURVES``
 entry, with ``volume`` run under each axis x role x method; then the same
 invocations without ``--json`` (text mode), ``revolve kepler`` in both
-modes, and the usage-error paths.  A change that moves any recorded byte
+modes, the usage-error paths, and the 1e-3 dip's ``--method all`` in both
+modes, whose disk row is the one route that bisects a nested
+Clenshaw-Curtis panel.  A change that moves any recorded byte
 fails here and must name and justify the change.  argparse wraps its usage
 message to the terminal width, so both the test and ``--write`` pin
 ``COLUMNS``.
@@ -49,6 +51,10 @@ USAGE_ERRORS = [
     ["kepler", "--invert", "1"],
 ]
 
+# the dip's last piece needs more than one 129-point panel
+DIP = ["volume", "--curve", "x + 1 - 0.001/(1 + 100000000*(x - 1.0005)^2)",
+       "--interval", "0", "2", "--method", "all"]
+
 COLUMNS = "80"
 
 
@@ -56,7 +62,8 @@ def invocations() -> list[list[str]]:
     json_runs = corpus_invocations()
     text_runs = [argv[:-1] for argv in json_runs]
     kepler = [argv for run in KEPLER for argv in (run, [*run, "--json"])]
-    return json_runs + text_runs + kepler + USAGE_ERRORS
+    dip = [[*DIP, "--json"], DIP]
+    return json_runs + text_runs + kepler + USAGE_ERRORS + dip
 
 
 def corpus_invocations() -> list[list[str]]:
