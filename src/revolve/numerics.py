@@ -233,12 +233,10 @@ def kronrod_panel(f: Callable[[float], float], a: float, b: float
 
 
 def _kronrod_rule(f: Callable[[float], float], a: float, b: float,
-                  tol: Tolerances, f_a: float | None, f_b: float | None
-                  ) -> tuple[float, float, int, None]:
-    # :func:`kronrod_panel` as a rule for :func:`integrate`: it samples
-    # neither end, so it takes no end values and hands no samples on
+                  tol: Tolerances) -> tuple[float, float, int]:
+    # :func:`kronrod_panel` as a rule for :func:`integrate`
     value, err = kronrod_panel(f, a, b)
-    return value, err, 15, None
+    return value, err, 15
 
 
 # ---------------------------------------------------------------------------
@@ -312,27 +310,21 @@ def _cc_level(f: Callable[[float], float], center: float, half: float,
 
 
 def _clenshaw_curtis_panel(f: Callable[[float], float], a: float, b: float,
-                           tol: Tolerances, f_a: float | None = None,
-                           f_b: float | None = None
-                           ) -> tuple[float, float, int,
-                                      tuple[float, float, float]]:
+                           tol: Tolerances) -> tuple[float, float, int]:
     """One nested Clenshaw-Curtis panel on [a, b], as a rule for
     :func:`integrate`.
 
-    Climbs the levels of 9, 17, 33, 65 and 129 points and stops at the
+    Evaluates f at a and b, then climbs the levels of 9, 17, 33, 65 and
+    129 points, each evaluating only the nodes it adds, and stops at the
     first level whose difference from the level before meets
     ``max(abs_tol, rel_tol * |value|)``; a panel that fails at 129 points
     returns that difference, and :func:`integrate` bisects it.  The
     error estimate is the last difference, at least 50 ulps of the
-    integral of |f|, as for the Gauss-Kronrod panel.  ``f_a`` and ``f_b``
-    are f at the ends where the caller knows them; f is evaluated at an end
-    only where they are ``None``.  Returns ``(value, error_estimate,
-    evaluations, (f(a), f(midpoint), f(b)))``, the midpoint being exactly
-    ``0.5 * (a + b)``.
+    integral of |f|, as for the Gauss-Kronrod panel.  Returns ``(value,
+    error_estimate, evaluations)``.
     """
     values: list = [None] * (_CC_CELLS + 1)
-    values[0] = _checked(f, a) if f_a is None else f_a
-    values[-1] = _checked(f, b) if f_b is None else f_b
+    values[0], values[-1] = _checked(f, a), _checked(f, b)
     center, half = 0.5 * (a + b), 0.5 * (b - a)
     previous = 0.0
     for level in range(_CC_LEVELS):
@@ -343,9 +335,7 @@ def _clenshaw_curtis_panel(f: Callable[[float], float], a: float, b: float,
         previous = value
     resabs = half * _dot(_cc_weights(level),
                          map(abs, values[::_CC_CELLS >> 3 + level]))
-    evaluations = (8 << level) - 1 + (f_a is None) + (f_b is None)
-    return (value, max(err, 50.0 * _EPS * resabs), evaluations,
-            (values[0], values[_CC_CELLS // 2], values[-1]))
+    return value, max(err, 50.0 * _EPS * resabs), (8 << level) + 1
 
 
 _MAX_SPLITS = 4096
@@ -365,15 +355,11 @@ def integrate(f: Callable[[float], float], a: float, b: float,
     above the target.  The whole procedure is sequential and
     deterministic: identical inputs give bit-identical results.
 
-    ``rule(f, lo, hi, tol, f_lo, f_hi)`` integrates one panel and returns
-    ``(value, error_estimate, evaluations, samples)``.  ``f_lo`` and
-    ``f_hi`` are f at the panel's ends where known and ``None`` otherwise;
-    ``samples`` is f at the panel's ends and at its midpoint
-    ``0.5 * (lo + hi)`` if the rule evaluated them, and ``None`` otherwise,
-    and the two halves of a bisected panel get their ends from it, so
-    siblings share their common end.  The default rule is
-    :func:`kronrod_panel`, which samples neither end;
-    ``_clenshaw_curtis_panel`` samples both.
+    ``rule(f, lo, hi, tol)`` integrates one panel and returns ``(value,
+    error_estimate, evaluations)``.  Every panel evaluates f at its own
+    nodes: the halves of a bisected panel are integrated afresh.  The
+    default rule is :func:`kronrod_panel`; ``_clenshaw_curtis_panel`` is
+    the nested one.
     """
     tol = tol or Tolerances()
     rule = rule or _kronrod_rule
@@ -386,11 +372,11 @@ def integrate(f: Callable[[float], float], a: float, b: float,
     if a == b:
         return QuadratureResult(0.0, 0.0, 0, True)
 
-    value0, err0, evals, samples = rule(f, a, b, tol, None, None)
-    # active panels as (neg_err, seq, lo, hi, value, err, depth, samples);
-    # seq breaks ties first-in-first-out so the heap order is deterministic
+    value0, err0, evals = rule(f, a, b, tol)
+    # active panels as (neg_err, seq, lo, hi, value, err, depth); seq
+    # breaks ties first-in-first-out so the heap order is deterministic
     seq = 0
-    active = [(-err0, seq, a, b, value0, err0, 0, samples)]
+    active = [(-err0, seq, a, b, value0, err0, 0)]
     frozen: list[tuple[float, float, float, float]] = []  # lo, hi, value, err
     frozen_err = 0.0
     total_value = value0
@@ -402,27 +388,26 @@ def integrate(f: Callable[[float], float], a: float, b: float,
             break
         if not active or frozen_err > target or splits >= _MAX_SPLITS:
             break
-        _, _, lo, hi, v, e, depth, samples = heapq.heappop(active)
+        _, _, lo, hi, v, e, depth = heapq.heappop(active)
         if depth >= tol.max_depth:
             frozen.append((lo, hi, v, e))
             frozen_err += e
             continue
         mid = 0.5 * (lo + hi)
-        f_lo, f_mid, f_hi = samples or (None, None, None)
-        vl, el, nl, sl = rule(f, lo, mid, tol, f_lo, f_mid)
-        vr, er, nr, sr = rule(f, mid, hi, tol, f_mid, f_hi)
+        vl, el, nl = rule(f, lo, mid, tol)
+        vr, er, nr = rule(f, mid, hi, tol)
         evals += nl + nr
         splits += 1
         total_value += vl + vr - v
         total_err += el + er - e
         seq += 1
-        heapq.heappush(active, (-el, seq, lo, mid, vl, el, depth + 1, sl))
+        heapq.heappush(active, (-el, seq, lo, mid, vl, el, depth + 1))
         seq += 1
-        heapq.heappush(active, (-er, seq, mid, hi, vr, er, depth + 1, sr))
+        heapq.heappush(active, (-er, seq, mid, hi, vr, er, depth + 1))
 
     # re-sum in interval order: cleaner rounding and independent of the
     # heap's processing history
-    panels = frozen + [(lo, hi, v, e) for _, _, lo, hi, v, e, _, _ in active]
+    panels = frozen + [(lo, hi, v, e) for _, _, lo, hi, v, e, _ in active]
     panels.sort(key=lambda p: p[0])
     value = 0.0
     err = 0.0

@@ -49,8 +49,8 @@ only moves the quadrature nodes: each node is still inverted by Newton
 iteration on the curve itself, never through y = f(x) substituted
 analytically, so the disk row still computes a different integrand in the
 transverse variable and stays an independent check.  A nested
-Clenshaw-Curtis rule integrates it in u, so no inverted node is discarded
-when a level or a panel is refined; the formula routes keep Gauss-Kronrod.
+Clenshaw-Curtis rule integrates it in u, so a finer level keeps every node
+already inverted; the formula routes keep Gauss-Kronrod.
 
 Cross-validation also reports ``shell-complement``: the bounding cylinders
 minus the shell volume.  Its shell integral is the formula's own quadrature
@@ -292,11 +292,11 @@ def _inverse_disk_value(fn: Callable[[float], float],
     u = 1/2, y is measured back from ``hi``, so every node stays within
     [lo, hi] and the inversion's bracket keeps its sign change; measured
     from ``lo`` it need not (-3.0 + (0.1 - -3.0) rounds above 0.1).  The
-    nested Clenshaw-Curtis rule integrates it, so a finer level or a
-    bisected panel keeps every node already inverted.  dy/du is 0 at u = 0
-    and u = 1, so the integrand is 0 there without an inversion.  The error
-    estimate adds the inversion's, pi*(hi-lo) times the largest error of
-    g^2, to the quadrature's.
+    nested Clenshaw-Curtis rule integrates it: a finer level keeps every
+    node already inverted, and a bisected panel's halves invert new ones.
+    dy/du is 0 at u = 0 and u = 1, so the integrand is 0 there without an
+    inversion.  The error estimate adds the inversion's, pi*(hi-lo) times
+    the largest error of g^2, to the quadrature's.
     """
     inverse, inversion = _inverse_on_piece(fn, derivative, piece, ends, tol)
     lo, hi = min(ends), max(ends)

@@ -253,6 +253,27 @@ class TestIntegrate:
         r = integrate(f, a, b)
         assert (r.value.hex(), r.error_estimate.hex(), r.evaluations) == pinned
 
+    def test_custom_rule(self):
+        # the two-point midpoint rule, its estimate the difference from the
+        # one-point rule, which on x^2 is three times its error
+        def midpoint(f, lo, hi, tol):
+            mid, h = 0.5 * (lo + hi), hi - lo
+            coarse = h * f(mid)
+            fine = 0.5 * h * (f(0.5 * (lo + mid)) + f(0.5 * (mid + hi)))
+            return fine, abs(fine - coarse), 3
+
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return x * x
+
+        r = integrate(f, 0.0, 1.0, Tolerances(abs_tol=1e-6, rel_tol=1e-6),
+                      midpoint)
+        assert calls[:3] == [0.5, 0.25, 0.75]
+        assert r.converged and r.evaluations == len(calls) > 3
+        assert abs(r.value - 1.0 / 3.0) <= r.error_estimate <= 1e-6
+
 
 def _monomial_level_sum(degree, level):
     """The sum of ``level`` for t^degree on [-1, 1], after the levels
@@ -327,12 +348,11 @@ class TestClenshawCurtis:
             calls.append(x)
             return math.exp(x)
 
-        value, err, evaluations, samples = _clenshaw_curtis_panel(
+        value, err, evaluations = _clenshaw_curtis_panel(
             f, 0.0, 1.0, Tolerances())
         # e^x on [0, 1]: level 1 (17 points) agrees with level 0
         assert evaluations == len(calls) == 17
         assert abs(value - (math.e - 1.0)) <= err
-        assert samples == (1.0, math.exp(0.5), math.e)
 
     def test_bit_identical_on_repeat(self):
         def run():
@@ -358,8 +378,7 @@ class TestClenshawCurtis:
         assert r.converged
         assert r.evaluations > 129  # one panel of 129 points failed
         assert abs(r.value - exact) <= r.error_estimate
-        # bisected panels hand their ends and midpoints on
-        assert r.evaluations == len(seen) == len(set(seen))
+        assert r.evaluations == len(seen)
 
 
 class TestFindRootBracketed:
