@@ -227,11 +227,13 @@ def _curve_inputs(ns: argparse.Namespace
 
 def _write_csv(ns: argparse.Namespace, fn: Callable[[float], float],
                interval: Interval) -> None:
-    """Write the ``--csv`` export of ``fn``, if one was asked for."""
+    """Write the ``--csv`` export of ``fn``, if one was asked for; every
+    row is evaluated before the file is opened, so a failure leaves none."""
     if ns.csv is not None:
+        rows = [f"{x:.15g},{fn(x):.15g}\n"
+                for x in uniform_grid(interval.lo, interval.hi, ns.samples)]
         with open(ns.csv, "w", encoding="utf-8") as handle:
-            for x in uniform_grid(interval.lo, interval.hi, ns.samples):
-                handle.write(f"{x:.15g},{fn(x):.15g}\n")
+            handle.writelines(rows)
 
 
 def _emit(payload: dict, ns: argparse.Namespace, text: str) -> None:

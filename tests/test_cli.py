@@ -218,6 +218,16 @@ class TestCsvExport:
         final_x = path.read_text().strip().split("\n")[-1].split(",")[0]
         assert final_x == f"{2 * PI:.15g}"
 
+    def test_failed_evaluation_leaves_no_file(self, capsys, tmp_path):
+        # the third of five rows divides by zero; the first two were once
+        # written before it failed
+        path = tmp_path / "out.csv"
+        code, out, err = run_cli(capsys, [
+            "volume", "--curve", "1/(x-1.5)", "--interval", "1", "2",
+            "--csv", str(path), "--samples", "4", "--method", "shell"])
+        assert (code, out, err) == (1, "", "error: division by zero\n")
+        assert not path.exists()
+
 
 class TestPartition:
     def test_text_output(self, capsys):
