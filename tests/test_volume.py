@@ -756,6 +756,25 @@ CROSS_CHECKED_MONOTONE = [curve for curve in CURVES
                           if curve[4] >= 0.0 and _monotone(*curve[1:])]
 
 
+# corpus curves with a formula-frame closed form whose interval the formula
+# frame accepts
+FORMULA_FRAME_CLOSED_FORMS = [curve for curve in CURVES
+                              if curve[1] in CLOSED_FORMS and curve[4] >= 0.0]
+
+
+def _record_checks(monkeypatch):
+    """The ``checks`` of each report ``_method_report`` builds from now on:
+    the cross-check rows with their error estimates, which only its
+    comparison reads."""
+    rows = []
+    method_report = revolve.volume._method_report
+    monkeypatch.setattr(
+        revolve.volume, "_method_report",
+        lambda *args, **kwargs: rows.append(kwargs.get("checks", ()))
+        or method_report(*args, **kwargs))
+    return rows
+
+
 def _formula_frame(text, var, params, lo, hi, method):
     # the curve read along the axis perpendicular to the rotation axis
     axis, role = ((AXIS_Y, ROLE_Y_OF_X) if var == "x"
@@ -827,12 +846,7 @@ class TestErrorCoverage:
         # count the inversion's error; without it arccos(x) was 5.3e-13 off
         # against 1.2e-13, and Kepler about the y-axis at eps = 0.015
         # 7.5e-12 against 5.8e-12
-        rows = []
-        method_report = revolve.volume._method_report
-        monkeypatch.setattr(
-            revolve.volume, "_method_report",
-            lambda *args, **kwargs: rows.append(kwargs.get("checks", ()))
-            or method_report(*args, **kwargs))
+        rows = _record_checks(monkeypatch)
         arccos = (parse("arccos(x)", variable="x"), Interval(-0.9, 0.9), AXIS_X,
                   ROLE_Y_OF_X, {}, DISK_FRAME_FORMS["arccos(x)"]({}))
         kepler = [(KEPLER_EXPR, FULL, AXIS_Y, ROLE_X_OF_Y, {"eps": i / 200.0},
@@ -850,6 +864,30 @@ class TestErrorCoverage:
             if abs(value - exact) > err + 1e-15 * abs(exact):
                 misses.append((params, abs(value - exact), err))
         assert not misses, misses
+
+    def test_formula_frame_closed_forms_are_found(self):
+        assert len(FORMULA_FRAME_CLOSED_FORMS) == 10
+        assert sum(not _monotone(*curve[1:])
+                   for curve in FORMULA_FRAME_CLOSED_FORMS) == 3
+
+    @pytest.mark.parametrize("name, text, var, params, lo, hi",
+                             FORMULA_FRAME_CLOSED_FORMS,
+                             ids=[c[0] for c in FORMULA_FRAME_CLOSED_FORMS])
+    def test_every_formula_frame_row_covers_corpus_closed_forms(
+            self, monkeypatch, name, text, var, params, lo, hi):
+        # the primary and each cross-check row, each against its own
+        # estimate; the tightest is x^2's disk row, 4.2e-13 off against
+        # 3.9e-12
+        rows = _record_checks(monkeypatch)
+        report = solve(_formula_frame(text, var, params, lo, hi, "all"))
+        exact = CLOSED_FORMS[text](params)
+        assert report.warnings == ()
+        (checks,) = rows
+        assert ([row for row, _, _ in checks]
+                == [row for row, _, _ in report.cross_checks])
+        for row, value, err in [(report.method, report.value,
+                                 report.error_estimate), *checks]:
+            assert abs(value - exact) <= err + 1e-15 * abs(exact), row
 
 
 class TestProperties:
