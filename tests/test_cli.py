@@ -219,8 +219,7 @@ class TestCsvExport:
         assert final_x == f"{2 * PI:.15g}"
 
     def test_failed_evaluation_leaves_no_file(self, capsys, tmp_path):
-        # the third of five rows divides by zero; the first two were once
-        # written before it failed
+        # the third of five samples, x = 1.5, divides by zero
         path = tmp_path / "out.csv"
         code, out, err = run_cli(capsys, [
             "volume", "--curve", "1/(x-1.5)", "--interval", "1", "2",
