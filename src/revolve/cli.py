@@ -65,8 +65,6 @@ from .volume import (
 
 __all__ = ["main"]
 
-ENV_DEFAULT_TOL = "REVOLVE_DEFAULT_TOL"
-
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_HYPOTHESIS = 2
@@ -117,15 +115,13 @@ def _build_parser() -> _Parser:
                                  "several ways and cross-checked.")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def add_tolerance_options(p):
-        p.add_argument("--abs-tol", type=float, default=None)
-        p.add_argument("--rel-tol", type=float, default=None)
-        p.add_argument("--residual-tol", type=float, default=None)
-        p.add_argument("--max-depth", type=int, default=None)
-        p.add_argument("--max-iter", type=int, default=None)
+    def add_tolerance_options(p, fields):
+        for name in fields:  # typed as the Tolerances field's default
+            p.add_argument("--" + name.replace("_", "-"), default=None,
+                           type=type(getattr(Tolerances(), name)))
         p.add_argument("--json", action="store_true", help="emit JSON")
 
-    def add_curve_options(p, handler, with_method=False):
+    def add_curve_options(p, handler, fields, with_method=False):
         p.set_defaults(handler=handler)
         p.add_argument("--curve", required=True, help="curve expression text")
         p.add_argument("--var", default="x", help="free variable name (default x)")
@@ -143,18 +139,21 @@ def _build_parser() -> _Parser:
                            default=None,
                            help="how to read the curve; inferred from --var "
                                 "when omitted")
-        add_tolerance_options(p)
+        add_tolerance_options(p, fields)
         p.add_argument("--csv", default=None, metavar="PATH",
                        help="export curve samples as CSV")
         p.add_argument("--samples", type=int, default=512,
                        help="CSV sample count (default 512)")
 
     add_curve_options(sub.add_parser("volume", help="compute a volume"),
-                      _run_volume, with_method=True)
+                      _run_volume, Tolerances.__match_args__, with_method=True)
+    # only volume integrates (max_depth); Brent and its root dedup: no rel_tol
     add_curve_options(sub.add_parser(
-        "partition", help="monotone pieces and parity verdict"), _run_partition)
+        "partition", help="monotone pieces and parity verdict"), _run_partition,
+        ("abs_tol", "residual_tol", "max_iter"))
     add_curve_options(sub.add_parser(
-        "verify", help="check the revolution hypotheses"), _run_verify)
+        "verify", help="check the revolution hypotheses"), _run_verify,
+        ("abs_tol", "rel_tol", "residual_tol", "max_iter"))
 
     kp = sub.add_parser("kepler", help="Kepler curve family evaluations")
     kp.set_defaults(handler=_run_kepler)
@@ -163,20 +162,14 @@ def _build_parser() -> _Parser:
                     help="evaluate the forward map at Y")
     kp.add_argument("--invert", type=float, default=None, metavar="X",
                     help="invert the curve at X")
-    add_tolerance_options(kp)
+    add_tolerance_options(kp, ("residual_tol", "max_iter"))  # newton_solve's
     return parser
 
 
 def _tolerances(ns: argparse.Namespace) -> Tolerances:
-    # each tolerance flag's dest is the Tolerances field of the same name
-    given = {name: getattr(ns, name) for name in Tolerances.__match_args__
-             if getattr(ns, name) is not None}
-    env = os.environ.get(ENV_DEFAULT_TOL)
-    if env is not None:
-        try:
-            given.setdefault("rel_tol", float(env))
-        except ValueError:
-            raise _UsageError(f"{ENV_DEFAULT_TOL} is not a number: {env!r}")
+    # each flag's dest is its Tolerances field; subcommands omit unread ones
+    given = {name: value for name in Tolerances.__match_args__
+             if (value := getattr(ns, name, None)) is not None}
     try:
         return Tolerances(**given)
     except ValueError as exc:

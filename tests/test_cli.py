@@ -228,6 +228,46 @@ class TestCsvExport:
         assert not path.exists()
 
 
+# the Tolerances fields, as flags, that each subcommand reads: only volume
+# integrates, Brent and its root deduplication read no rel_tol, and kepler's
+# newton_solve reads residual_tol and max_iter
+TOLERANCE_FLAGS = {
+    "volume": ("--abs-tol", "--rel-tol", "--residual-tol", "--max-depth",
+               "--max-iter"),
+    "verify": ("--abs-tol", "--rel-tol", "--residual-tol", "--max-iter"),
+    "partition": ("--abs-tol", "--residual-tol", "--max-iter"),
+    "kepler": ("--residual-tol", "--max-iter"),
+}
+SUBCOMMAND_ARGS = {
+    "volume": VOLUME_ARGS,
+    "verify": ["verify", "--curve", "x", "--interval", "1", "2"],
+    "partition": ["partition", "--curve", "x", "--interval", "1", "2"],
+    "kepler": ["kepler", "--eps", "0.5", "--invert", "1"],
+}
+
+
+class TestToleranceFlags:
+    @pytest.mark.parametrize("sub, flag", [
+        (sub, flag) for sub, flags in TOLERANCE_FLAGS.items() for flag in flags])
+    def test_offered_flag_reaches_the_tolerances(self, capsys, sub, flag):
+        # 0 is out of range for every field, so Tolerances refuses it
+        field = flag[2:].replace("-", "_")
+        code, out, err = run_cli(capsys, [*SUBCOMMAND_ARGS[sub], flag, "0"])
+        assert (code, out) == (1, "")
+        assert_one_error_line(err)
+        assert err.startswith(f"error: {field} must be")
+
+    @pytest.mark.parametrize("sub, flag", [
+        (sub, flag) for sub, flags in TOLERANCE_FLAGS.items()
+        for flag in TOLERANCE_FLAGS["volume"] if flag not in flags])
+    def test_unread_flag_is_a_usage_error(self, capsys, sub, flag):
+        code, out, err = run_cli(capsys, [*SUBCOMMAND_ARGS[sub], flag, "1e-9"])
+        assert (code, out) == (1, "")
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert errors == [
+            f"revolve: error: unrecognized arguments: {flag} 1e-9"], err
+
+
 class TestPartition:
     def test_text_output(self, capsys):
         code, out, _ = run_cli(capsys, [
@@ -423,25 +463,3 @@ class TestDashValues:
         code, _, err = run_cli(capsys, VOLUME_ARGS + ["--interval", "--bogus"])
         assert code == 1
         assert err.endswith("error: argument --interval: expected 2 arguments\n")
-
-
-class TestEnvironmentDefaultTolerance:
-    ARGS = ["volume", "--curve", "sin(100*y)", "--var", "y",
-            "--interval", "0", "1", "--axis", "y", "--method", "disk",
-            "--max-depth", "1"]
-
-    def test_loose_env_tolerance_converges(self, capsys, monkeypatch):
-        monkeypatch.setenv("REVOLVE_DEFAULT_TOL", "1e6")
-        code, _, _ = run_cli(capsys, self.ARGS)
-        assert code == 0
-
-    def test_explicit_flag_beats_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("REVOLVE_DEFAULT_TOL", "1e6")
-        code, _, _ = run_cli(capsys, self.ARGS + ["--rel-tol", "1e-10"])
-        assert code == 3
-
-    def test_invalid_env_value(self, capsys, monkeypatch):
-        monkeypatch.setenv("REVOLVE_DEFAULT_TOL", "soon")
-        code, _, err = run_cli(capsys, self.ARGS)
-        assert code == 1
-        assert_one_error_line(err)

@@ -30,7 +30,7 @@ import sys
 
 from corpus import CURVES
 from golden_diff import compare, report
-from revolve.cli import ENV_DEFAULT_TOL, main
+from revolve.cli import main
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden" / "cli_corpus.json"
 
@@ -95,7 +95,6 @@ def record() -> list[dict]:
 
 
 def test_cli_corpus_output_is_unchanged(monkeypatch):
-    monkeypatch.delenv(ENV_DEFAULT_TOL, raising=False)
     monkeypatch.setenv("COLUMNS", COLUMNS)
     expected = json.loads(GOLDEN.read_text(encoding="utf-8"))
     actual = record()
@@ -188,7 +187,6 @@ def test_golden_diff_allows_only_inverted_disk_numbers(monkeypatch):
 if __name__ == "__main__":
     if sys.argv[1:] not in (["--write"], ["--check"]):
         sys.exit("usage: python tests/test_golden.py --write|--check")
-    os.environ.pop(ENV_DEFAULT_TOL, None)
     os.environ["COLUMNS"] = COLUMNS
     if sys.argv[1] == "--check":
         expected = json.loads(GOLDEN.read_text(encoding="utf-8"))
