@@ -220,13 +220,19 @@ def _curve_inputs(ns: argparse.Namespace
 
 def _write_csv(ns: argparse.Namespace, fn: Callable[[float], float],
                interval: Interval) -> None:
-    """Write the ``--csv`` export of ``fn``, if one was asked for; every
-    row is evaluated before the file is opened, so a failure leaves none."""
-    if ns.csv is not None:
-        rows = [f"{x:.15g},{fn(x):.15g}\n"
-                for x in uniform_grid(interval.lo, interval.hi, ns.samples)]
-        with open(ns.csv, "w", encoding="utf-8") as handle:
-            handle.writelines(rows)
+    """Stream the ``--csv`` export of ``fn``, if one was asked for, into
+    ``PATH.partial`` and rename it onto PATH; a failure leaves no file."""
+    if ns.csv is None:
+        return
+    partial = ns.csv + ".partial"
+    try:
+        with open(partial, "w", encoding="utf-8") as handle:
+            handle.writelines(f"{x:.15g},{fn(x):.15g}\n" for x in
+                              uniform_grid(interval.lo, interval.hi, ns.samples))
+        os.replace(partial, ns.csv)
+    finally:
+        if os.path.exists(partial):  # a failure left it behind
+            os.remove(partial)
 
 
 def _emit(payload: dict, ns: argparse.Namespace, text: str) -> None:

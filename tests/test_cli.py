@@ -3,6 +3,7 @@
 import argparse
 import json
 import math
+import tracemalloc
 
 import pytest
 
@@ -226,6 +227,35 @@ class TestCsvExport:
             "--csv", str(path), "--samples", "4", "--method", "shell"])
         assert (code, out, err) == (1, "", "error: division by zero\n")
         assert not path.exists()
+
+    def test_failed_export_keeps_an_existing_file(self, capsys, tmp_path):
+        # the rows stream into out.csv.partial, which only a complete
+        # export renames onto out.csv
+        path = tmp_path / "out.csv"
+        path.write_text("kept\n")
+        code, _, _ = run_cli(capsys, [
+            "volume", "--curve", "1/(x-1.5)", "--interval", "1", "2",
+            "--csv", str(path), "--samples", "4", "--method", "shell"])
+        assert code == 1
+        assert path.read_text() == "kept\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+
+    def test_export_streams_its_rows(self, capsys, tmp_path):
+        # building every row before opening the file traced a 15 MB peak
+        path = tmp_path / "samples.csv"
+        tracemalloc.start()
+        try:
+            code, _, _ = run_cli(capsys, [
+                "partition", "--curve", "x", "--interval", "0", "1",
+                "--csv", str(path), "--samples", "200000"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak <= 2_000_000, peak
+        with path.open() as handle:
+            assert sum(1 for _ in handle) == 200_001
+        assert [p.name for p in tmp_path.iterdir()] == ["samples.csv"]
 
 
 # the Tolerances fields, as flags, that each subcommand reads: only volume
