@@ -4,7 +4,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import revolve.monotone
 import revolve.volume
@@ -762,6 +762,19 @@ FORMULA_FRAME_CLOSED_FORMS = [curve for curve in CURVES
                               if curve[1] in CLOSED_FORMS and curve[4] >= 0.0]
 
 
+# corpus curves with a disk-frame closed form; kepler-mid and kepler-high
+# share one
+DISK_FRAME_CLOSED_FORMS = [curve for curve in CURVES
+                           if curve[1] in DISK_FRAME_FORMS]
+
+# the formula frame's single-formula routes on each curve: theorem1 only
+# where the curve is one monotone piece, theorem2 or theorem3 by the frame
+FORMULA_ROUTES = [
+    (curve, method) for curve in FORMULA_FRAME_CLOSED_FORMS
+    for method in (["theorem1"] if _monotone(*curve[1:]) else [])
+    + ["theorem2" if curve[2] == "x" else "theorem3", "piecewise"]]
+
+
 def _record_checks(monkeypatch):
     """The ``checks`` of each report ``_method_report`` builds from now on:
     the cross-check rows with their error estimates, which only its
@@ -775,10 +788,11 @@ def _record_checks(monkeypatch):
     return rows
 
 
-def _formula_frame(text, var, params, lo, hi, method):
-    # the curve read along the axis perpendicular to the rotation axis
-    axis, role = ((AXIS_Y, ROLE_Y_OF_X) if var == "x"
-                  else (AXIS_X, ROLE_X_OF_Y))
+def _formula_frame(text, var, params, lo, hi, method, disk_frame=False):
+    # the curve read along the axis perpendicular to the rotation axis, or,
+    # in the disk frame, along the rotation axis itself
+    role = ROLE_Y_OF_X if var == "x" else ROLE_X_OF_Y
+    axis = AXIS_Y if (var == "x") != disk_frame else AXIS_X
     return VolumeProblem(curve=parse(text, variable=var, parameters=params),
                          interval=Interval(lo, hi), axis=axis,
                          curve_role=role, method=method, parameters=params)
@@ -889,6 +903,37 @@ class TestErrorCoverage:
                                  report.error_estimate), *checks]:
             assert abs(value - exact) <= err + 1e-15 * abs(exact), row
 
+    def test_disk_frame_closed_forms_are_found(self):
+        assert len(DISK_FRAME_CLOSED_FORMS) == 8
+        assert len(FORMULA_ROUTES) == 27
+
+    @pytest.mark.parametrize("method", ["disk", "all"])
+    @pytest.mark.parametrize("name, text, var, params, lo, hi",
+                             DISK_FRAME_CLOSED_FORMS,
+                             ids=[c[0] for c in DISK_FRAME_CLOSED_FORMS])
+    def test_disk_frame_primary_covers_corpus_closed_forms(
+            self, name, text, var, params, lo, hi, method):
+        # the curve is the disk radius, so no inversion is involved
+        report = solve(_formula_frame(text, var, params, lo, hi, method,
+                                      disk_frame=True))
+        exact = DISK_FRAME_FORMS[text](params)
+        assert (report.method, report.warnings) == ("disk", ())
+        assert abs(report.value - exact) <= (report.error_estimate
+                                             + 1e-15 * abs(exact))
+
+    @pytest.mark.parametrize("curve, method", FORMULA_ROUTES,
+                             ids=[f"{c[0]}-{m}" for c, m in FORMULA_ROUTES])
+    def test_single_formula_route_covers_corpus_closed_forms(self, curve,
+                                                             method):
+        # the tightest is piecewise on ramp-plus-wave, 7.1e-14 off against
+        # 1.4e-12
+        name, text, var, params, lo, hi = curve
+        report = solve(_formula_frame(text, var, params, lo, hi, method))
+        exact = CLOSED_FORMS[text](params)
+        assert (report.method, report.warnings) == (method, ())
+        assert abs(report.value - exact) <= (report.error_estimate
+                                             + 1e-15 * abs(exact))
+
 
 class TestProperties:
     def test_formula_matches_disk_on_random_monotone_cubics(self):
@@ -917,12 +962,38 @@ class TestProperties:
                                        method="disk"))
             assert abs(formula.value - disk.value) <= 1e-8 * formula.value
 
-    def test_scaling_covariance(self):
-        base = theorem2_y(*compiled(RAMP_WAVE), FULL).value
-        for factor in (0.5, 2.0):
-            scaled_curve = BinOp("*", Const(factor), RAMP_WAVE)
-            scaled = theorem2_y(*compiled(scaled_curve), FULL).value
-            assert scaled == pytest.approx(factor * base, rel=1e-10)
+    @settings(max_examples=80, derandomize=True, deadline=None)
+    @given(p=st.floats(0.5, 5.0), a=st.floats(-4.0, 4.0),
+           w=st.floats(0.2, 5.0), phi=st.floats(0.0, TWO_PI),
+           c=st.floats(0.5, 3.0), lo=st.floats(0.0, 5.0),
+           width=st.floats(0.5, 12.0), k=st.floats(0.1, 10.0),
+           d=st.floats(-3.0, 3.0))
+    # ramp-plus-wave: p = pi, A = 1, w = 1, phi = 0, c = 0 on [0, 2*pi]
+    @example(p=PI, a=1.0, w=1.0, phi=0.0, c=0.0, lo=0.0, width=TWO_PI,
+             k=0.5, d=1.0)
+    @example(p=PI, a=1.0, w=1.0, phi=0.0, c=0.0, lo=0.0, width=TWO_PI,
+             k=2.0, d=-0.5)
+    def test_scaling_and_shift(self, p, a, w, phi, c, lo, width, k, d):
+        # V(k*f) = k*V(f) and V(f + d) = V(f) on the transmuted-Kepler
+        # family, each within the scaled estimates plus 4e-15*|V|
+        params = {"p": p, "A": a, "w": w, "phi": phi, "c": c}
+        interval = Interval(lo, lo + width)
+
+        def volume(curve):
+            try:
+                return theorem2_y(*compiled(curve, params), interval)
+            except HypothesisViolationError:
+                assume(False)
+
+        base = volume(TRANSMUTED_KEPLER)
+        scaled = volume(BinOp("*", Const(k), TRANSMUTED_KEPLER))
+        shifted = volume(BinOp("+", TRANSMUTED_KEPLER, Const(d)))
+        assert abs(scaled.value - k * base.value) <= (
+            scaled.error_estimate + k * base.error_estimate
+            + 4e-15 * abs(scaled.value))
+        assert abs(shifted.value - base.value) <= (
+            shifted.error_estimate + base.error_estimate
+            + 4e-15 * abs(base.value))
 
     def test_shift_is_not_an_invariance(self):
         base = theorem1_y(*compiled(LINE), Interval(1.0, 2.0)).value
