@@ -139,11 +139,19 @@ class TestVolume:
         assert code == 1
         assert_one_error_line(err)
 
-    def test_bad_interval_exit_code(self, capsys):
+    @pytest.mark.parametrize("bounds", [["2", "1"], ["1", "1"]])
+    def test_bad_interval_exit_code(self, capsys, bounds):
         code, _, err = run_cli(capsys, [
-            "volume", "--curve", "x", "--interval", "2", "1"])
+            "volume", "--curve", "x", "--interval", *bounds])
         assert code == 1
-        assert "lo < hi" in err
+        assert err.startswith("error: interval bounds must satisfy lo < hi")
+
+    @pytest.mark.parametrize("pair", ["foo", "=1"])
+    def test_parameter_binding_needs_a_name_and_an_equals_sign(self, capsys,
+                                                               pair):
+        code, _, err = run_cli(capsys, VOLUME_ARGS + ["--param", pair])
+        assert code == 1
+        assert err == f"error: parameter binding must be NAME=VALUE: {pair!r}\n"
 
     @pytest.mark.parametrize("frame", [
         ["--method", "all"],
@@ -218,6 +226,15 @@ class TestCsvExport:
             "--csv", str(path), "--samples", "4"])
         final_x = path.read_text().strip().split("\n")[-1].split(",")[0]
         assert final_x == f"{2 * PI:.15g}"
+
+    def test_one_sample_is_the_least(self, capsys, tmp_path):
+        path = tmp_path / "samples.csv"
+        argv = ["partition", "--curve", "x", "--interval", "0", "1",
+                "--csv", str(path), "--samples"]
+        assert run_cli(capsys, [*argv, "1"])[0] == 0
+        assert path.read_text() == "0,0\n1,1\n"
+        code, _, err = run_cli(capsys, [*argv, "0"])
+        assert (code, err) == (1, "error: --samples must be at least 1\n")
 
     def test_failed_evaluation_leaves_no_file(self, capsys, tmp_path):
         # the third of five samples, x = 1.5, divides by zero
