@@ -12,7 +12,7 @@ directory and never edits the tree.  For each of ``--sites`` sites,
 sampled with ``--seed``, it writes the copy's module with that one
 operator flipped (through ``ast.unparse``, which drops comments), runs
 ``tests/test_<module>.py`` on the copy, and reports the mutant as killed
-(the tests failed or ran past ``--timeout``) or surviving, by its line in
+(the tests failed or ran past ``TIMEOUT_S``) or surviving, by its line in
 the original source.  It exits 1 if the unmutated copy, unparsed the same
 way, fails its tests.
 
@@ -34,6 +34,7 @@ import time
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 MODULES = ("volume", "numerics", "monotone", "cli")
+TIMEOUT_S = 300  # a flipped loop bound can make a mutant run forever
 
 FLIPS = {
     ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt,
@@ -73,7 +74,7 @@ def mutant(source: str, site: int) -> tuple[str, int, str]:
             f"{type(old).__name__} -> {type(new).__name__}")
 
 
-def run_tests(copy: pathlib.Path, module: str, timeout: float) -> str:
+def run_tests(copy: pathlib.Path, module: str) -> str:
     """``"passed"``, ``"failed"`` or ``"timeout"`` for the module's tests
     on the copy."""
     command = [sys.executable, "-m", "pytest", "-x", "-q",
@@ -81,7 +82,7 @@ def run_tests(copy: pathlib.Path, module: str, timeout: float) -> str:
     env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1",
            "PYTHONPATH": str(copy / "src")}
     try:
-        done = subprocess.run(command, cwd=copy, env=env, timeout=timeout,
+        done = subprocess.run(command, cwd=copy, env=env, timeout=TIMEOUT_S,
                               stdout=subprocess.DEVNULL,
                               stderr=subprocess.DEVNULL)
     except subprocess.TimeoutExpired:
@@ -95,8 +96,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--sites", type=int, default=30,
                         help="mutants to sample (default 30)")
     parser.add_argument("--seed", type=int, default=2026)
-    parser.add_argument("--timeout", type=float, default=300.0,
-                        help="seconds per test run (default 300)")
     ns = parser.parse_args(argv)
 
     with tempfile.TemporaryDirectory(prefix="revolve-mutate-") as tmp:
@@ -116,7 +115,7 @@ def main(argv: list[str] | None = None) -> int:
         start = time.perf_counter()
         target.write_text(ast.unparse(ast.parse(source)) + "\n",
                           encoding="utf-8")
-        if run_tests(copy, ns.module, ns.timeout) != "passed":
+        if run_tests(copy, ns.module) != "passed":
             print(f"tests/test_{ns.module}.py fails on the unparsed, "
                   "unmutated copy")
             return 1
@@ -128,7 +127,7 @@ def main(argv: list[str] | None = None) -> int:
         for site in chosen:
             text, line, flip = mutant(source, site)
             target.write_text(text, encoding="utf-8")
-            outcome = run_tests(copy, ns.module, ns.timeout)
+            outcome = run_tests(copy, ns.module)
             verdict = "survived" if outcome == "passed" else f"killed ({outcome})"
             print(f"  {ns.module}.py:{line:<5} {flip:<16} {verdict}", flush=True)
             if outcome == "passed":
