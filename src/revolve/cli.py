@@ -13,7 +13,9 @@ parser and the handler that reads it.  Every usage error prints one
 first.
 
 Exit codes: 0 success, 1 usage or parse error, 2 hypothesis violation,
-3 numeric non-convergence.
+3 numeric non-convergence.  One table, ``_EXIT_CODES``, decides which error
+exits how: ``main`` prints the error's one line and returns the code of the
+first row whose classes it matches.
 """
 
 from __future__ import annotations
@@ -38,14 +40,7 @@ from .monotone import (
     partition,
     validate_revolution_hypotheses,
 )
-from .numerics import (
-    Interval,
-    MaxIterationsExceededError,
-    NoSignChangeError,
-    NonFiniteEvaluationError,
-    Tolerances,
-    uniform_grid,
-)
+from .numerics import Interval, Tolerances, uniform_grid
 from .volume import (
     AXIS_X,
     AXIS_Y,
@@ -70,23 +65,19 @@ EXIT_USAGE = 1
 EXIT_HYPOTHESIS = 2
 EXIT_NUMERIC = 3
 
-_HYPOTHESIS_ERRORS = (
-    HypothesisViolationError,
-    NotMonotoneError,
-    NotInvertibleError,
-    NegativeCurveError,
-    AlternationViolationError,
-    PreconditionViolatedError,
-)
-_NUMERIC_ERRORS = (
-    MaxIterationsExceededError,
-    NonFiniteEvaluationError,
-    NoSignChangeError,
-)
-
 
 class _UsageError(Exception):
     pass
+
+
+# the first matching row wins, so any other RevolveError (numeric) exits 3
+_EXIT_CODES = (
+    ((_UsageError, ExpressionError, ValueError, OSError), EXIT_USAGE),
+    ((HypothesisViolationError, NotMonotoneError, NotInvertibleError,
+      NegativeCurveError, AlternationViolationError, PreconditionViolatedError),
+     EXIT_HYPOTHESIS),
+    (RevolveError, EXIT_NUMERIC),
+)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -103,10 +94,6 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise _UsageError(message)
-
-
-def _fail(message: str) -> None:
-    print(f"error: {message}", file=sys.stderr)
 
 
 def _build_parser() -> _Parser:
@@ -170,10 +157,7 @@ def _tolerances(ns: argparse.Namespace) -> Tolerances:
     # each flag's dest is its Tolerances field; subcommands omit unread ones
     given = {name: value for name in Tolerances.__match_args__
              if (value := getattr(ns, name, None)) is not None}
-    try:
-        return Tolerances(**given)
-    except ValueError as exc:
-        raise _UsageError(str(exc))
+    return Tolerances(**given)
 
 
 def _parameters(pairs: list[str]) -> dict[str, float]:
@@ -390,10 +374,7 @@ def _run_kepler(ns: argparse.Namespace) -> int:
     for flag, value in (("--forward", ns.forward), ("--invert", ns.invert)):
         if value is not None and not math.isfinite(value):
             raise _UsageError(f"{flag} is not finite: {value!r}")
-    try:
-        curve = kepler_mod.KeplerCurve(ns.eps)
-    except ValueError as exc:
-        raise _UsageError(str(exc))
+    curve = kepler_mod.KeplerCurve(ns.eps)
     v_y, v_x = kepler_mod.reference_volumes(curve)
     payload: dict = {"eccentricity": curve.eccentricity,
                      "forward": None, "inverse": None,
@@ -421,26 +402,16 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE  # the parser has printed its usage and message
     try:
         return ns.handler(ns)
-    except _UsageError as exc:
-        _fail(str(exc))
-        return EXIT_USAGE
-    except HypothesisViolationError as exc:
-        _fail(str(exc))
-        for rule, location in exc.report.violations:
-            print(f"  {rule} at {location:.12g}", file=sys.stderr)
-        return EXIT_HYPOTHESIS
-    except _HYPOTHESIS_ERRORS as exc:
-        _fail(str(exc))
-        return EXIT_HYPOTHESIS
-    except _NUMERIC_ERRORS as exc:
-        _fail(str(exc))
-        return EXIT_NUMERIC
-    except (ExpressionError, ValueError, OSError) as exc:
-        _fail(str(exc))
-        return EXIT_USAGE
-    except RevolveError as exc:
-        _fail(str(exc))
-        return EXIT_NUMERIC
+    except Exception as exc:
+        code = next((code for classes, code in _EXIT_CODES
+                     if isinstance(exc, classes)), None)
+        if code is None:
+            raise  # not an error of the input: keep its traceback
+        print(f"error: {exc}", file=sys.stderr)
+        if isinstance(exc, HypothesisViolationError):
+            for rule, location in exc.report.violations:
+                print(f"  {rule} at {location:.12g}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -7,9 +7,17 @@ import tracemalloc
 
 import pytest
 
+import revolve.cli
 import revolve.volume
 from revolve.cli import main
+from revolve.errors import RevolveError
 from revolve.expr import bind, differentiate, the_variable
+from revolve.monotone import (RULE_NOT_MONOTONE, AlternationViolationError,
+                              HypothesisReport, PreconditionViolatedError)
+from revolve.numerics import (MaxIterationsExceededError, NoSignChangeError,
+                              NonFiniteEvaluationError)
+from revolve.volume import (HypothesisViolationError, NegativeCurveError,
+                            NotInvertibleError, NotMonotoneError)
 
 PI = math.pi
 
@@ -196,6 +204,71 @@ class TestVolume:
         payload = json.loads(out)
         assert any(w.startswith("quadrature-not-converged")
                    for w in payload["warnings"])
+
+
+VIOLATED = HypothesisReport(
+    False, 0.0, 1.0, (("multiple-intersection", 0.5), ("negative-value", 1.25)))
+
+
+# (error raised by solve, exit code, lines after the error line)
+SOLVE_ERRORS = [
+    (HypothesisViolationError(VIOLATED), 2,
+     "  multiple-intersection at 0.5\n  negative-value at 1.25\n"),
+    (NotMonotoneError("endpoint values are equal"), 2, ""),
+    (NotInvertibleError("curve is not strictly monotone"), 2, ""),
+    (NegativeCurveError(0.5, -1.0), 2, ""),
+    (AlternationViolationError("piece [0.0, 1.0] is not strictly monotone",
+                               RULE_NOT_MONOTONE), 2, ""),
+    (PreconditionViolatedError("endpoint values must differ"), 2, ""),
+    (MaxIterationsExceededError("no convergence in 3 iterations"), 3, ""),
+    (NoSignChangeError("bracket [0.0, 1.0] has no sign change"), 3, ""),
+    (NonFiniteEvaluationError(5.0, math.inf), 3, ""),
+    (RevolveError("a numeric failure"), 3, ""),
+]
+
+
+class TestExitCodes:
+    """Each error class ``main`` maps, through its one table: the exit
+    code, no output, and one ``error:`` line, followed by the violations
+    of a ``HypothesisViolationError``."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--curve", "x", "--param", "=1"],
+         "parameter binding must be NAME=VALUE: '=1'"),
+        (["--curve", "x", "--abs-tol", "0"],
+         "abs_tol must be strictly positive and finite"),
+        (["--curve", "x", "--csv", "missing/out.csv"],
+         "[Errno 2] No such file or directory: 'missing/out.csv.partial'"),
+        (["--curve", "x +"], "unexpected end of input at offset 3"),
+    ], ids=["_UsageError", "ValueError", "OSError", "ExpressionError"])
+    def test_input_error_exits_1(self, capsys, monkeypatch, tmp_path, argv,
+                                 message):
+        monkeypatch.chdir(tmp_path)  # with no directory "missing"
+        code, out, err = run_cli(capsys, ["volume", *argv, "--interval", "0", "1"])
+        assert (code, out) == (1, "")
+        assert_one_error_line(err)
+        assert err.startswith(f"error: {message}")
+
+    @pytest.mark.parametrize("error, code, violations", SOLVE_ERRORS,
+                             ids=[type(row[0]).__name__ for row in SOLVE_ERRORS])
+    def test_solve_error_exit_code(self, capsys, monkeypatch, error, code,
+                                   violations):
+        def failing(problem):
+            raise error
+
+        monkeypatch.setattr(revolve.cli, "solve", failing)
+        assert run_cli(capsys, ["volume", "--curve", "x", "--interval", "0", "1"]
+                       ) == (code, "", f"error: {error}\n{violations}")
+
+    def test_other_errors_propagate(self, capsys, monkeypatch):
+        # a TypeError is a fault of the program, not of its input
+        def failing(problem):
+            raise TypeError("a fault")
+
+        monkeypatch.setattr(revolve.cli, "solve", failing)
+        with pytest.raises(TypeError, match="a fault"):
+            main(["volume", "--curve", "x", "--interval", "0", "1"])
+        assert capsys.readouterr() == ("", "")
 
 
 class TestCsvExport:
