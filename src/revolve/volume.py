@@ -728,14 +728,13 @@ def solve(problem: VolumeProblem) -> VolumeReport:
     if method == "disk" and not formula_frame:
         # the curve is the disk radius itself
         return disk_volume_y_axis(fn, interval.lo, interval.hi, tol)
-    derivative, enclosures = slope_functions(method != "shell")
-    if method == "shell":
-        return shell_volume(fn, enclosures, interval, tol)
     if method == "disk":
         # the radius is the inverse curve, which only a strictly monotone
-        # curve has
+        # curve has; f' is compiled only once the end values differ
         ends = (fn(interval.lo), fn(interval.hi))
-        found = None if ends[0] == ends[1] else critical_points(
+        derivative, enclosures = ((None, None) if ends[0] == ends[1]
+                                  else slope_functions())
+        found = None if derivative is None else critical_points(
             derivative, enclosures, interval, tol)
         if found is None or found.points:
             raise NotInvertibleError("curve is not strictly monotone on its "
@@ -743,6 +742,9 @@ def solve(problem: VolumeProblem) -> VolumeReport:
         return _method_report(
             "disk", *_inverse_disk_value(fn, derivative, interval, ends, tol),
             unproven=found.unproven)
+    derivative, enclosures = slope_functions(method != "shell")
+    if method == "shell":
+        return shell_volume(fn, enclosures, interval, tol)
     # looked up per call: the benchmark's tracer patches these names
     formula = {"theorem1": theorem1_y, "theorem2": theorem2_y,
                "theorem3": theorem3_x, "piecewise": piecewise_signed_sum}

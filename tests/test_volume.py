@@ -26,6 +26,7 @@ from revolve.volume import (
     NotMonotoneError,
     VolumeProblem,
     VolumeReport,
+    WARN_NOT_CONVERGED,
     WARN_UNPROVEN,
     cross_validate,
     disk_volume_x_axis,
@@ -119,6 +120,14 @@ class TestShellVolume:
         report = shell_volume(KEPLER_FN, KEPLER_ENCLOSURES, FULL)
         assert report.warnings == ()
 
+    def test_roundoff_below_zero_is_clamped(self):
+        # -1e-13 lies within the nonnegativity floor, and the shell integral
+        # -pi*1e-13 within the 1e-12 roundoff allowance: the volume is 0
+        curve = parse("-1e-13 + 0*x", variable="x")
+        report = shell_volume(*compiled(curve)[::2], Interval(0.0, 1.0))
+        assert report.error_estimate < PI * 1e-13
+        assert math.copysign(1.0, report.value) == 1.0 and report.value == 0.0
+
     def test_undecided_cells_warn(self):
         never = Enclosures(_undecided, _undecided, _undecided)
         report = shell_volume(compiled(LINE)[0], never, Interval(0.0, 1.0))
@@ -156,6 +165,12 @@ class TestDiskVolumeYAxis:
         with pytest.raises(ValueError) as caught:
             disk_volume_y_axis(compiled(parse("y", variable="y"))[0], 1.0, 1.0)
         assert str(caught.value) == "disk quadrature requires lo < hi"
+
+    def test_tolerances_reach_the_quadrature(self):
+        # one bisection level cannot resolve sin(100*y) on [0, 1]
+        report = disk_volume_y_axis(compiled(parse("sin(100*y)", variable="y"))[0],
+                                    0.0, 1.0, Tolerances(max_depth=1))
+        assert report.warnings == (WARN_NOT_CONVERGED,)
 
 
 class TestDiskVolumeXAxis:
@@ -215,6 +230,24 @@ class TestInverseOnPiece:
             assert abs(fn(root) - s) <= tol.residual_tol
             asked.append(s)
             roots.append(root)
+
+    @pytest.mark.parametrize("parts", [False, True])
+    def test_worst_error_is_the_residual_times_the_bracket_slope(self, parts):
+        # a loose residual_tol stops Newton with a visible residual; the
+        # root is then off by about the residual times |dt/ds| of its
+        # bracket, here the piece's ends (1, 1) and (2, 4), and the list
+        # holds that times the weight: 2*root for the disk integrand g^2,
+        # s for the boundary-term integrand s*g(s)
+        fn, derivative, _ = compiled(SQUARE)
+        inverse, worst = _inverse_on_piece(
+            fn, derivative, Interval(1.0, 2.0), (1.0, 4.0),
+            Tolerances(residual_tol=1e-3), parts=parts)
+        root = inverse(2.5)
+        residual = fn(root) - 2.5
+        assert 0.0 < abs(residual) <= 1e-3
+        weight = 2.5 if parts else 2.0 * root
+        assert worst == [pytest.approx(
+            abs(weight * residual * (2.0 - 1.0) / (4.0 - 1.0)), rel=1e-12)]
 
     @pytest.mark.parametrize("s", [0.5, 4.5])
     def test_refuses_a_value_outside_the_piece(self, s):
@@ -584,29 +617,32 @@ class TestSolveDispatch:
         assert sum(iterations for _, _, iterations, _ in results) <= 320
         assert sum(fell_back for _, _, _, fell_back in results) <= 10
 
-    @pytest.mark.parametrize("axis, role, method, derivative_compiles", [
+    @pytest.mark.parametrize("axis, role, method, derivative_compiles, shape", [
         # formula frames
-        (AXIS_Y, ROLE_Y_OF_X, "all", 1),
-        (AXIS_X, ROLE_X_OF_Y, "all", 1),
-        (AXIS_Y, ROLE_Y_OF_X, "shell", 0),
-        (AXIS_X, ROLE_X_OF_Y, "shell", 0),
-        (AXIS_Y, ROLE_Y_OF_X, "disk", 1),
-        (AXIS_X, ROLE_X_OF_Y, "disk", 1),
-        (AXIS_Y, ROLE_Y_OF_X, "theorem1", 1),
-        (AXIS_X, ROLE_X_OF_Y, "theorem1", 1),
-        (AXIS_Y, ROLE_Y_OF_X, "theorem2", 1),
-        (AXIS_X, ROLE_X_OF_Y, "theorem3", 1),
-        (AXIS_Y, ROLE_Y_OF_X, "piecewise", 1),
-        (AXIS_X, ROLE_X_OF_Y, "piecewise", 1),
+        (AXIS_Y, ROLE_Y_OF_X, "all", 1, "flagship"),
+        (AXIS_X, ROLE_X_OF_Y, "all", 1, "flagship"),
+        (AXIS_Y, ROLE_Y_OF_X, "shell", 0, "flagship"),
+        (AXIS_X, ROLE_X_OF_Y, "shell", 0, "flagship"),
+        (AXIS_Y, ROLE_Y_OF_X, "disk", 1, "square"),
+        (AXIS_X, ROLE_X_OF_Y, "disk", 1, "square"),
+        # equal end values: refused before f' is compiled
+        (AXIS_Y, ROLE_Y_OF_X, "disk", 0, "bowl"),
+        (AXIS_X, ROLE_X_OF_Y, "disk", 0, "bowl"),
+        (AXIS_Y, ROLE_Y_OF_X, "theorem1", 1, "square"),
+        (AXIS_X, ROLE_X_OF_Y, "theorem1", 1, "square"),
+        (AXIS_Y, ROLE_Y_OF_X, "theorem2", 1, "flagship"),
+        (AXIS_X, ROLE_X_OF_Y, "theorem3", 1, "flagship"),
+        (AXIS_Y, ROLE_Y_OF_X, "piecewise", 1, "flagship"),
+        (AXIS_X, ROLE_X_OF_Y, "piecewise", 1, "flagship"),
         # disk frames: f' once the end values differ; the disk radius is
         # the curve itself
-        (AXIS_Y, ROLE_X_OF_Y, "all", 1),
-        (AXIS_X, ROLE_Y_OF_X, "all", 1),
-        (AXIS_Y, ROLE_X_OF_Y, "disk", 0),
-        (AXIS_X, ROLE_Y_OF_X, "disk", 0),
+        (AXIS_Y, ROLE_X_OF_Y, "all", 1, "flagship"),
+        (AXIS_X, ROLE_Y_OF_X, "all", 1, "flagship"),
+        (AXIS_Y, ROLE_X_OF_Y, "disk", 0, "square"),
+        (AXIS_X, ROLE_Y_OF_X, "disk", 0, "square"),
     ])
     def test_compile_budget(self, axis, role, method, derivative_compiles,
-                            monkeypatch):
+                            shape, monkeypatch):
         # bind(f) receives the request's own tree, bind(f') its derivative;
         # no route compiles again what solve compiled, or f' where it is
         # not evaluated.  The variable is resolved once, and f and f' are
@@ -615,11 +651,12 @@ class TestSolveDispatch:
         # inverting disk route need a monotone curve.  f'' is derived and
         # enclosed at most once, and only where the certificate consults it:
         # on the flagship's extrema, never on x^2 over [1, 2] or for shell,
-        # whose floor certificate reads f and f' alone.
+        # whose floor certificate reads f and f' alone.  The inverting disk
+        # route refuses the bowl's equal end values before it compiles f'.
         var = "x" if role == ROLE_Y_OF_X else "y"
-        text, interval = (("{v}^2", Interval(1.0, 2.0))
-                          if method in ("theorem1", "disk")
-                          else ("{v}/pi + sin({v})", FULL))
+        text, interval = {"flagship": ("{v}/pi + sin({v})", FULL),
+                          "square": ("{v}^2", Interval(1.0, 2.0)),
+                          "bowl": ("({v}-1)^2 + 1", Interval(0.0, 2.0))}[shape]
         curve = parse(text.format(v=var), variable=var)
         compiles = {"f": 0, "f'": 0}
         resolved, differentiated, bound = [], [], []
@@ -649,8 +686,13 @@ class TestSolveDispatch:
         monkeypatch.setattr(revolve.volume, "the_variable", counted_variable)
         monkeypatch.setattr(revolve.volume, "differentiate",
                             counted_differentiate)
-        solve(VolumeProblem(curve=curve, interval=interval, curve_role=role,
-                            axis=axis, method=method))
+        problem = VolumeProblem(curve=curve, interval=interval,
+                                curve_role=role, axis=axis, method=method)
+        if shape == "bowl":
+            with pytest.raises(NotInvertibleError):
+                solve(problem)
+        else:
+            solve(problem)
         assert compiles == {"f": 1, "f'": derivative_compiles}
         assert resolved == [curve]
         if enclosed:
@@ -878,6 +920,36 @@ class TestErrorCoverage:
             if abs(value - exact) > err + 1e-15 * abs(exact):
                 misses.append((params, abs(value - exact), err))
         assert not misses, misses
+
+    def test_inverse_row_estimate_adds_the_inversion_over_the_span(
+            self, monkeypatch):
+        # x^2 on [1, 2] about the x-axis: the inverse's variable spans
+        # [1, 4], and the row's estimate is its quadrature's plus 2*pi*3
+        # times the worst node error of s*g(s), which a loose residual_tol
+        # makes visible
+        rows = _record_checks(monkeypatch)
+        inversions, parts = [], []
+        inverse_on_piece = revolve.volume._inverse_on_piece
+        parts_value = revolve.volume._parts_value
+
+        def recorded_inverse(*args, **kwargs):
+            inverse, inversion = inverse_on_piece(*args, **kwargs)
+            inversions.append(inversion)
+            return inverse, inversion
+
+        monkeypatch.setattr(revolve.volume, "_inverse_on_piece",
+                            recorded_inverse)
+        monkeypatch.setattr(revolve.volume, "_parts_value",
+                            lambda *args: parts.append(parts_value(*args))
+                            or parts[-1])
+        solve(VolumeProblem(curve=SQUARE, interval=Interval(1.0, 2.0),
+                            axis=AXIS_X, curve_role=ROLE_Y_OF_X, method="all",
+                            tol=Tolerances(residual_tol=1e-6)))
+        (worst,), ((_, quad_err, _),) = inversions, parts
+        (name, _, err), = rows[0]
+        assert name == "theorem3" and worst[0] > 0.0
+        assert err == pytest.approx(quad_err + 2.0 * PI * 3.0 * worst[0],
+                                    rel=1e-12)
 
     def test_formula_frame_closed_forms_are_found(self):
         assert len(FORMULA_FRAME_CLOSED_FORMS) == 10
