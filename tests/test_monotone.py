@@ -39,6 +39,20 @@ F_X1 = X1 / math.pi + math.sqrt(1.0 - 1.0 / math.pi ** 2)
 F_X2 = X2 / math.pi - math.sqrt(1.0 - 1.0 / math.pi ** 2)
 
 
+def _recorded_roots(monkeypatch):
+    """The roots Brent returns to ``critical_points`` from now on."""
+    roots = []
+    brent = revolve.monotone.find_root_bracketed
+
+    def recorded(*args):
+        result = brent(*args)
+        roots.append(result.root)
+        return result
+
+    monkeypatch.setattr(revolve.monotone, "find_root_bracketed", recorded)
+    return roots
+
+
 class TestCriticalPoints:
     def test_ramp_plus_wave(self):
         found = critical_points(*compiled(RAMP_WAVE)[1:], Interval(0.0, TWO_PI))
@@ -56,6 +70,29 @@ class TestCriticalPoints:
         found = critical_points(*compiled(curve, {"eps": 0.5})[1:],
                                 Interval(0.0, TWO_PI))
         assert found == CriticalPoints(())
+
+    def test_root_within_the_edge_of_an_end_is_dropped(self, monkeypatch):
+        # f' = x - 5e-13 changes sign in the first grid cell, but Brent
+        # stops at 0.0, whose residual meets residual_tol: an end, no extremum
+        roots = _recorded_roots(monkeypatch)
+        curve = parse("x^2/2 - 5e-13*x", variable="x")
+        found = critical_points(*compiled(curve)[1:], Interval(0.0, 1.0))
+        assert roots == [0.0]
+        assert found == CriticalPoints(())
+
+    def test_roots_within_abs_tol_are_one_breakpoint(self, monkeypatch):
+        # f' is -1 except +1e-13 at 0.5, grid point 512 of [0, 1]; its
+        # enclosure decides every cell but those holding 0.5, so the grid
+        # cells on either side each bracket a sign change, and Brent
+        # returns 0.5 for both
+        roots = _recorded_roots(monkeypatch)
+        enclosures = Enclosures(
+            _undecided, lambda lo, hi: None if lo <= 0.5 <= hi else (-1.0, -1.0),
+            _undecided)
+        found = critical_points(lambda x: 1e-13 if x == 0.5 else -1.0,
+                                enclosures, Interval(0.0, 1.0))
+        assert roots == [0.5, 0.5]
+        assert found == CriticalPoints((0.5,))
 
     def test_degenerate_interval_rejected(self):
         with pytest.raises(ValueError):
@@ -375,6 +412,12 @@ class TestCheckLemma1:
         part = partition(*compiled(parse("x", variable="x")), Interval(1.0, 2.0))
         with pytest.raises(PreconditionViolatedError):
             check_lemma1(part, 1.0, 1.0)
+
+    def test_odd_count_fails_the_verdict(self):
+        # hand-built: one interior extremum, its value inside (0, 1)
+        odd = MonotonePartition((0.0, 1.0, 2.0), (INCREASING, DECREASING),
+                                (0.5,))
+        assert check_lemma1(odd, 0.0, 1.0) is False
 
     def test_wrong_edge_direction_fails_the_verdict(self):
         # hand-built partition: rising endpoint values but a falling piece

@@ -198,6 +198,12 @@ class TestIntegrate:
         r = integrate(math.sin, 1.0, 1.0)
         assert r.value == 0.0 and r.converged and r.evaluations == 0
 
+    @pytest.mark.parametrize("a, b", [(0.0, math.inf), (-math.inf, 0.0),
+                                      (math.nan, 1.0)])
+    def test_non_finite_limits_rejected(self, a, b):
+        with pytest.raises(ValueError, match="limits must be finite"):
+            integrate(lambda x: 1.0, a, b)
+
     def test_reversed_limits_rejected(self):
         with pytest.raises(ValueError):
             integrate(math.sin, 1.0, 0.0)
@@ -366,6 +372,13 @@ class TestClenshawCurtis:
         _cc_cosines.cache_clear()
         assert run() == first == run()
 
+    def test_non_finite_node_reports_its_location(self):
+        # 0.5 is the centre of [0, 1], a node of the first level
+        with pytest.raises(NonFiniteEvaluationError) as excinfo:
+            integrate(lambda x: math.nan if x == 0.5 else x, 0.0, 1.0,
+                      rule=_clenshaw_curtis_panel)
+        assert excinfo.value.x == 0.5 and math.isnan(excinfo.value.value)
+
     def test_narrow_bump_is_split_and_converges(self):
         seen = []
 
@@ -425,6 +438,14 @@ class TestFindRootBracketed:
         with pytest.raises(NonFiniteEvaluationError):
             newton_solve(lambda x: x - 1.5, lambda x: 1.0, 0.0, 1.5,
                          bracket=(1.0, 2.0), residuals=(math.nan, 0.5))
+
+    def test_non_finite_iterate_reports_its_location(self):
+        # finite only at the ends, so the first iterate inside fails
+        with pytest.raises(NonFiniteEvaluationError) as excinfo:
+            find_root_bracketed(lambda x: {0.0: -1.0, 1.0: 1.0}.get(x, math.inf),
+                                0.0, 1.0)
+        assert 0.0 < excinfo.value.x < 1.0
+        assert excinfo.value.value == math.inf
 
     def test_max_iterations(self):
         tol = Tolerances(max_iter=2, residual_tol=1e-300, abs_tol=1e-300)
@@ -537,10 +558,21 @@ class TestNewtonSolve:
                      residuals=(-1.0, 2.0))
         assert 1.0 not in calls and 2.0 not in calls
 
-    def test_non_finite_bracket_residual_rejected(self):
-        with pytest.raises(NonFiniteEvaluationError):
+    @pytest.mark.parametrize("residuals, x", [((math.nan, 0.5), 1.0),
+                                              ((-0.5, math.inf), 2.0)])
+    def test_non_finite_bracket_residual_rejected(self, residuals, x):
+        with pytest.raises(NonFiniteEvaluationError) as excinfo:
             newton_solve(lambda x: x - 1.5, lambda x: 1.0, 0.0, 1.5,
-                         bracket=(1.0, 2.0), residuals=(math.nan, 0.5))
+                         bracket=(1.0, 2.0), residuals=residuals)
+        assert excinfo.value.x == x
+
+    def test_non_finite_iterate_reports_its_location(self):
+        # the seed 1.5 lies inside the bracket, and f fails there
+        with pytest.raises(NonFiniteEvaluationError) as excinfo:
+            newton_solve(lambda x: math.nan if x == 1.5 else x - 1.5,
+                         lambda x: 1.0, 0.0, 1.5, bracket=(1.0, 2.0),
+                         residuals=(-0.5, 0.5))
+        assert excinfo.value.x == 1.5 and math.isnan(excinfo.value.value)
 
     def test_max_iterations(self):
         tol = Tolerances(max_iter=3, residual_tol=1e-300)
