@@ -385,10 +385,11 @@ def _inverse_on_piece(fn: Callable[[float], float],
     stored values minus s are the bracket's residuals, and Newton is seeded
     by linear interpolation between them.  Each root is stored with
     fn(root) as Newton evaluated it, so every later bracket's residuals
-    carry the signs fn gives.  A root whose residual fn(root) - s is not 0
-    is off by about that residual times the bracket's slope |dt/ds|, so its
-    square by twice the root times that, and s times it by |s| times that;
-    the list keeps the largest.  The flagship x/pi + sin(x) over
+    carry the signs fn gives.  A root is off by about its residual
+    |fn(root) - s| plus ulp(s), the rounding that leaves even a residual of
+    exactly 0 uncertain, times the bracket's slope |dt/ds|; so its square
+    by twice the root times that, and s times it by |s| times that; the
+    list keeps the largest.  The flagship x/pi + sin(x) over
     [0, 2*pi] makes 93 calls per cross-check, at 3.2 iterations per call
     (300 in all).
     """
@@ -407,9 +408,10 @@ def _inverse_on_piece(fn: Callable[[float], float],
         else:
             root, value, _, _ = _newton(fn, derivative, s, seed, t1, t0,
                                         v1 - s, v0 - s, residual_tol, max_iter)
-        if value != s and v0 < v1:
+        if v0 < v1:
             weight = s if parts else 2.0 * root
-            error = abs(weight * (value - s) * (t1 - t0) / (v1 - v0))
+            miss = abs(value - s) + math.ulp(s)
+            error = abs(weight * miss * (t1 - t0) / (v1 - v0))
             if error > worst[0]:
                 worst[0] = error
         if not v0 <= value <= v1:

@@ -875,6 +875,19 @@ class TestErrorCoverage:
         assert abs(report.value - exact) <= (report.error_estimate
                                              + 1e-15 * abs(exact))
 
+    def test_disk_error_estimate_counts_the_rounding_of_each_root(self):
+        # every node's residual f(root) - s is exactly 0 here, yet ulp(5),
+        # 8.9e-16, against a slope of 1e-12 leaves each root uncertain by
+        # about 1e-3: the value is 3.1e-14 from the closed form, and the
+        # estimate read 1.1e-16 before it counted that rounding
+        report = solve(VolumeProblem(curve=parse("5 + 1e-12*x", variable="x"),
+                                     interval=Interval(10.0, 11.0),
+                                     method="disk"))
+        exact = 331.0 * PI / 3.0 * 1e-12
+        assert report.warnings == ()
+        assert abs(report.value - exact) <= (report.error_estimate
+                                             + 1e-15 * abs(exact))
+
     @pytest.mark.parametrize("axis, role, which", KEPLER_DISK_FRAMES)
     def test_disk_error_estimate_covers_kepler_closed_form(self, axis, role,
                                                            which):
