@@ -8,7 +8,9 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import revolve.numerics
 from revolve.numerics import (
     Interval,
     MaxIterationsExceededError,
@@ -17,6 +19,8 @@ from revolve.numerics import (
     Tolerances,
     _cc_cosines,
     _cc_level,
+    _cc_tail_error,
+    _cc_tail_rows,
     _cc_weights,
     _clenshaw_curtis_panel,
     _XGK,
@@ -291,6 +295,21 @@ def _monomial_level_sum(degree, level):
     return total
 
 
+def _difference_only(monkeypatch):
+    """Leave the nested rule only its difference test, as before it read
+    the Chebyshev tail."""
+    monkeypatch.setattr(revolve.numerics, "_cc_tail_error",
+                        lambda values, level: math.inf)
+
+
+def _bump(x):
+    return 1.0 / (1.0 + 1e6 * (x - 0.3) ** 2)
+
+
+def _dip(x):
+    return x + 1.0 - 0.001 / (1.0 + 1e8 * (x - 1.0005) ** 2)
+
+
 class TestClenshawCurtis:
     @pytest.mark.parametrize("level", range(5))
     def test_exact_up_to_each_levels_degree(self, level):
@@ -367,9 +386,13 @@ class TestClenshawCurtis:
             return r.value.hex(), r.error_estimate.hex(), r.evaluations
 
         first = run()
-        # the weights and nodes, computed on first use, come out the same
+        # the panel stops at 17 points by its Chebyshev tail, so the
+        # weights, nodes and coefficient rows, computed on first use, all
+        # come out the same
+        assert first[2] == 17
         _cc_weights.cache_clear()
         _cc_cosines.cache_clear()
+        _cc_tail_rows.cache_clear()
         assert run() == first == run()
 
     def test_non_finite_node_reports_its_location(self):
@@ -384,7 +407,7 @@ class TestClenshawCurtis:
 
         def bump(x):
             seen.append(x)
-            return 1.0 / (1.0 + 1e6 * (x - 0.3) ** 2)
+            return _bump(x)
 
         r = integrate(bump, 0.0, 1.0, None, _clenshaw_curtis_panel)
         exact = (math.atan(700.0) + math.atan(300.0)) / 1e3
@@ -392,6 +415,87 @@ class TestClenshawCurtis:
         assert r.evaluations > 129  # one panel of 129 points failed
         assert abs(r.value - exact) <= r.error_estimate
         assert r.evaluations == len(seen)
+
+    def test_tail_rows_give_chebyshev_coefficients(self):
+        # T_j(t) = cos(j*arccos(t)) at the nodes of each level: its own row
+        # reads 1 up to sign and every other row 0; the nodes run from
+        # t = -1, where T_j is (-1)^j
+        for level in range(1, 5):
+            n = 8 << level
+            orders = (n // 2 - 2, n // 2 - 1, n // 2, n - 2, n - 1, n)
+            for j in orders:
+                values = [None] * 129
+                values[0], values[-1] = (-1.0) ** j, 1.0
+                _cc_level(lambda t: math.cos(j * math.acos(t)), 0.0, 1.0,
+                          values, 0)
+                for k in range(1, level + 1):
+                    _cc_level(lambda t: math.cos(j * math.acos(t)), 0.0, 1.0,
+                              values, k)
+                nodes = values[::128 // n]
+                for order, row in zip(orders, _cc_tail_rows(level)):
+                    coefficient = sum(w * v for w, v in zip(row, nodes))
+                    expected = (-1.0) ** j if order == j else 0.0
+                    assert abs(coefficient - expected) <= 1e-13, (level, j, order)
+
+    def test_tail_of_a_vanishing_integrand_is_zero(self):
+        # every coefficient is 0, so the decay rate is taken as 0 too
+        for level in range(1, 5):
+            assert _cc_tail_error([0.0] * 129, level) == 0.0
+
+    def test_tail_stops_an_analytic_panel_a_level_sooner(self, monkeypatch):
+        # e^(3x) on [0, 1]: its coefficients fall fast enough by 17 points,
+        # where the difference from the 9-point level is still 1e-6
+        exact = (math.exp(3.0) - 1.0) / 3.0
+        value, err, evaluations = _clenshaw_curtis_panel(
+            lambda x: math.exp(3.0 * x), 0.0, 1.0, Tolerances())
+        assert evaluations == 17
+        assert abs(value - exact) <= err <= 1e-12
+        _difference_only(monkeypatch)
+        _, _, evaluations = _clenshaw_curtis_panel(
+            lambda x: math.exp(3.0 * x), 0.0, 1.0, Tolerances())
+        assert evaluations == 33
+
+    @pytest.mark.parametrize("f, a, b", [(_bump, 0.0, 1.0), (_dip, 0.0, 2.0)],
+                             ids=["bump", "dip"])
+    def test_unresolved_feature_keeps_climbing(self, monkeypatch, f, a, b):
+        # the tail has not fallen below 1e-3 of the middle coefficients, so
+        # the panel climbs to 129 points, fails, and is bisected as before
+        value, err, evaluations = _clenshaw_curtis_panel(f, a, b, Tolerances())
+        assert evaluations == 129 and err > 1e-7
+        _difference_only(monkeypatch)
+        assert _clenshaw_curtis_panel(f, a, b, Tolerances()) == (value, err,
+                                                                129)
+
+    def test_dip_keeps_its_evaluations_and_bits(self, monkeypatch):
+        # no panel of the 1e-3 dip stops by its tail
+        r = integrate(_dip, 0.0, 2.0, None, _clenshaw_curtis_panel)
+        _difference_only(monkeypatch)
+        assert integrate(_dip, 0.0, 2.0, None, _clenshaw_curtis_panel) == r
+        assert r.evaluations == 1555
+
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(family=st.sampled_from(["peak", "wave", "power"]),
+           scale=st.floats(0.1, 1e6), shift=st.floats(-1.0, 2.0),
+           a=st.floats(-3.0, 3.0), width=st.floats(1e-3, 5.0),
+           rel_tol=st.sampled_from([1e-6, 1e-10, 1e-13]))
+    def test_never_more_nodes_than_the_difference_alone(
+            self, family, scale, shift, a, width, rel_tol):
+        # a panel that stops by the difference test keeps its bits
+        def f(x):
+            if family == "peak":
+                return 1.0 / (1.0 + scale * (x - shift) ** 2)
+            if family == "wave":
+                return math.exp(math.sin(math.sqrt(scale) * x + shift))
+            return abs(x - shift) ** (1.0 + math.log10(scale))
+
+        tol = Tolerances(rel_tol=rel_tol)
+        with pytest.MonkeyPatch.context() as patched:
+            _difference_only(patched)
+            alone = _clenshaw_curtis_panel(f, a, a + width, tol)
+        value, err, evaluations = _clenshaw_curtis_panel(f, a, a + width, tol)
+        assert evaluations <= alone[2]
+        if evaluations == alone[2] and err == alone[1]:
+            assert value == alone[0]
 
 
 class TestFindRootBracketed:

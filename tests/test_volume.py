@@ -604,7 +604,11 @@ class TestSolveDispatch:
         # iterations and 39 bisection fallbacks when every node was
         # bracketed by the whole piece and seeded with the previous root.
         # The nested rule keeps every node it has inverted: adaptive
-        # Gauss-Kronrod took 105 inversions and 312 iterations
+        # Gauss-Kronrod took 105 inversions and 312 iterations, and the
+        # nested rule 93 and 300 while it stopped only when a level agreed
+        # with the one before.  Its Chebyshev-tail stop ends each piece's
+        # panel at 17 points, not 33: 45 inversions, 166 iterations and 2
+        # fallbacks
         results = []
 
         def counted(*args):
@@ -613,9 +617,9 @@ class TestSolveDispatch:
 
         monkeypatch.setattr(revolve.volume, "_newton", counted)
         solve(VolumeProblem(curve=RAMP_WAVE, interval=FULL, method="all"))
-        assert len(results) == 93
-        assert sum(iterations for _, _, iterations, _ in results) <= 320
-        assert sum(fell_back for _, _, _, fell_back in results) <= 10
+        assert len(results) == 45
+        assert sum(iterations for _, _, iterations, _ in results) <= 180
+        assert sum(fell_back for _, _, _, fell_back in results) <= 5
 
     @pytest.mark.parametrize("axis, role, method, derivative_compiles, shape", [
         # formula frames
