@@ -437,6 +437,28 @@ class TestClenshawCurtis:
                     expected = (-1.0) ** j if order == j else 0.0
                     assert abs(coefficient - expected) <= 1e-13, (level, j, order)
 
+    @pytest.mark.parametrize("level", range(1, 5))
+    def test_tail_error_of_a_known_decay(self, level):
+        # T_{n/2} + 1e-4*T_{n-2}: mid is 1 and top 1e-4, so the decay per
+        # index is rho = 1e-4^(2/n).  Each missed coefficient, from
+        # a_{n+2} = 1e-4*rho^2 on, aliases onto T_{n-2}, whose integral,
+        # 2/(1 - j^2) for even j, differs from that of T_{n+2} by w
+        n = 8 << level
+
+        def values(top):
+            def f(t):
+                return (math.cos(n // 2 * math.acos(t))
+                        + top * math.cos((n - 2) * math.acos(t)))
+            return [f(-math.cos(k * math.pi / 128)) for k in range(129)]
+
+        rho2 = 1e-4 ** (4.0 / n)
+        w = 2.0 / (1 - (n + 2) ** 2) - 2.0 / (1 - (n - 2) ** 2)
+        expected = 4.0 * w * 1e-4 * rho2 / (1.0 - rho2)
+        assert _cc_tail_error(values(1e-4), level) == pytest.approx(
+            expected, rel=1e-9)
+        # a tail above 1e-3 of mid reads as a feature not yet resolved
+        assert _cc_tail_error(values(2e-3), level) == math.inf
+
     def test_tail_of_a_vanishing_integrand_is_zero(self):
         # every coefficient is 0, so the decay rate is taken as 0 too
         for level in range(1, 5):
