@@ -2,23 +2,27 @@
 module's tests notice.
 
     python tests/mutate.py --module volume --sites 30 --seed 2026
+    python tests/mutate.py --module numerics --sites 30 --seed 2026 --tier1
 
 A site is one operator of a ``Compare``, ``BinOp`` or ``BoolOp`` node in
 ``src/revolve/<module>.py`` that ``FLIPS`` maps: a comparison moves its
 boundary (``<`` and ``<=``) or is negated (``==``, ``is``, ``in``), an
 arithmetic operator swaps with its inverse, ``and`` with ``or``.  The
-script copies ``src``, ``tests`` and ``pyproject.toml`` to a temporary
-directory and never edits the tree.  For each of ``--sites`` sites,
-sampled with ``--seed``, it writes the copy's module with that one
+script copies ``src``, ``tests``, ``bench`` and ``pyproject.toml`` to a
+temporary directory and never edits the tree.  For each of ``--sites``
+sites, sampled with ``--seed``, it writes the copy's module with that one
 operator flipped (through ``ast.unparse``, which drops comments), runs
-``tests/test_<module>.py`` on the copy, and reports the mutant as killed
-(the tests failed or ran past ``TIMEOUT_S``) or surviving, by its line in
-the original source.  It exits 1 if the unmutated copy, unparsed the same
+``tests/test_<module>.py`` on the copy, or with ``--tier1`` every tier-1
+test (``pyproject.toml``'s ``testpaths``), and reports the mutant as
+killed (the tests failed or ran past ``TIMEOUT_S``) or surviving, by its
+line in the original source.  Without ``--tier1`` a mutant that only
+another file's tests kill counts as surviving, so the kill rate is a lower
+bound for tier-1.  It exits 1 if the unmutated copy, unparsed the same
 way, fails its tests.
 
 Only the standard library is used; pytest runs the tests.  pytest does not
 collect this file, and it is no tier-1 step: each mutant costs one run of
-the module's tests.
+the tests it selects.
 """
 
 import argparse
@@ -74,11 +78,11 @@ def mutant(source: str, site: int) -> tuple[str, int, str]:
             f"{type(old).__name__} -> {type(new).__name__}")
 
 
-def run_tests(copy: pathlib.Path, module: str) -> str:
-    """``"passed"``, ``"failed"`` or ``"timeout"`` for the module's tests
-    on the copy."""
+def run_tests(copy: pathlib.Path, tests: list[str]) -> str:
+    """``"passed"``, ``"failed"`` or ``"timeout"`` for the ``tests``
+    arguments of pytest on the copy; none selects the whole tier-1."""
     command = [sys.executable, "-m", "pytest", "-x", "-q",
-               "-p", "no:cacheprovider", f"tests/test_{module}.py"]
+               "-p", "no:cacheprovider", *tests]
     env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1",
            "PYTHONPATH": str(copy / "src")}
     try:
@@ -96,13 +100,18 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--sites", type=int, default=30,
                         help="mutants to sample (default 30)")
     parser.add_argument("--seed", type=int, default=2026)
+    parser.add_argument("--tier1", action="store_true",
+                        help="run every tier-1 test on each mutant, not "
+                             "only tests/test_<module>.py")
     ns = parser.parse_args(argv)
+    tests = [] if ns.tier1 else [f"tests/test_{ns.module}.py"]
+    label = "tier-1" if ns.tier1 else tests[0]
 
     with tempfile.TemporaryDirectory(prefix="revolve-mutate-") as tmp:
         copy = pathlib.Path(tmp)
-        for name in ("src", "tests"):
+        for name in ("src", "tests", "bench"):
             shutil.copytree(ROOT / name, copy / name,
-                            ignore=shutil.ignore_patterns("__pycache__"))
+                            ignore=shutil.ignore_patterns("__pycache__", "out"))
         shutil.copy(ROOT / "pyproject.toml", copy)
         target = copy / "src" / "revolve" / f"{ns.module}.py"
         source = target.read_text(encoding="utf-8")
@@ -115,9 +124,8 @@ def main(argv: list[str] | None = None) -> int:
         start = time.perf_counter()
         target.write_text(ast.unparse(ast.parse(source)) + "\n",
                           encoding="utf-8")
-        if run_tests(copy, ns.module) != "passed":
-            print(f"tests/test_{ns.module}.py fails on the unparsed, "
-                  "unmutated copy")
+        if run_tests(copy, tests) != "passed":
+            print(f"{label} fails on the unparsed, unmutated copy")
             return 1
         print(f"{ns.module}.py: {total} sites, {len(chosen)} sampled with "
               f"seed {ns.seed}; unmutated run "
@@ -127,7 +135,7 @@ def main(argv: list[str] | None = None) -> int:
         for site in chosen:
             text, line, flip = mutant(source, site)
             target.write_text(text, encoding="utf-8")
-            outcome = run_tests(copy, ns.module)
+            outcome = run_tests(copy, tests)
             verdict = "survived" if outcome == "passed" else f"killed ({outcome})"
             print(f"  {ns.module}.py:{line:<5} {flip:<16} {verdict}", flush=True)
             if outcome == "passed":
@@ -135,7 +143,7 @@ def main(argv: list[str] | None = None) -> int:
         target.write_text(source, encoding="utf-8")
 
     print(f"{ns.module}.py: {len(chosen) - len(survivors)} of {len(chosen)} "
-          f"killed; surviving: {', '.join(survivors) or 'none'}")
+          f"killed by {label}; surviving: {', '.join(survivors) or 'none'}")
     return 0
 
 
