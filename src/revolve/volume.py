@@ -390,8 +390,8 @@ def _inverse_on_piece(fn: Callable[[float], float],
     exactly 0 uncertain, times the bracket's slope |dt/ds|; so its square
     by twice the root times that, and s times it by |s| times that; the
     list keeps the largest.  The flagship x/pi + sin(x) over
-    [0, 2*pi] makes 93 calls per cross-check, at 3.2 iterations per call
-    (300 in all).
+    [0, 2*pi] makes 45 calls per cross-check, at 3.7 iterations per call
+    (166 in all).
     """
     (v_lo, t_lo), (v_hi, t_hi) = sorted(zip(ends, (piece.lo, piece.hi)))
     values, roots = [v_lo, v_hi], [t_lo, t_hi]
