@@ -1,8 +1,7 @@
 """Opt-in mutation run: flip one operator at a time and see whether the
-module's tests notice.
+tier-1 tests notice.
 
-    python tests/mutate.py --module volume --sites 30 --seed 2026
-    python tests/mutate.py --module numerics --sites 30 --seed 2026 --tier1
+    python tests/mutate.py --module numerics --sites 30 --seed 2026
 
 A site is one operator of a ``Compare``, ``BinOp`` or ``BoolOp`` node in
 ``src/revolve/<module>.py`` that ``FLIPS`` maps: a comparison moves its
@@ -12,17 +11,14 @@ script copies ``src``, ``tests``, ``bench`` and ``pyproject.toml`` to a
 temporary directory and never edits the tree.  For each of ``--sites``
 sites, sampled with ``--seed``, it writes the copy's module with that one
 operator flipped (through ``ast.unparse``, which drops comments), runs
-``tests/test_<module>.py`` on the copy, or with ``--tier1`` every tier-1
-test (``pyproject.toml``'s ``testpaths``), and reports the mutant as
-killed (the tests failed or ran past ``TIMEOUT_S``) or surviving, by its
-line in the original source.  Without ``--tier1`` a mutant that only
-another file's tests kill counts as surviving, so the kill rate is a lower
-bound for tier-1.  It exits 1 if the unmutated copy, unparsed the same
-way, fails its tests.
+every tier-1 test (``pyproject.toml``'s ``testpaths``) on the copy, and
+reports the mutant as killed (the tests failed or ran past ``TIMEOUT_S``)
+or surviving, by its line in the original source.  It exits 1 if the
+unmutated copy, unparsed the same way, fails the tests.
 
 Only the standard library is used; pytest runs the tests.  pytest does not
-collect this file, and it is no tier-1 step: each mutant costs one run of
-the tests it selects.
+collect this file, and it is no tier-1 step: each mutant costs one tier-1
+run.
 """
 
 import argparse
@@ -78,11 +74,10 @@ def mutant(source: str, site: int) -> tuple[str, int, str]:
             f"{type(old).__name__} -> {type(new).__name__}")
 
 
-def run_tests(copy: pathlib.Path, tests: list[str]) -> str:
-    """``"passed"``, ``"failed"`` or ``"timeout"`` for the ``tests``
-    arguments of pytest on the copy; none selects the whole tier-1."""
+def run_tests(copy: pathlib.Path) -> str:
+    """``"passed"``, ``"failed"`` or ``"timeout"`` for tier-1 on the copy."""
     command = [sys.executable, "-m", "pytest", "-x", "-q",
-               "-p", "no:cacheprovider", *tests]
+               "-p", "no:cacheprovider"]
     env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1",
            "PYTHONPATH": str(copy / "src")}
     try:
@@ -100,12 +95,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--sites", type=int, default=30,
                         help="mutants to sample (default 30)")
     parser.add_argument("--seed", type=int, default=2026)
-    parser.add_argument("--tier1", action="store_true",
-                        help="run every tier-1 test on each mutant, not "
-                             "only tests/test_<module>.py")
     ns = parser.parse_args(argv)
-    tests = [] if ns.tier1 else [f"tests/test_{ns.module}.py"]
-    label = "tier-1" if ns.tier1 else tests[0]
 
     with tempfile.TemporaryDirectory(prefix="revolve-mutate-") as tmp:
         copy = pathlib.Path(tmp)
@@ -124,8 +114,8 @@ def main(argv: list[str] | None = None) -> int:
         start = time.perf_counter()
         target.write_text(ast.unparse(ast.parse(source)) + "\n",
                           encoding="utf-8")
-        if run_tests(copy, tests) != "passed":
-            print(f"{label} fails on the unparsed, unmutated copy")
+        if run_tests(copy) != "passed":
+            print("tier-1 fails on the unparsed, unmutated copy")
             return 1
         print(f"{ns.module}.py: {total} sites, {len(chosen)} sampled with "
               f"seed {ns.seed}; unmutated run "
@@ -135,7 +125,7 @@ def main(argv: list[str] | None = None) -> int:
         for site in chosen:
             text, line, flip = mutant(source, site)
             target.write_text(text, encoding="utf-8")
-            outcome = run_tests(copy, tests)
+            outcome = run_tests(copy)
             verdict = "survived" if outcome == "passed" else f"killed ({outcome})"
             print(f"  {ns.module}.py:{line:<5} {flip:<16} {verdict}", flush=True)
             if outcome == "passed":
@@ -143,7 +133,7 @@ def main(argv: list[str] | None = None) -> int:
         target.write_text(source, encoding="utf-8")
 
     print(f"{ns.module}.py: {len(chosen) - len(survivors)} of {len(chosen)} "
-          f"killed by {label}; surviving: {', '.join(survivors) or 'none'}")
+          f"killed by tier-1; surviving: {', '.join(survivors) or 'none'}")
     return 0
 
 
