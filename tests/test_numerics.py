@@ -493,7 +493,8 @@ class TestClenshawCurtis:
            rel_tol=st.sampled_from([1e-6, 1e-10, 1e-13]))
     def test_never_more_nodes_than_the_difference_alone(
             self, family, scale, shift, a, width, rel_tol):
-        # a panel that stops by the difference test keeps its bits
+        # a panel that stops by the difference test keeps its bits, its
+        # error estimate included
         def f(x):
             if family == "peak":
                 return 1.0 / (1.0 + scale * (x - shift) ** 2)
@@ -507,8 +508,12 @@ class TestClenshawCurtis:
             alone = _clenshaw_curtis_panel(f, a, a + width, tol)
         value, err, evaluations = _clenshaw_curtis_panel(f, a, a + width, tol)
         assert evaluations <= alone[2]
-        if evaluations == alone[2] and err == alone[1]:
-            assert value == alone[0]
+        # below 129 points the difference test stopped the panel alone, and
+        # at 129 it did if the error met the target; it runs first, so it
+        # stops the panel at that level too, with the same error
+        target = max(tol.abs_tol, tol.rel_tol * abs(alone[0]))
+        if evaluations == alone[2] and (evaluations < 129 or alone[1] <= target):
+            assert (value, err) == alone[:2]
 
 
 class TestFindRootBracketed:
