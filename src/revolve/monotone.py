@@ -356,11 +356,8 @@ def _slope_certificate(derivative: Callable[[float], float],
             for k in points:
                 visit(grid(k))
             continue
-        if not isinstance(state, list):
-            sweep(a, b, state)
-            continue
         start = len(brackets)
-        for leaf in state:
+        for leaf in state if isinstance(state, list) else [(a, b, state)]:
             sweep(*leaf)
         # one sign change between grid ends of opposite sign: refine it on
         # the grid bracket, the one scan_sign_changes gives
