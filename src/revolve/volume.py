@@ -40,17 +40,18 @@ boundary terms, never by numerically inverting the curve; the direct disk
 route does invert.  Keeping that asymmetry is what makes cross-validation
 meaningful.
 
-Where the disk radius is that numeric inverse, its integral is taken in
-u over [0, 1] with y = lo + (hi-lo)*u^2*(3-2u) rather than in y.  At an
-interior extremum f' = 0, so the inverse has a square-root end,
+Every integral over a numeric inverse g, the disk radius's g^2 and the
+disk frame's boundary-term integrand y*g, is taken in u over [0, 1] with
+y = lo + (hi-lo)*u^2*(3-2u) rather than in y.  Where f' = 0, at an
+interior extremum or a flat end, g has a square-root end,
 g(y) ~ x_e +- sqrt((y - y_e)/c), which adaptive quadrature in y resolves
 only by bisecting toward it; in u that end is analytic.  The substitution
 only moves the quadrature nodes: each node is still inverted by Newton
 iteration on the curve itself, never through y = f(x) substituted
-analytically, so the disk row still computes a different integrand in the
-transverse variable and stays an independent check.  A nested
+analytically, so a row on the inverse still computes a different integrand
+in the transverse variable and stays an independent check.  A nested
 Clenshaw-Curtis rule integrates it in u, so a finer level keeps every node
-already inverted; the formula routes keep Gauss-Kronrod.
+already inverted; the routes on the curve itself keep Gauss-Kronrod.
 
 Cross-validation also reports ``shell-complement``: the bounding cylinders
 minus the shell volume.  Its shell integral is the formula's own quadrature
@@ -274,17 +275,19 @@ def _disk_value(radius: Callable[[float], float], lo: float, hi: float,
     return _clamp(math.pi * quad.value, err), err, quad
 
 
-def _inverse_disk_value(fn: Callable[[float], float],
-                        derivative: Callable[[float], float],
-                        piece: Interval, ends: tuple[float, float],
-                        tol: Tolerances
-                        ) -> tuple[float, float, QuadratureResult]:
+def _inverse_value(fn: Callable[[float], float],
+                   derivative: Callable[[float], float],
+                   piece: Interval, ends: tuple[float, float],
+                   tol: Tolerances, parts: bool = False
+                   ) -> tuple[float, float, QuadratureResult]:
     """``(value, error_estimate, quadrature)`` for pi*Int g(y)^2 dy over
     [lo, hi] = [min(ends), max(ends)], the image of a monotone ``piece``
     whose end values are ``ends``, where ``g`` is the numeric inverse of
-    ``fn`` that :func:`_inverse_on_piece` builds on it.  This is the one
-    disk route on a numeric inverse: the ``disk`` method and the
-    cross-check's disk row both run it.
+    ``fn`` that :func:`_inverse_on_piece` builds on it; or, with ``parts``,
+    for the boundary-term volume sgn(t_hi-t_lo) * {pi*[hi^2 t_hi - lo^2
+    t_lo] - 2*pi*Int y*g(y) dy}, where t_lo = g(lo) and t_hi = g(hi) are
+    piece ends.  It is the one integral over a numeric inverse: every disk
+    route and the disk frame's boundary-term row run it.
 
     At an interior extremum g has a square-root end, so the integral is
     taken in u over [0, 1] with y = lo + (hi-lo)*u^2*(3-2u) and
@@ -295,11 +298,11 @@ def _inverse_disk_value(fn: Callable[[float], float],
     nested Clenshaw-Curtis rule integrates it: a finer level keeps every
     node already inverted, and a bisected panel's halves invert new ones.
     dy/du is 0 at u = 0 and u = 1, so the integrand is 0 there without an
-    inversion.  The error estimate adds the inversion's, pi*(hi-lo) times
-    the largest error of g^2, to the quadrature's.
+    inversion.  The error estimate adds the inversion's, (hi-lo) times the
+    largest error of the integrand g^2 or y*g, to the quadrature's.
     """
-    inverse, inversion = _inverse_on_piece(fn, derivative, piece, ends, tol)
-    lo, hi = min(ends), max(ends)
+    inverse, inversion = _inverse_on_piece(fn, derivative, piece, ends, tol, parts)
+    (lo, t_lo), (hi, t_hi) = sorted(zip(ends, (piece.lo, piece.hi)))
     width = hi - lo
 
     def integrand(u: float) -> float:
@@ -310,11 +313,16 @@ def _inverse_disk_value(fn: Callable[[float], float],
             y = lo + width * (u * u * (3.0 - 2.0 * u))
         else:
             y = hi - width * (v * v * (1.0 + 2.0 * u))
-        return inverse(y) ** 2 * (6.0 * width * u * v)
+        g = inverse(y)
+        return (y * g if parts else g ** 2) * (6.0 * width * u * v)
 
     quad = integrate(integrand, 0.0, 1.0, tol, _clenshaw_curtis_panel)
-    err = math.pi * (quad.error_estimate + width * inversion[0])
-    return _clamp(math.pi * quad.value, err), err, quad
+    scale = 2.0 * math.pi if parts else math.pi
+    err = scale * (quad.error_estimate + width * inversion[0])
+    raw = scale * quad.value
+    if parts:
+        raw = _sign(t_lo, t_hi) * (math.pi * (hi * hi * t_hi - lo * lo * t_lo) - raw)
+    return _clamp(raw, err), err, quad
 
 
 def _alternating_sum(parts: Iterable[tuple[float, float, QuadratureResult]]
@@ -614,7 +622,7 @@ def _cross_theorem_frame(problem: VolumeProblem) -> VolumeReport:
     # the fully independent route: per-piece disk volumes, a different
     # integrand taken in the transverse variable, the curve inverted per node
     disk_value, disk_err, disk_quads = _alternating_sum(
-        _inverse_disk_value(fn, derivative, piece, (h_lo, h_hi), tol)
+        _inverse_value(fn, derivative, piece, (h_lo, h_hi), tol)
         for (piece, _), h_lo, h_hi in zip(part.pieces(), ends, ends[1:]))
     rows.append(("disk", disk_value, disk_err))
 
@@ -654,17 +662,11 @@ def _cross_disk_frame(problem: VolumeProblem) -> VolumeReport:
     if found is None or found.points:
         notes = ["curve is not strictly monotone: no independent formula route"]
     else:
-        # boundary-term formula on the inverse curve, one inversion per
-        # node: its variable spans the curve's values, and its values at
-        # the ends of that span are the interval's ends
+        # boundary-term formula on the inverse curve, whose variable spans
+        # the curve's values and whose end values are the interval's ends
         unproven = found.unproven
-        inverse, inversion = _inverse_on_piece(
+        inv_value, inv_err, inv_quad = _inverse_value(
             fn, derivative, interval, (h_lo, h_hi), tol, parts=True)
-        lo, hi = interval.lo, interval.hi
-        limits = (h_lo, h_hi, lo, hi) if h_lo < h_hi else (h_hi, h_lo, hi, lo)
-        inv_value, inv_err, inv_quad = _parts_value(inverse, *limits, tol)
-        # 2*pi*Int s*g(s) ds is off by up to 2*pi*|span| times s*g's worst
-        inv_err += 2.0 * math.pi * abs(h_hi - h_lo) * inversion[0]
         checks = [("theorem1" if problem.axis == AXIS_Y else "theorem3",
                    inv_value, inv_err)]
         quads.append(inv_quad)
@@ -742,7 +744,7 @@ def solve(problem: VolumeProblem) -> VolumeReport:
             raise NotInvertibleError("curve is not strictly monotone on its "
                                      "interval")
         return _method_report(
-            "disk", *_inverse_disk_value(fn, derivative, interval, ends, tol),
+            "disk", *_inverse_value(fn, derivative, interval, ends, tol),
             unproven=found.unproven)
     derivative, enclosures = slope_functions(method != "shell")
     if method == "shell":

@@ -526,13 +526,13 @@ class TestCrossValidate:
         # a disk row 1e-6 off disagrees with every other row, but only its
         # comparison with the primary warns (4 and 3 warnings when every
         # pair of rows was compared)
-        inverse_disk = revolve.volume._inverse_disk_value
+        inverse_value = revolve.volume._inverse_value
 
         def skewed(*args):
-            value, err, quad = inverse_disk(*args)
+            value, err, quad = inverse_value(*args)
             return value * (1.0 + 1e-6), err, quad
 
-        monkeypatch.setattr(revolve.volume, "_inverse_disk_value", skewed)
+        monkeypatch.setattr(revolve.volume, "_inverse_value", skewed)
         report = solve(VolumeProblem(curve=curve, interval=interval))
         assert len(report.warnings) == 1
         assert report.warnings[0].startswith(
@@ -620,6 +620,24 @@ class TestSolveDispatch:
         assert len(results) == 45
         assert sum(iterations for _, _, iterations, _ in results) <= 180
         assert sum(fell_back for _, _, _, fell_back in results) <= 5
+
+    def test_square_root_end_inversion_budget(self, monkeypatch):
+        # y^2 on [0, 1] in the disk frame: the inverse sqrt(s) has a
+        # square-root end at s = 0, which the nested rule's substitution
+        # makes analytic; Gauss-Kronrod in s bisected toward it with 255
+        # inversions
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return _newton(*args)
+
+        monkeypatch.setattr(revolve.volume, "_newton", counted)
+        report = solve(VolumeProblem(curve=parse("y^2", variable="y"),
+                                     interval=Interval(0.0, 1.0),
+                                     curve_role=ROLE_X_OF_Y, method="all"))
+        assert [row for row, _, _ in report.cross_checks] == ["theorem1"]
+        assert len(calls) == 15
 
     @pytest.mark.parametrize("axis, role, method, derivative_compiles, shape", [
         # formula frames
@@ -931,59 +949,77 @@ class TestErrorCoverage:
 
     def test_inverse_row_estimate_covers_disk_frame_closed_forms(
             self, monkeypatch):
-        # disk frame: the boundary-term row runs on the numeric inverse, and
-        # its estimate, which only _method_report's comparison reads, must
-        # count the inversion's error; without it arccos(x) was 5.3e-13 off
-        # against 1.2e-13, and Kepler about the y-axis at eps = 0.015
-        # 7.5e-12 against 5.8e-12
+        # disk frame, about both axes: the boundary-term row runs on the
+        # numeric inverse, and its estimate, which only _method_report's
+        # comparison reads, must count the inversion's error; without it
+        # arccos(x) was 5.3e-13 off against 1.2e-13, and Kepler about the
+        # y-axis at eps = 0.015 7.5e-12 against 5.8e-12.  y^2 and y^3 start
+        # at a flat end, where the inverse has a square-root end.  With
+        # Gauss-Kronrod in s, the set took 76,470 inversions; the nested
+        # rule in u takes 24,038
         rows = _record_checks(monkeypatch)
-        arccos = (parse("arccos(x)", variable="x"), Interval(-0.9, 0.9), AXIS_X,
-                  ROLE_Y_OF_X, {}, DISK_FRAME_FORMS["arccos(x)"]({}))
-        kepler = [(KEPLER_EXPR, FULL, AXIS_Y, ROLE_X_OF_Y, {"eps": i / 200.0},
-                   reference_volumes(KeplerCurve(i / 200.0))[0])
-                  for i in range(2, 199)]
+        curves = [(parse(text, variable=var, parameters=params),
+                   Interval(lo, hi), params, DISK_FRAME_FORMS[text](params))
+                  for _, text, var, params, lo, hi in DISK_FRAME_CLOSED_FORMS]
+        curves += [(parse("y^2", variable="y"), Interval(0.0, 1.0), {},
+                    PI / 5.0),
+                   (parse("y^3", variable="y"), Interval(0.0, 2.0), {},
+                    128.0 * PI / 7.0)]
+        curves += [(KEPLER_EXPR, FULL, {"eps": i / 200.0},
+                    reference_volumes(KeplerCurve(i / 200.0))[0])
+                   for i in range(2, 199)]
         misses = []
-        for curve, interval, axis, role, params, exact in [arccos, *kepler]:
-            rows.clear()
-            report = solve(VolumeProblem(
-                curve=curve, interval=interval, axis=axis, curve_role=role,
-                method="all", parameters=params))
-            assert report.warnings == ()
-            (name, value, err), = rows[0]
-            assert name == ("theorem1" if axis == AXIS_Y else "theorem3")
-            if abs(value - exact) > err + 1e-15 * abs(exact):
-                misses.append((params, abs(value - exact), err))
+        for curve, interval, params, exact in curves:
+            for axis, role in ((AXIS_Y, ROLE_X_OF_Y), (AXIS_X, ROLE_Y_OF_X)):
+                rows.clear()
+                report = solve(VolumeProblem(
+                    curve=curve, interval=interval, axis=axis,
+                    curve_role=role, method="all", parameters=params))
+                assert report.warnings == ()
+                (name, value, err), = rows[0]
+                assert name == ("theorem1" if axis == AXIS_Y else "theorem3")
+                if abs(value - exact) > err + 1e-15 * abs(exact):
+                    misses.append((curve, params, axis, abs(value - exact),
+                                   err))
         assert not misses, misses
 
     def test_inverse_row_estimate_adds_the_inversion_over_the_span(
             self, monkeypatch):
         # x^2 on [1, 2] about the x-axis: the inverse's variable spans
-        # [1, 4], and the row's estimate is its quadrature's plus 2*pi*3
-        # times the worst node error of s*g(s), which a loose residual_tol
-        # makes visible
+        # [1, 4], and the row's estimate is 2*pi times its quadrature's
+        # plus 3 times the worst node error of s*g(s), which a loose
+        # residual_tol makes visible.  Its value is the boundary-term
+        # formula on the inverse, whose ends are g(1) = 1 and g(4) = 2
         rows = _record_checks(monkeypatch)
-        inversions, parts = [], []
+        inversions, values = [], []
         inverse_on_piece = revolve.volume._inverse_on_piece
-        parts_value = revolve.volume._parts_value
+        inverse_value = revolve.volume._inverse_value
 
-        def recorded_inverse(*args, **kwargs):
-            inverse, inversion = inverse_on_piece(*args, **kwargs)
-            inversions.append(inversion)
+        def recorded_inverse(*args):
+            inverse, inversion = inverse_on_piece(*args)
+            inversions.append((args[-1], inversion))
             return inverse, inversion
+
+        def recorded_value(*args, **kwargs):
+            values.append((kwargs, inverse_value(*args, **kwargs)))
+            return values[-1][1]
 
         monkeypatch.setattr(revolve.volume, "_inverse_on_piece",
                             recorded_inverse)
-        monkeypatch.setattr(revolve.volume, "_parts_value",
-                            lambda *args: parts.append(parts_value(*args))
-                            or parts[-1])
+        monkeypatch.setattr(revolve.volume, "_inverse_value", recorded_value)
+        monkeypatch.setattr(revolve.volume, "_parts_value", None)
         solve(VolumeProblem(curve=SQUARE, interval=Interval(1.0, 2.0),
                             axis=AXIS_X, curve_role=ROLE_Y_OF_X, method="all",
                             tol=Tolerances(residual_tol=1e-6)))
-        (worst,), ((_, quad_err, _),) = inversions, parts
-        (name, _, err), = rows[0]
+        ((parts, worst),) = inversions
+        ((kwargs, (value, err, quad)),) = values
+        (name, row_value, row_err), = rows[0]
+        assert parts is True and kwargs == {"parts": True}
         assert name == "theorem3" and worst[0] > 0.0
-        assert err == pytest.approx(quad_err + 2.0 * PI * 3.0 * worst[0],
-                                    rel=1e-12)
+        assert (row_value, row_err) == (value, err)
+        assert err == pytest.approx(
+            2.0 * PI * (quad.error_estimate + 3.0 * worst[0]), rel=1e-12)
+        assert value == PI * 31.0 - 2.0 * PI * quad.value
 
     def test_formula_frame_closed_forms_are_found(self):
         assert len(FORMULA_FRAME_CLOSED_FORMS) == 10
