@@ -15,7 +15,9 @@ moved nothing else:
   it is the boundary-term row of ``--method all`` (``theorem1`` about y,
   ``theorem3`` about x), the formula applied to the inverse curve: its
   value and delta.  Nothing else may move; the same row names in the
-  formula frame are the direct formula and stay fixed.
+  formula frame are the direct formula and stay fixed.  Every integral
+  over a numeric inverse uses one path, the nested Clenshaw-Curtis rule
+  in ``volume._inverse_value``, so a change there can move both.
 
 It prints every moved number with its relative shift and, where the
 corpus curve's volume in that frame has a closed form, the error of the
