@@ -14,19 +14,19 @@ monotonicity and are deliberately excluded.
 
 Both hypotheses are proven rather than sampled.  The interval is bisected
 into cells aligned to a 1024-cell grid; a cell is settled when the
-enclosure of f' keeps one sign on it, or when the enclosure of f'' excludes
-0, so that f' is strictly monotone there and changes sign at most once.
-In a settled cell wider than one grid cell, bisecting grid points finds
-the grid cell around that sign change, where bracketed root finding
-refines the extremum, as it would after a scan of every grid point.  Any
-other cell is bisected again, below grid width, down to a fixed depth; a
-sign change of f' at the ends of a cell at that depth still counts as an
-extremum, and a cell left without one is reported as unproven instead of
-being passed over.  Nonnegativity follows: on proven monotone pieces the
-minimum is a breakpoint value.  Where no partition is built, or it left a
-cell unproven, f >= -1e-12 is proven cell by cell from the enclosure of f
-(or of f', which puts the minimum at a cell's end).  Both certificates
-bisect the same way (``_bisect``).
+enclosure of f' keeps one side of zero on it, or when the enclosure of f''
+excludes 0, so that f' is strictly monotone there and changes sign at most
+once.  In a settled cell wider than one grid cell, bisecting grid points
+finds the grid cell around that sign change, where bracketed root finding
+refines the extremum, or a grid point where f' is exactly 0, which is the
+extremum.  Any other cell is bisected again, below grid width, down to a
+fixed depth; a sign change of f' at the ends of a cell at that depth
+still counts as an extremum, and a cell left without one is reported as
+unproven instead of being passed over.  Nonnegativity follows: on proven
+monotone pieces the minimum is a breakpoint value.  Where no partition is
+built, or it left a cell unproven, f >= -1e-12 is proven cell by cell
+from the enclosure of f (or of f', which puts the minimum at a cell's
+end).  Both certificates bisect the same way (``_bisect``).
 
 A piece's direction is sgn(f(hi) - f(lo)) of its end values, as the paper
 orients a curve; the derivative serves only to find the breakpoints.
@@ -39,12 +39,13 @@ from typing import Callable, Iterator
 
 from ._record import record
 from .errors import RevolveError
+from .expr import ExpressionError
+from .numerics import (Interval, NonFiniteEvaluationError, Tolerances,
+                       _abscissa, _checked, find_root_bracketed)
 # Unused here: bench/tracer.py's Tracer.install patches these three names
 # on this module, so they stay until the tracer stops wrapping them.
 from .expr import bind, differentiate  # noqa: F401
 from .numerics import scan_sign_changes  # noqa: F401
-from .numerics import (Interval, Tolerances, _abscissa, _checked,
-                       find_root_bracketed)
 
 __all__ = [
     "AlternationViolationError",
@@ -74,7 +75,7 @@ DECREASING = "decreasing"
 _NONNEG_FLOOR = -1e-12
 
 # The grids the certificates' cells align to: breakpoints are refined on
-# the brackets of the 1024-cell grid, and a curve found negative is
+# cells of the 1024-cell grid, or narrower, and a curve found negative is
 # reported at the first point of the 4096-cell grid below the floor, where
 # such a grid point exists.
 _SCAN_CELLS = 1024
@@ -268,21 +269,15 @@ def _slope_certificate(derivative: Callable[[float], float],
     ascending order, and the cells left unproven.
 
     A cell of :func:`_bisect` on the 1024-cell grid is settled when the
-    enclosure of f' is of one strict sign or exactly zero, or when f'' has
-    one strict sign, so that f' changes sign at most once on it; a wider
-    cell needs a decided f' enclosure for the latter, and a cell one grid
-    cell wide or narrower is also settled when f' keeps one side of zero.
-    f' is evaluated at the ends of every unsettled one-cell cell in grid
-    order, so a grid point where it fails raises as a grid scan would.
-    The brackets are those of a scan over the points the leaves visit:
-    their ends (and the midpoint of a narrow leaf whose ends are both
-    zeros) and, in a wider leaf, the grid cell where f' changes sign,
-    found by bisecting grid indices, where a zero of f' at a grid point is
-    stepped over to its neighbours as a scan does.  So where every cell
-    settles at grid width or wider these are exactly the brackets
-    ``scan_sign_changes`` returns; a grid cell bisected further that holds
-    one sign change between grid ends of opposite sign keeps its grid
-    bracket too.
+    enclosure of f' keeps one side of zero, or when that of f'' has one
+    strict sign, so that f' changes sign at most once on it.  Each leaf's
+    ends are visited, the midpoint of one whose ends are both zeros of f',
+    and in a leaf wider than one grid cell the grid cell where f' changes
+    sign, found by bisecting grid indices.  Consecutive visited points
+    where f' has opposite signs bracket a sign change; a point between
+    them where f' is exactly 0 brackets it alone.  f' that fails at an end
+    of ``interval`` gives that end no sign and leaves its leaf unproven; a
+    failure anywhere else raises.
     """
     slope, curvature = enclosures.slope, enclosures.curvature
     grid = _abscissa(interval.lo, interval.hi, _SCAN_CELLS)
@@ -291,78 +286,64 @@ def _slope_certificate(derivative: Callable[[float], float],
     def value(x: float) -> float:
         v = values.get(x)
         if v is None:
-            v = values[x] = _checked(derivative, x)
+            try:
+                v = values[x] = _checked(derivative, x)
+            except (ExpressionError, NonFiniteEvaluationError):
+                if x not in (interval.lo, interval.hi):
+                    raise
+                v = values[x] = math.nan
         return v
 
     def settle(a: float, b: float, width: int) -> bool | None:
-        bounds = slope(a, b)
-        low, high = bounds or _UNKNOWN
-        if low > 0.0 or high < 0.0 or low == high == 0.0:
+        low, high = slope(a, b) or _UNKNOWN
+        if low >= 0.0 or high <= 0.0:
             return True
-        if width <= 1:
-            if width == 1:
-                value(a), value(b)
-            if low >= 0.0 or high <= 0.0:
-                return True
-        elif bounds is None:  # f' may fail at a grid point of the cell
-            return None
         low, high = curvature(a, b) or _UNKNOWN
         return True if low > 0.0 or high < 0.0 else None
 
     brackets: list[Cell] = []
     unproven: list[Cell] = []
     last: tuple[float, bool] | None = None  # last point where f' != 0, f' < 0
+    zero: float | None = None  # a point since then where f' == 0
 
     def visit(x: float) -> None:
-        nonlocal last
+        nonlocal last, zero
         v = value(x)
-        if v != 0.0:
+        if v == 0.0:
+            zero = x
+        elif not math.isnan(v):
             if last is not None and last[1] != (v < 0.0):
-                brackets.append((last[0], x))
-            last = (x, v < 0.0)
+                brackets.append((last[0], x) if zero is None else (zero, zero))
+            last, zero = (x, v < 0.0), None
 
     def crossing(i: int, j: int) -> list[int]:
-        # the grid indices a scan brackets the one sign change of a
-        # monotone f' on [i, j] with, found by bisecting the indices; none
-        # where the ends do not differ in sign.  A zero is stepped over.
+        # the grid cell, or the grid point where f' is 0, at the one sign
+        # change of a monotone f' on [i, j]; none where the ends show none
         if not _opposite(value(grid(i)), value(grid(j))):
             return []
         while j - i > 1:
             m = (i + j) // 2
             v = value(grid(m))
             if v == 0.0:
-                return [m - 1, m + 1]
+                return [m]
             i, j = (m, j) if _opposite(v, value(grid(j))) else (i, m)
         return [i, j]
 
-    def sweep(a: float, b: float, state: object) -> None:
-        visit(a)
-        if value(a) == 0.0 == value(b):
-            visit(0.5 * (a + b))
-        visit(b)
-        # a leaf at the limits still shows a sign change at its ends
-        if state is None and not _opposite(value(a), value(b)):
-            unproven.append((a, b))
-
     for i, j, state in _bisect(interval, _SCAN_CELLS, settle):
-        a, b = grid(i), grid(j)
-        if j - i > 1:
-            # a zero at an end is stepped over to its neighbour inside
-            points = [i, *crossing(i, j), j]
-            if value(a) == 0.0:
-                points.insert(1, i + 1)
-            if value(b) == 0.0:
-                points.insert(-1, j - 1)
-            for k in points:
+        if not isinstance(state, list):
+            state = [(grid(i), grid(j), state)]
+        for a, b, settled in state:
+            visit(a)
+            if value(a) == 0.0 == value(b):
+                visit(0.5 * (a + b))
+            for k in crossing(i, j) if j - i > 1 else ():
                 visit(grid(k))
-            continue
-        start = len(brackets)
-        for leaf in state if isinstance(state, list) else [(a, b, state)]:
-            sweep(*leaf)
-        # one sign change between grid ends of opposite sign: refine it on
-        # the grid bracket, the one scan_sign_changes gives
-        if len(brackets) == start + 1 and _opposite(value(a), value(b)):
-            brackets[start] = (a, b)
+            visit(b)
+            # a leaf at the limits, or at an end where f' fails, is
+            # unproven unless its ends show a sign change
+            if not _opposite(value(a), value(b)) and (
+                    settled is None or math.isnan(value(a) + value(b))):
+                unproven.append((a, b))
     return brackets, unproven
 
 
@@ -427,17 +408,17 @@ def critical_points(derivative: Callable[[float], float],
     enclosures of f' and f'' (``enclosures.slope`` and
     ``enclosures.curvature``).
 
-    Each sign change is refined by bracketed root finding; where the
-    certificate settles every cell at the 1024-cell grid, the brackets are
-    that grid's, as a scan of it would give them.  Results are sorted and
-    deduplicated within ``abs_tol``; cells left undecided are returned as
-    ``unproven``.
+    Each sign change is refined by bracketed root finding, except at a
+    point where ``derivative`` is exactly 0, which is the root itself.
+    Results are sorted and deduplicated within ``abs_tol``; cells left
+    undecided are returned as ``unproven``.
     """
     tol = tol or Tolerances()
     if interval.width <= 0.0:
         raise ValueError("interval must be non-degenerate")
     brackets, unproven = _slope_certificate(derivative, enclosures, interval)
-    roots = sorted(find_root_bracketed(derivative, lo, hi, tol).root
+    roots = sorted(lo if lo == hi else
+                   find_root_bracketed(derivative, lo, hi, tol).root
                    for lo, hi in brackets)
     scale = max(abs(interval.lo), abs(interval.hi), 1.0)
     edge = max(tol.abs_tol, 4.0 * math.ulp(scale))

@@ -87,6 +87,21 @@ class TestVolume:
         expected = 8 * PI ** 4 / 3 - 2 * PI ** 2
         assert payload["value"] == pytest.approx(expected, rel=1e-9)
 
+    def test_slope_undefined_at_an_end_leaves_a_cell_unproven(self, capsys):
+        # f' = 1/(2*sqrt(y)) divides by zero at y = 0, an end of the
+        # interval: that cell is reported unproven, and the request stands
+        code, out, err = run_cli(capsys, [
+            "volume", "--curve", "sqrt(y)", "--var", "y", "--interval", "0",
+            "4", "--axis", "y", "--method", "all", "--json"])
+        assert code == 0 and err == ""
+        payload = json.loads(out)
+        assert payload["value"] == pytest.approx(8 * PI, abs=1e-10)
+        assert [row["value"] for row in payload["cross_checks"]
+                if row["method"] == "theorem1"] == [
+                    pytest.approx(8 * PI, abs=1e-10)]
+        assert [w.split(":")[0] for w in payload["warnings"]] == [
+            "hypotheses-unproven"]
+
     def test_hypothesis_violation_exit_code(self, capsys):
         code, _, err = run_cli(capsys, [
             "volume", "--curve", "1 + sin(x)", "--interval", "0", "3*pi/2",

@@ -4,10 +4,10 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import revolve.monotone
-from revolve.expr import bind, differentiate, enclose, parse
+from revolve.expr import DomainError, bind, differentiate, enclose, parse
 from revolve.monotone import (
     DECREASING,
     INCREASING,
@@ -80,6 +80,17 @@ class TestCriticalPoints:
         assert roots == [0.0]
         assert found == CriticalPoints(())
 
+    def test_root_exactly_at_the_edge_of_an_end_is_dropped(self):
+        # on [0, 1.024e-9] the grid step is abs_tol, 1e-12, so grid points
+        # 1 and 1023 lie exactly at the edge of an end: f' = x - r, exactly
+        # 0 there, gives no extremum; one grid point further in it does
+        interval = Interval(0.0, 1.024e-9)
+        grid = _abscissa(interval.lo, interval.hi, 1024)
+        for k, kept in ((1, False), (2, True), (1022, True), (1023, False)):
+            curve = parse(f"x^2/2 - {grid(k)!r}*x", variable="x")
+            found = critical_points(*compiled(curve)[1:], interval)
+            assert found == CriticalPoints((grid(k),) if kept else ())
+
     def test_roots_within_abs_tol_are_one_breakpoint(self, monkeypatch):
         # f' is -1 except +1e-13 at 0.5, grid point 512 of [0, 1]; its
         # enclosure decides every cell but those holding 0.5, so the grid
@@ -97,6 +108,25 @@ class TestCriticalPoints:
     def test_degenerate_interval_rejected(self):
         with pytest.raises(ValueError):
             critical_points(*compiled(RAMP_WAVE)[1:], Interval(1.0, 1.0))
+
+    def test_slope_failing_at_an_end_leaves_its_cell_unproven(self):
+        # f' = 1/(2*sqrt(x)) divides by zero at the left end: that end has
+        # no sign, and the leaf there, at the depth limit, is unproven
+        found = critical_points(*compiled(parse("sqrt(x)", variable="x"))[1:],
+                                Interval(0.0, 4.0))
+        assert found == CriticalPoints((), ((0.0, 4.0 * 2.0 ** -50),))
+        # f' overflows at the right end of a cell its enclosure settles
+        found = critical_points(
+            lambda x: math.inf if x == 1.0 else 1.0,
+            Enclosures(_undecided, lambda lo, hi: (1.0, 1.0), _undecided),
+            Interval(0.0, 1.0))
+        assert found == CriticalPoints((), ((0.0, 1.0),))
+
+    def test_slope_failing_inside_the_interval_raises(self):
+        # f' of sqrt(x*x) divides by zero at 0, grid point 512 of [-1, 1]
+        with pytest.raises(DomainError):
+            critical_points(*compiled(parse("sqrt(x*x)", variable="x"))[1:],
+                            Interval(-1.0, 1.0))
 
 
 class TestPartition:
@@ -135,6 +165,8 @@ class TestPartition:
             MonotonePartition((0.0, 1.0), (INCREASING, DECREASING), ())
         with pytest.raises(ValueError):
             MonotonePartition((1.0, 0.0), (INCREASING,), ())
+        with pytest.raises(ValueError):
+            MonotonePartition((1.0, 1.0), (INCREASING,), ())
 
     @pytest.mark.parametrize("name,text,var,params,lo,hi", CURVES[:11])
     def test_piece_directions_match_derivative_sign(self, name, text, var,
@@ -253,7 +285,10 @@ def _assert_keeps_the_grid_scan(derivative, enclosures, interval):
     """Where nothing is left unproven, the certificate's breakpoints are
     the grid scan's, bit for bit, plus any it finds outside every scan
     bracket: a pair of sign changes, or one next to an end, that the grid
-    points step over (two roots 1e-9 apart, say)."""
+    points step over (two roots 1e-9 apart, say).  That holds where each
+    sign change the scan brackets lies in a leaf at least one grid cell
+    wide, which keeps the grid cell as its bracket, and at no grid point
+    where f' is exactly 0."""
     found = critical_points(derivative, enclosures, interval)
     if found.unproven:
         return
@@ -289,23 +324,27 @@ class TestCertificate:
         part = partition(*compiled(DIP), Interval(0.0, 2.0))
         assert part.directions == (INCREASING, DECREASING, INCREASING)
 
-    def test_one_sign_change_below_grid_width_keeps_the_grid_bracket(self):
+    def test_one_sign_change_below_grid_width_is_refined_on_its_leaf(self):
         # f'' = 12*(x - 0.3)^2 touches 0 at the minimum, so its grid cell is
-        # bisected below grid width; its one sign change is still refined on
-        # the grid's bracket, as the scan did
+        # bisected below grid width, down to a leaf about 1e-15 wide around
+        # 0.3.  f' = 4*(x - 0.3)^3 meets residual_tol within 1e-4 of 0.3,
+        # where Brent on the grid cell's bracket stopped (0.29996); on the
+        # leaf's bracket it cannot stop that far off
         curve = parse("(x-0.3)^4", variable="x")
         found = critical_points(*compiled(curve)[1:], Interval(0.0, 1.0))
         assert len(found.points) == 1 and found.unproven == ()
-        assert found.points == _grid_scan_points(curve, Interval(0.0, 1.0))
+        assert found.points[0] == pytest.approx(0.3, abs=1e-12)
 
-    def test_slope_zero_at_a_grid_point_keeps_the_scan_bracket(self):
+    def test_slope_zero_at_a_grid_point_is_the_extremum(self, monkeypatch):
         # f' = (x - 0.75)*(3x + 3.25) is exactly 0 at grid point 512 of
-        # [0, 1.5], inside a cell f'' settles many grid cells wide: the scan
-        # steps over the zero to its neighbours, and so must the certificate
-        interval = Interval(0.0, 1.5)
-        found = critical_points(*compiled(REST_AT_GRID_POINT)[1:], interval)
+        # [0, 1.5], inside a cell f'' settles many grid cells wide: bisecting
+        # the grid stops there, and that point is the extremum, to the bit,
+        # with no root finding
+        roots = _recorded_roots(monkeypatch)
+        found = critical_points(*compiled(REST_AT_GRID_POINT)[1:],
+                                Interval(0.0, 1.5))
         assert found == CriticalPoints((0.75,))
-        assert found.points == _grid_scan_points(REST_AT_GRID_POINT, interval)
+        assert roots == []
 
     @settings(max_examples=80, derandomize=True, deadline=None)
     @given(p=st.floats(0.5, 5.0), a=st.floats(-4.0, 4.0),
@@ -325,27 +364,56 @@ class TestCertificate:
                           min_size=1, max_size=4),
            lo=st.sampled_from([0.0, -1.0, 0.3]),
            width=st.sampled_from([1.5, 2.0, 0.7]))
-    def test_polynomial_keeps_the_grid_scans(self, k, roots, lo, width):
+    # a grid scan stepped over the zero at grid point 2 to Brent's
+    # 0.0029296874999872337, and at grid point 1 ended a grid cell off
+    @example(k=1.0, roots=[0, 2], lo=0.0, width=1.5)
+    @example(k=1e-109, roots=[1], lo=0.0, width=1.5)
+    # f' is 0 at both ends of a grid cell its enclosure settles: only the
+    # cell's midpoint shows the sign between the two extrema
+    @example(k=1.0, roots=[300, 301], lo=0.0, width=1.5)
+    def test_polynomial_extrema_lie_at_sign_changes(self, k, roots, lo,
+                                                    width):
         # f' = k*(x - r1)*...*(x - rn); an integer root is that point of the
-        # 1024-cell grid, where f' is then exactly 0
+        # 1024-cell grid, where f' is then exactly 0.  f' changes sign at
+        # the roots of odd multiplicity: each breakpoint lies within a grid
+        # cell of one, and one at a grid point is found exactly.  Where the
+        # product underflows to 0 away from every root (k subnormal, say),
+        # f' has no sign there to place a breakpoint by
         interval = Interval(lo, lo + width)
         grid = _abscissa(interval.lo, interval.hi, 1024)
-        text = "*".join([repr(k)] + [
-            f"(x - {grid(r) if isinstance(r, int) else r!r})" for r in roots])
-        slope = parse(text, variable="x")
-        _assert_keeps_the_grid_scan(
-            bind(slope, "x"),
-            Enclosures(_undecided, enclose(slope, "x"),
-                       enclose(differentiate(slope, "x"), "x")),
+        zeros = [grid(r) if isinstance(r, int) else r for r in roots]
+        slope = parse("*".join([repr(k)] + [f"(x - {z!r})" for z in zeros]),
+                      variable="x")
+        derivative = bind(slope, "x")
+        found = critical_points(
+            derivative, Enclosures(_undecided, enclose(slope, "x"),
+                                   enclose(differentiate(slope, "x"), "x")),
             interval)
 
+        def underflows(x):
+            return derivative(x) == 0.0 and x not in zeros
+
+        odd = {z for z in zeros if zeros.count(z) % 2}
+        for x in found.points:
+            assert underflows(x) or any(abs(x - z) <= grid(1) - grid(0)
+                                        for z in odd)
+        if found.unproven or any(map(underflows, map(grid, range(1025)))):
+            return
+        edge = Tolerances().abs_tol
+        for r in roots:
+            if isinstance(r, int) and grid(r) in odd and (
+                    interval.lo + edge < grid(r) < interval.hi - edge):
+                assert grid(r) in found.points
+
     def test_tangential_zero_gives_no_breakpoint(self):
-        # x^3 has f'(0) = 0 without a sign change, at a grid point of [-1, 1]
-        curve = parse("x^3", variable="x")
-        found = critical_points(*compiled(curve)[1:], Interval(-1.0, 1.0))
-        assert found == CriticalPoints(())
-        part = partition(*compiled(curve), Interval(-1.0, 1.0))
-        assert part.directions == (INCREASING,)
+        # x^3 has f'(0) = 0 without a sign change, at a grid point of [-1, 1];
+        # the enclosure of f' touches 0 from above, and for -x^3 from below
+        for text, direction in (("x^3", INCREASING), ("-x^3", DECREASING)):
+            curve = parse(text, variable="x")
+            found = critical_points(*compiled(curve)[1:], Interval(-1.0, 1.0))
+            assert found == CriticalPoints(())
+            part = partition(*compiled(curve), Interval(-1.0, 1.0))
+            assert part.directions == (direction,)
 
     def test_slope_vanishing_at_the_right_end(self):
         # f' = cos(x) vanishes at 1.5*pi, the interval's end: no breakpoint
@@ -370,6 +438,15 @@ class TestCertificate:
         report = validate_revolution_hypotheses(
             lambda x: 2.0 + math.sin(x), math.cos, never, Interval(0.0, 1.0))
         assert report.satisfied and report.unproven
+
+    def test_cells_are_not_split_below_float_resolution(self):
+        # on [1, 1 + 2^-40] a grid cell is 4 ulps wide: a cell one ulp wide
+        # is a leaf, since the midpoint of adjacent floats is one of them
+        never = Enclosures(_undecided, _undecided, _undecided)
+        found = critical_points(lambda x: -1.0, never,
+                                Interval(1.0, 1.0 + 2.0 ** -40))
+        assert found.points == () and found.unproven
+        assert all(lo < hi for lo, hi in found.unproven)
 
     def test_dip_in_an_unproven_cell_is_found(self):
         # a dip below zero about 1e-6 wide, centred on a point of the
@@ -457,6 +534,16 @@ class TestValidateRevolutionHypotheses:
                                                 Interval(0.0, 2.0))
         assert not report.satisfied
         assert RULE_NEGATIVE_VALUE in [rule for rule, _ in report.violations]
+
+    def test_value_exactly_at_the_floor_is_not_negative(self):
+        # x - 1e-12 is -1e-12 at 0, exactly the roundoff floor; enclosures
+        # that never decide leave cells unproven, so the floor certificate
+        # checks it too
+        never = Enclosures(_undecided, _undecided, _undecided)
+        report = validate_revolution_hypotheses(
+            lambda x: x - 1e-12, lambda x: 1.0, never, Interval(0.0, 1.0))
+        assert report.unproven
+        assert RULE_NEGATIVE_VALUE not in [rule for rule, _ in report.violations]
 
     def test_constant_curve_is_not_strictly_monotone(self):
         # its one piece has equal end values: not an alternation fault
