@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 import re
-from functools import lru_cache
+from functools import lru_cache, wraps
 from typing import Callable, Iterable, Mapping
 
 from ._record import record
@@ -417,16 +417,46 @@ def _binary(op: str, x: float, y: float) -> float:
 # ---------------------------------------------------------------------------
 # Differentiation
 
+def _memoised(function):
+    """``function`` of a tree behind a process-wide cache bounded like
+    ``_code``'s, keyed by the tree's repr, kept on the tree: record equality
+    calls ``Const(0.0)`` and ``Const(-0.0)`` equal, a repr does not.  A repr
+    prints every float exactly but NaN: a tree with one skips the cache."""
+    cache, missing = {}, object()
+
+    @wraps(function)
+    def memo(e, *args):
+        if not isinstance(e, Expression):
+            return function(e, *args)
+        text = e.__dict__.get("_exact") or e.__dict__.setdefault("_exact", repr(e))
+        key = (text, *args)
+        value = cache.get(key, missing)
+        if value is missing:
+            value = function(e, *args)
+            if "nan" not in text:
+                cache[key] = value
+                if len(cache) > 256:
+                    cache.pop(next(iter(cache)), None)  # the oldest entry
+        return value
+    memo.cache = cache
+    return memo
+
+
+@_memoised
 def differentiate(e: Expression, var: str) -> Expression:
     """Symbolic derivative of ``e`` with respect to ``var``.
 
     The result is lightly simplified (0*u -> 0, u+0 -> u, 1*u -> u, and
-    constant folding) so derivative trees are structurally stable.
-    """
+    constant folding) so derivative trees are structurally stable.  An
+    exactly equal tree gets the same derivative object back."""
+    return _derivative(e, var)
+
+
+def _derivative(e: Expression, var: str) -> Expression:
     if isinstance(e, BinOp):
         op, left, right = e.op, e.left, e.right
-        dl = differentiate(left, var)
-        dr = differentiate(right, var)
+        dl = _derivative(left, var)
+        dr = _derivative(right, var)
         if op == "+":
             return _add(dl, dr)
         if op == "-":
@@ -445,7 +475,7 @@ def differentiate(e: Expression, var: str) -> Expression:
         raise TypeError(f"unknown operator {op!r}")
     if isinstance(e, Call):
         func, arg = e.func, e.arg
-        du = differentiate(arg, var)
+        du = _derivative(arg, var)
         if func == "sin":
             return _mul(Call("cos", arg), du)
         if func == "cos":
@@ -459,7 +489,7 @@ def differentiate(e: Expression, var: str) -> Expression:
     if isinstance(e, Var):
         return Const(1.0) if e.name == var else Const(0.0)
     if isinstance(e, Neg):
-        return _neg(differentiate(e.arg, var))
+        return _neg(_derivative(e.arg, var))
     if isinstance(e, (Const, PiConst, Param)):
         return Const(0.0)
     raise TypeError(f"not an expression node: {e!r}")
@@ -616,6 +646,7 @@ def free_variables(e: Expression) -> frozenset[str]:
     return frozenset(names)
 
 
+@_memoised
 def the_variable(e: Expression) -> str | None:
     """The single free variable of ``e``, or ``None`` for a constant
     expression.  More than one free variable is a structural error."""
@@ -634,14 +665,30 @@ def bind(e: Expression, variable: str,
     only on the tree's shape: constants and parameter values reach it by
     name, and the variable is always the argument.  The code compiled from
     that source is shared across binds of the same shape (a bounded cache,
-    like the ``re`` module's), so a parameter sweep compiles once.  Each
-    call still returns a fresh function with its own values, which computes
-    exactly what :func:`evaluate` computes, bit for bit and error for
-    error.  A name with no value raises ``UnboundIdentifierError`` only
-    when a call reaches it.  The returned callable is pure and safe for
-    concurrent use.
+    like the ``re`` module's), so a parameter sweep compiles once; an
+    exactly equal tree with equal values is lowered once.  Each call still
+    returns a fresh function, which computes exactly what :func:`evaluate`
+    computes, bit for bit and error for error.  A name with no value, or
+    a value ``float()`` refuses, raises only when a call reaches it.  The
+    returned callable is pure and safe for concurrent use.
     """
-    return _Compiler(variable, dict(parameters or {})).compile(e)
+    return _lowered(e, variable, parameters, False)
+
+
+def _lowered(e: Expression, variable: str, parameters: Bindings | None,
+             interval: bool) -> Callable:
+    try:  # 0.0 == -0.0, but the two must not share an entry
+        values = tuple(sorted((name, float(raw), math.copysign(1.0, raw))
+                              for name, raw in (parameters or {}).items()))
+    except Exception:  # float() refuses a value: coerce it on each call
+        return _Compiler(variable, dict(parameters or {}), interval).compile(e)
+    f = _lower(e, variable, values, interval)
+    return type(f)(f.__code__, f.__globals__)  # a fresh f; globals are read-only
+
+
+@_memoised
+def _lower(e: Expression, variable: str, values: tuple, interval: bool):
+    return _Compiler(variable, {n: v for n, v, _ in values}, interval).compile(e)
 
 
 @lru_cache(maxsize=256)
@@ -665,27 +712,36 @@ class _Compiler:
     operation.  A failed check calls the reference operation, which raises
     the reference error.  Constants and parameter values live in the
     function's namespace by name, never as printed literals, so the source,
-    and the code :func:`_code` caches for it, depends on the shape alone."""
+    and the code :func:`_code` caches for it, depends on the shape alone.
+    In interval mode it lowers to ``def f(lo, hi): ...`` for :func:`enclose`."""
 
-    def __init__(self, variable: str, params: dict[str, object]):
+    def __init__(self, variable: str, params: dict[str, object],
+                 interval: bool = False):
         self.variable = variable
         self.params = params
+        self.interval = interval
         self.namespace: dict[str, object] = {
             "__builtins__": {}, "float": float, "floor": math.floor,
             "OverflowError": OverflowError,
             "pi": math.pi, "sin": math.sin, "cos": math.cos,
             "arccos": math.acos, "sqrt": math.sqrt,
             "_apply": _apply, "_binary": _binary,
-            "UnboundIdentifierError": UnboundIdentifierError,
+            "_apply_interval": _apply_interval, "_pow_interval": _pow_interval,
+            "_binary_interval": _binary_interval, "_UNDECIDED": (
+                _Undecided, ExpressionError, ArithmeticError, ValueError),
         }
         self.lines: list[str] = []
         self.locals: dict[str, str] = {}  # identifier -> name of its float
         self.count = 0
 
-    def compile(self, e: Expression) -> Callable[[float], float]:
-        result = self._emit(e)
-        source = "def f(x):\n" + "".join(
-            f"    {line}\n" for line in (*self.lines, f"return {result}"))
+    def compile(self, e: Expression) -> Callable:
+        result = (self._enclose if self.interval else self._emit)(e)
+        lines = [*self.lines, f"return {result}"]
+        if self.interval:  # an error an enclosure absorbs leaves it undecided
+            lines = ["x = lo, hi", "try:", *(f"    {line}" for line in lines),
+                     "except _UNDECIDED:", "    return None"]
+        source = f"def f({'lo, hi' if self.interval else 'x'}):\n" + "".join(
+            f"    {line}\n" for line in lines)
         exec(_code(source), self.namespace)
         # f's globals are the namespace: without the pop, f and the
         # namespace form a cycle that only the cyclic collector frees
@@ -711,23 +767,13 @@ class _Compiler:
             args = ", ".join((repr(op), *operands))
             self.lines.append(f"if {check.format(*operands)}: {reference}({args})")
 
-    def _lookup(self, name: str) -> str:
+    def _lookup(self, e: Var | Param) -> str:
         # _lookup coerces with float() on every reach; coercing once, at
         # the first reach, gives the same values and the same first error
-        if name not in self.locals:
-            if name == self.variable:
-                self.locals[name] = self._temp("float(x)")
-            elif name in self.params:
-                raw = self.params[name]
-                try:
-                    self.locals[name] = self._constant(float(raw))
-                except (TypeError, ValueError, OverflowError):
-                    self.locals[name] = self._temp(f"float({self._constant(raw)})")
-            else:
-                self.lines.append(
-                    f"raise UnboundIdentifierError({self._constant(name)})")
-                return "None"  # unreachable after the raise
-        return self.locals[name]
+        if e.name not in self.locals:
+            self.locals[e.name] = (self._temp("float(x)") if e.name == self.variable
+                                   else self._fixed(_eval, e))
+        return self.locals[e.name]
 
     def _emit(self, e: Expression) -> str:
         if isinstance(e, BinOp):
@@ -744,7 +790,7 @@ class _Compiler:
         elif isinstance(e, Const):
             return self._constant(e.value)
         elif isinstance(e, (Var, Param)):
-            return self._lookup(e.name)
+            return self._lookup(e)
         elif isinstance(e, Call):
             if e.func in FUNCTIONS:
                 a = self._emit(e.arg)
@@ -755,6 +801,30 @@ class _Compiler:
         elif isinstance(e, PiConst):
             return "pi"
         raise TypeError(f"not an expression node: {e!r}")
+
+    def _enclose(self, e: Expression) -> str:
+        if isinstance(e, BinOp) and e.op in ("+", "-", "*", "/", "^"):
+            a = self._enclose(e.left)  # the variable is kept out of exponents
+            if e.op == "^":
+                return self._temp(f"_pow_interval(*{a}, {self._fixed(_eval, e.right)})")
+            b = self._enclose(e.right)
+            return self._temp(f"_binary_interval({e.op!r}, {a}, {b})")
+        if isinstance(e, Call) and e.func in FUNCTIONS:
+            return self._temp(f"_apply_interval({e.func!r}, {self._enclose(e.arg)})")
+        if isinstance(e, (Var, Param)) and e.name == self.variable:
+            return "x"
+        if isinstance(e, Neg):
+            a = self._enclose(e.arg)
+            return self._temp(f"(-{a}[1], -{a}[0])")
+        return self._fixed(_point, e)
+
+    def _fixed(self, evaluate: Callable, e: Expression) -> str:
+        # evaluate(e, params) once, here, or if that raises, on each call
+        try:
+            return self._constant(evaluate(e, self.params))
+        except Exception:  # which then fails where and as the operation would
+            args = ", ".join(map(self._constant, (e, self.params)))
+            return self._temp(f"{self._constant(evaluate)}({args})")
 
 
 # ---------------------------------------------------------------------------
@@ -767,24 +837,17 @@ def enclose(e: Expression, variable: str, parameters: Bindings | None = None
 
     The returned function maps ``(lo, hi)`` to ``(low, high)`` with
     low <= e(x) <= high for every x in [lo, hi], both for the exact real
-    value and for what :func:`bind` computes at a float x.  It walks the
-    tree as :func:`evaluate` does: constants and parameter values enter
-    exactly, an exponent is evaluated, and every bound an operation
-    computes is rounded outward with ``math.nextafter`` (two steps for
-    sin, cos, arccos and ``^``, which come from the platform library),
-    except a zero that is exact.  The result is ``None``, "undecided",
-    wherever a domain check could fail somewhere on [lo, hi], a name has
-    no value, or a bound is not finite; the enclosure never raises for
-    those.
+    value and for what :func:`bind` computes at a float x.  It is compiled
+    and cached as :func:`bind` is, one interval operation per node in
+    :func:`evaluate`'s order: constants and parameter values enter exactly,
+    an exponent is evaluated once, and every bound an operation computes
+    is rounded outward with ``math.nextafter`` (two steps for sin, cos,
+    arccos and ``^``, which come from the platform library), except a zero
+    that is exact.  The result is ``None``, "undecided", wherever a domain
+    check could fail somewhere on [lo, hi], a name has no value, an
+    exponent fails or a bound is not finite; it never raises for those.
     """
-    params = dict(parameters or {})
-
-    def enclosure(lo: float, hi: float) -> tuple[float, float] | None:
-        try:
-            return _eval_interval(e, variable, params, (lo, hi))
-        except (_Undecided, ExpressionError, ArithmeticError, ValueError):
-            return None
-    return enclosure
+    return _lowered(e, variable, parameters, True)
 
 
 class _Undecided(Exception):
@@ -887,6 +950,14 @@ def _pow_interval(lo: float, hi: float, y: float) -> tuple[float, float]:
     if whole and y % 2.0 == 0.0 and lo < 0.0 < hi:
         low = 0.0
     return low, high
+
+
+def _point(e: Expression, params: Bindings) -> tuple[float, float]:
+    """Bounds on a constant or a parameter's value: exact, if finite."""
+    value = _eval(e, params)
+    if -_INF < value < _INF:
+        return value, value
+    raise _Undecided
 
 
 def _eval_interval(e: Expression, variable: str, params: Bindings,

@@ -7,7 +7,7 @@ import random
 import struct
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from revolve.expr import (
     PI,
@@ -15,13 +15,18 @@ from revolve.expr import (
     Call,
     Const,
     DomainError,
+    ExpressionError,
     ExpressionSyntaxError,
     Neg,
     Param,
     UnboundIdentifierError,
     UnknownIdentifierError,
     Var,
+    _Undecided,
     _code,
+    _derivative,
+    _eval_interval,
+    _lower,
     bind,
     differentiate,
     enclose,
@@ -352,10 +357,13 @@ def test_compiled_matches_reference(tree, x, eps):
     mirrored tree, which takes the other operand at every such node.
 
     Each tree is bound twice: cold, from a cleared code cache, and warm,
-    from the code the first bind compiled and its call specialized."""
+    from the code the first bind compiled and its call specialized.  The
+    lowering cache is cleared before each bind, or the second would not
+    reach the code cache."""
     params = {} if eps is None else {"eps": eps}
     _code.cache_clear()
     for _ in ("cold", "warm"):
+        _lower.cache.clear()
         fn = bind(tree, "x", params)  # an unbound name must not raise here
         got = _outcome(fn, x)
         want = _outcome(evaluate, tree, {**params, "x": x})
@@ -405,6 +413,8 @@ def test_unbound_parameter_raises_on_the_call_not_on_bind():
 
 def test_uncoercible_parameter_raises_on_the_call_like_evaluate():
     e = parse("c*x", variable="x", parameters=("c",))
+    for _ in range(2):  # the tree's lowering is cached, then reused
+        assert bind(e, "x", {"c": 2.0})(1.5) == 3.0
     fn = bind(e, "x", {"c": "oops"})
     assert _outcome(fn, 1.0) == _outcome(evaluate, e, {"c": "oops", "x": 1.0})
     assert _outcome(fn, 1.0)[0] is ValueError
@@ -418,8 +428,10 @@ def test_uncoercible_parameter_raises_on_the_call_like_evaluate():
 def test_binds_of_one_shape_share_code(first, second):
     """Constants and parameter values reach the compiled code by name, so
     trees that differ only in them share one code object, and each function
-    keeps its own values."""
+    keeps its own values.  The lowering cache is cleared too: a tree an
+    earlier test lowered would not reach the code cache."""
     _code.cache_clear()
+    _lower.cache.clear()
     functions = []
     for text, var, params in (first, second):
         tree = parse(text, variable=var, parameters=params.keys())
@@ -435,14 +447,15 @@ def test_binds_of_one_shape_share_code(first, second):
 def test_errors_survive_a_code_cache_hit():
     """Shared code keeps every error of a fresh compile: an unbound name
     raises on the call, and a value ``float()`` cannot coerce raises the
-    reference error, from code apart from a float parameter's."""
+    reference error.  Both fail at lowering, so both calls repeat the
+    reference lookup, from one code object apart from a float parameter's."""
     e = parse("c*x", variable="x", parameters=("c",))
     unbound = [bind(e, "x", {}) for _ in range(2)]
     oops = [bind(e, "x", {"c": "oops"}) for _ in range(2)]
     scaled = bind(e, "x", {"c": 2.0})
     assert unbound[0].__code__ is unbound[1].__code__
     assert oops[0].__code__ is oops[1].__code__
-    assert len({fn.__code__ for fn in (unbound[0], oops[0], scaled)}) == 3
+    assert len({fn.__code__ for fn in (unbound[0], oops[0], scaled)}) == 2
     for fn in unbound:
         with pytest.raises(UnboundIdentifierError, match="'c'"):
             fn(1.0)
@@ -452,8 +465,10 @@ def test_errors_survive_a_code_cache_hit():
 
 
 def test_code_cache_stays_bounded():
-    # 300 distinct shapes: sin nested i // 20 deep plus cos nested i % 20 deep
+    # 300 distinct shapes: sin nested i // 20 deep plus cos nested i % 20
+    # deep, none of them lowered before, so each reaches the code cache
     _code.cache_clear()
+    _lower.cache.clear()
     for i in range(300):
         left, right = Var("x"), Var("x")
         for _ in range(i // 20):
@@ -464,12 +479,87 @@ def test_code_cache_stays_bounded():
     info = _code.cache_info()
     assert info.misses == 300
     assert info.currsize <= info.maxsize < 300
+    assert len(_lower.cache) == 256
 
 
 def test_bind_coerces_the_variable_like_evaluate():
     e = parse("x^2.0", variable="x")
     assert bind(e, "x")(3) == evaluate(e, {"x": 3}) == 9.0
     assert type(bind(e, "x")(3)) is float
+
+
+# ---------------------------------------------------------------------------
+# Process-wide caches: exact keys
+
+def _sign(value: float) -> float:
+    return math.copysign(1.0, value)
+
+
+def test_parameter_zero_signs_keep_their_own_entries():
+    """``c = 0.0`` and ``c = -0.0`` are equal, but ``c*x`` gives zeros of
+    their own signs, in either order, as in a cold process."""
+    e = parse("c*x", variable="x", parameters=("c",))
+    for order in ((0.0, -0.0), (-0.0, 0.0)):
+        _lower.cache.clear()
+        for c in order * 2:
+            assert _sign(bind(e, "x", {"c": c})(1.0)) == _sign(c)
+            assert list(map(_sign, enclose(e, "x", {"c": c})(1.0, 2.0))) == [_sign(c)] * 2
+
+
+def test_trees_differing_in_a_zero_sign_keep_their_own_entries():
+    trees = [BinOp("*", Const(c), Var("x")) for c in (0.0, -0.0)]
+    assert trees[0] == trees[1]  # record equality cannot key a cache
+    for order in ((0, 1), (1, 0)):
+        _lower.cache.clear()
+        for tree in [trees[i] for i in order] * 2:
+            sign = _sign(tree.left.value)
+            assert _sign(bind(tree, "x")(1.0)) == sign
+            assert list(map(_sign, enclose(tree, "x")(1.0, 2.0))) == [sign] * 2
+    # d/dx x/c is 1/c, which keeps c's sign
+    differentiate.cache.clear()
+    for text in ("x/0", "x/-0", "x/0"):
+        e = parse(text, variable="x")
+        assert repr(differentiate(e, "x")) == repr(_derivative(e, "x"))
+        assert _sign(differentiate(e, "x").right.value) == _sign(e.right.value)
+
+
+def test_equal_trees_share_one_derivation_and_one_lowering():
+    first, second = (parse("x/pi + sin(x)", variable="x") for _ in range(2))
+    assert first is not second
+    assert differentiate(first, "x") is differentiate(second, "x")
+    assert the_variable(second) == "x"
+    one, two = bind(first, "x"), bind(second, "x")
+    assert one is not two and one.__code__ is two.__code__
+    assert one.__globals__ is two.__globals__
+    low, high = enclose(first, "x"), enclose(second, "x")
+    assert low is not high and low.__code__ is high.__code__
+    assert low(0.0, 1.0) == high(0.0, 1.0)
+
+
+def test_a_value_float_accepts_is_keyed_by_it_even_unhashable():
+    class Half:
+        __hash__ = None
+
+        def __float__(self):
+            return 0.5
+
+    e = parse("c*x", variable="x", parameters=("c",))
+    assert bind(e, "x", {"c": Half()})(3.0) == 1.5
+    assert bind(e, "x", {"c": 0.5}).__code__ is bind(e, "x", {"c": Half()}).__code__
+    assert enclose(e, "x", {"c": Half()})(2.0, 2.0) == enclose(e, "x", {"c": 0.5})(2.0, 2.0)
+    unhashable = [bind(e, "x", {"c": [0.5]}) for _ in range(2)]  # uncached
+    for fn in unhashable:
+        assert _outcome(fn, 1.0) == _outcome(evaluate, e, {"c": [0.5], "x": 1.0})
+        assert _outcome(fn, 1.0)[0] is TypeError
+
+
+def test_nan_constants_skip_the_caches():
+    nan = Const(math.nan)
+    assert _derivative(BinOp("*", nan, Var("x")), "x") is not None
+    before = len(_lower.cache)
+    bind(BinOp("+", nan, Var("x")), "x")
+    enclose(BinOp("+", nan, Var("x")), "x")
+    assert len(_lower.cache) == before
 
 
 # ---------------------------------------------------------------------------
@@ -510,6 +600,66 @@ def test_enclosure_contains_compiled_values(tree, a, b, eps):
             continue
         if bounds is not None:
             assert bounds[0] <= value <= bounds[1]
+
+
+def _walked(tree, variable, params, lo, hi):
+    """The enclosure as a walk over the tree computed it, the reference the
+    compiled enclosure must match."""
+    try:
+        return _eval_interval(tree, variable, params, (lo, hi))
+    except (_Undecided, ExpressionError, ArithmeticError, ValueError):
+        return None
+
+
+def _bounds_outcome(call, *args):
+    """An enclosure call's result as comparable data: the bounds' bits,
+    None, or the type and message of the error it raised."""
+    try:
+        bounds = call(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return None if bounds is None else tuple(struct.pack("<d", b) for b in bounds)
+
+
+@settings(derandomize=True, max_examples=400)
+@given(_trees(), _ends, _ends, st.none() | _consts | st.just(-0.0))
+@example(BinOp("*", Param("eps"), Var("x")), 1.0, 2.0, None)  # unbound name
+@example(Call("sqrt", Var("x")), -1.0, 4.0, None)  # domain check
+@example(BinOp("*", Const(1e300), BinOp("*", Var("x"), Var("x"))), 1e10, 1e11,
+         None)  # a bound that is not finite
+@example(BinOp("+", Var("x"), Const(math.inf)), 0.0, 1.0, None)
+@example(BinOp("^", Var("x"), Call("sqrt", Const(-1.0))), 1.0, 2.0, None)
+@example(BinOp("^", Var("x"), Param("eps")), 1.0, 2.0, None)  # exponents
+@example(BinOp("^", Var("x"), BinOp("/", Const(1.0), Const(0.0))), 1.0, 2.0,
+         None)
+@example(BinOp("^", Var("x"), BinOp("*", Const(1e300), Const(1e300))), 1.0,
+         2.0, None)
+@example(BinOp("*", Param("eps"), Var("x")), 1.0, 2.0, -0.0)
+@example(Neg(Var("x")), -0.0, 0.0, None)
+def test_compiled_enclosure_matches_the_walk(tree, a, b, eps):
+    """The compiled enclosure returns the walk's bounds bit for bit, and
+    None, or the same error, in the same places: cold, and from the
+    lowering cache."""
+    lo, hi = min(a, b), max(a, b)
+    params = {} if eps is None else {"eps": eps}
+    want = _bounds_outcome(_walked, tree, "x", params, lo, hi)
+    _lower.cache.clear()
+    for _ in ("cold", "cached"):
+        assert _bounds_outcome(enclose(tree, "x", params), lo, hi) == want
+
+
+@pytest.mark.parametrize("params", [{"c": "oops"}, {"c": [2.0]}, {"c": 1e999}],
+                         ids=["string", "list", "inf"])
+def test_enclosure_fails_where_a_value_fails(params):
+    # float() refuses "oops", which leaves the walk undecided, but raises a
+    # TypeError for a list, which the walk let through
+    e = parse("sqrt(x) + c*x", variable="x", parameters=("c",))
+    for lo, hi in ((-1.0, 1.0), (1.0, 2.0)):
+        assert (_bounds_outcome(enclose(e, "x", params), lo, hi)
+                == _bounds_outcome(_walked, e, "x", params, lo, hi))
+    if isinstance(params["c"], list):
+        with pytest.raises(TypeError):
+            enclose(e, "x", params)(1.0, 2.0)
 
 
 class TestEnclose:

@@ -8,8 +8,8 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 import revolve.monotone
 import revolve.volume
-from revolve.expr import (BinOp, Const, _code, bind, differentiate, enclose,
-                          parse, the_variable)
+from revolve.expr import (BinOp, Const, _code, _lower, bind, differentiate,
+                          enclose, parse, the_variable)
 from revolve.kepler import KeplerCurve, reference_volumes
 from revolve.monotone import Enclosures, partition
 from revolve.numerics import (Interval, NoSignChangeError, Tolerances,
@@ -746,17 +746,21 @@ class TestSolveDispatch:
         solve(VolumeProblem(curve=RAMP_WAVE, interval=FULL, method="theorem2"))
         assert len(calls) <= 15
 
-    def test_kepler_sweep_compiles_two_code_objects(self):
-        # the source bind compiles depends on the curve's shape alone, so a
-        # sweep over eps compiles f and f' once (f'' is only enclosed); a
-        # parameter value printed into the source would compile 40
+    def test_kepler_sweep_compiles_four_code_objects(self):
+        # the source bind and enclose compile depends on the curve's shape
+        # alone, so a sweep over eps compiles f and f' once each, as a
+        # function and as an enclosure (f'' is never needed: f' stays
+        # positive); a parameter value printed into the source would
+        # compile 80.  Each eps is a new lowering, which reaches the code
+        # cache, unless an earlier test lowered it
         _code.cache_clear()
+        _lower.cache.clear()
         for i in range(20):
             solve(VolumeProblem(curve=KEPLER_EXPR, interval=FULL,
                                 curve_role=ROLE_X_OF_Y, axis=AXIS_X,
                                 method="all",
                                 parameters={"eps": 0.05 + 0.045 * i}))
-        assert _code.cache_info().misses == 2
+        assert _code.cache_info().misses == 4
 
     def test_x_axis_names_are_the_y_axis_functions(self):
         assert disk_volume_x_axis is disk_volume_y_axis
