@@ -958,31 +958,3 @@ def _point(e: Expression, params: Bindings) -> tuple[float, float]:
     if -_INF < value < _INF:
         return value, value
     raise _Undecided
-
-
-def _eval_interval(e: Expression, variable: str, params: Bindings,
-                   x: tuple[float, float]) -> tuple[float, float]:
-    """Bounds on ``e`` for ``variable`` in the interval ``x``: the twin of
-    ``_eval``."""
-    if isinstance(e, BinOp):
-        op = e.op
-        if op == "^":  # the grammar keeps the variable out of exponents
-            return _pow_interval(*_eval_interval(e.left, variable, params, x),
-                                 _eval(e.right, params))
-        if op in ("+", "-", "*", "/"):
-            return _binary_interval(op, _eval_interval(e.left, variable, params, x),
-                                    _eval_interval(e.right, variable, params, x))
-    elif isinstance(e, Call):
-        if e.func in FUNCTIONS:
-            return _apply_interval(e.func,
-                                   _eval_interval(e.arg, variable, params, x))
-    elif isinstance(e, (Var, Param)):
-        if e.name == variable:
-            return x
-    elif isinstance(e, Neg):
-        low, high = _eval_interval(e.arg, variable, params, x)
-        return -high, -low
-    value = _eval(e, params)  # a constant or a parameter's value
-    if -_INF < value < _INF:
-        return value, value
-    raise _Undecided

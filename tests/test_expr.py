@@ -10,11 +10,14 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from revolve.expr import (
+    FUNCTIONS,
     PI,
     BinOp,
+    Bindings,
     Call,
     Const,
     DomainError,
+    Expression,
     ExpressionError,
     ExpressionSyntaxError,
     Neg,
@@ -22,11 +25,15 @@ from revolve.expr import (
     UnboundIdentifierError,
     UnknownIdentifierError,
     Var,
+    _INF,
     _Undecided,
+    _apply_interval,
+    _binary_interval,
     _code,
     _derivative,
-    _eval_interval,
+    _eval,
     _lower,
+    _pow_interval,
     bind,
     differentiate,
     enclose,
@@ -600,6 +607,36 @@ def test_enclosure_contains_compiled_values(tree, a, b, eps):
             continue
         if bounds is not None:
             assert bounds[0] <= value <= bounds[1]
+
+
+# The walk over the tree that computed enclosures before they were compiled,
+# kept as the compiled enclosures' reference
+def _eval_interval(e: Expression, variable: str, params: Bindings,
+                   x: tuple[float, float]) -> tuple[float, float]:
+    """Bounds on ``e`` for ``variable`` in the interval ``x``: the twin of
+    ``_eval``."""
+    if isinstance(e, BinOp):
+        op = e.op
+        if op == "^":  # the grammar keeps the variable out of exponents
+            return _pow_interval(*_eval_interval(e.left, variable, params, x),
+                                 _eval(e.right, params))
+        if op in ("+", "-", "*", "/"):
+            return _binary_interval(op, _eval_interval(e.left, variable, params, x),
+                                    _eval_interval(e.right, variable, params, x))
+    elif isinstance(e, Call):
+        if e.func in FUNCTIONS:
+            return _apply_interval(e.func,
+                                   _eval_interval(e.arg, variable, params, x))
+    elif isinstance(e, (Var, Param)):
+        if e.name == variable:
+            return x
+    elif isinstance(e, Neg):
+        low, high = _eval_interval(e.arg, variable, params, x)
+        return -high, -low
+    value = _eval(e, params)  # a constant or a parameter's value
+    if -_INF < value < _INF:
+        return value, value
+    raise _Undecided
 
 
 def _walked(tree, variable, params, lo, hi):
