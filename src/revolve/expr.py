@@ -418,10 +418,10 @@ def _binary(op: str, x: float, y: float) -> float:
 # Differentiation
 
 def _memoised(function):
-    """``function`` of a tree behind a process-wide cache bounded like
-    ``_code``'s, keyed by the tree's repr, kept on the tree: record equality
+    """``function`` of a tree behind a process-wide cache of at most 256
+    entries, keyed by the tree's repr, kept on the tree: record equality
     calls ``Const(0.0)`` and ``Const(-0.0)`` equal, a repr does not.  A repr
-    prints every float exactly but NaN: a tree with one skips the cache."""
+    prints every float exactly but NaN, so one with "nan" is not cached."""
     cache, missing = {}, object()
 
     @wraps(function)
@@ -434,9 +434,9 @@ def _memoised(function):
         if value is missing:
             value = function(e, *args)
             if "nan" not in text:
+                if len(cache) >= 256:
+                    cache.clear()  # atomic, unlike evicting one chosen entry
                 cache[key] = value
-                if len(cache) > 256:
-                    cache.pop(next(iter(cache)), None)  # the oldest entry
         return value
     memo.cache = cache
     return memo

@@ -486,7 +486,7 @@ def test_code_cache_stays_bounded():
     info = _code.cache_info()
     assert info.misses == 300
     assert info.currsize <= info.maxsize < 300
-    assert len(_lower.cache) == 256
+    assert len(_lower.cache) <= 256
 
 
 def test_bind_coerces_the_variable_like_evaluate():
@@ -561,12 +561,13 @@ def test_a_value_float_accepts_is_keyed_by_it_even_unhashable():
 
 
 def test_nan_constants_skip_the_caches():
-    nan = Const(math.nan)
-    assert _derivative(BinOp("*", nan, Var("x")), "x") is not None
-    before = len(_lower.cache)
-    bind(BinOp("+", nan, Var("x")), "x")
-    enclose(BinOp("+", nan, Var("x")), "x")
-    assert len(_lower.cache) == before
+    # every NaN prints alike, so a repr cannot tell their bits apart
+    tree = BinOp("+", Const(math.nan), Var("x"))
+    before = len(differentiate.cache), len(_lower.cache)
+    differentiate(tree, "x")
+    bind(tree, "x")
+    enclose(tree, "x")
+    assert (len(differentiate.cache), len(_lower.cache)) == before
 
 
 # ---------------------------------------------------------------------------
