@@ -21,6 +21,7 @@ from revolve.monotone import (
     RULE_MULTIPLE_INTERSECTION,
     RULE_NEGATIVE_VALUE,
     RULE_NOT_MONOTONE,
+    _floor_certificate,
     check_lemma1,
     critical_points,
     partition,
@@ -544,6 +545,25 @@ class TestValidateRevolutionHypotheses:
             lambda x: x - 1e-12, lambda x: 1.0, never, Interval(0.0, 1.0))
         assert report.unproven
         assert RULE_NEGATIVE_VALUE not in [rule for rule, _ in report.violations]
+
+    def test_floor_certificate_settles_a_monotone_cell_at_its_least_end(self):
+        # x^3 - 3x + 2.5 rises on [1.5, 3], and f's enclosure reaches below
+        # the floor: f' keeping one sign settles the whole interval with one
+        # value of f, at 1.5, and one enclosure of f, not by bisection
+        fn, _, enclosures = compiled(parse("x*x*x - 3*x + 2.5", variable="x"))
+        values, bounds = [], []
+
+        def counted_fn(x):
+            values.append(x)
+            return fn(x)
+
+        def counted_curve(lo, hi):
+            bounds.append((lo, hi))
+            return enclosures.curve(lo, hi)
+
+        counted = Enclosures(counted_curve, enclosures.slope, enclosures.curvature)
+        assert _floor_certificate(counted_fn, counted, Interval(1.5, 3.0)) == (None, [])
+        assert (values, bounds) == ([1.5], [(1.5, 3.0)])
 
     def test_constant_curve_is_not_strictly_monotone(self):
         # its one piece has equal end values: not an alternation fault
