@@ -212,9 +212,10 @@ class VolumeReport:
 # call it once per request: f is compiled at once, and ``slope_functions``
 # returns f' (unless ``derivative`` is false) and the enclosures of f, f'
 # and f''.  The variable is resolved once and f differentiated once: the one
-# slope tree serves both f' and the enclosures.  f'' is derived and enclosed
-# on the first call of its enclosure, which only cells where the enclosure
-# of f' straddles zero make.
+# slope tree serves both f' and the enclosures.  ``expr`` caches each of
+# these steps per process, so a repeated curve costs lookups.  f'' is derived
+# and enclosed on the first call of its enclosure, which only cells where
+# the enclosure of f' straddles zero make.
 def _compile(curve: Expression, parameters: Mapping[str, float] | None
              ) -> tuple[Callable[[float], float], Callable]:
     var = the_variable(curve) or "_"
