@@ -33,7 +33,7 @@ import tempfile
 import time
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
-MODULES = ("volume", "numerics", "monotone", "cli")
+MODULES = ("volume", "numerics", "monotone", "cli", "expr")
 TIMEOUT_S = 300  # a flipped loop bound can make a mutant run forever
 
 FLIPS = {
