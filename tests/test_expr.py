@@ -512,7 +512,8 @@ def test_parameter_zero_signs_keep_their_own_entries():
         _lower.cache.clear()
         for c in order * 2:
             assert _sign(bind(e, "x", {"c": c})(1.0)) == _sign(c)
-            assert list(map(_sign, enclose(e, "x", {"c": c})(1.0, 2.0))) == [_sign(c)] * 2
+            bounds = enclose(e, "x", {"c": c})(1.0, 2.0)
+            assert list(map(_sign, bounds)) == [_sign(c)] * 2
 
 
 def test_trees_differing_in_a_zero_sign_keep_their_own_entries():
@@ -553,10 +554,13 @@ def test_a_value_float_accepts_is_keyed_by_it_even_unhashable():
             return 0.5
 
     e = parse("c*x", variable="x", parameters=("c",))
-    assert bind(e, "x", {"c": Half()})(3.0) == 1.5
-    assert bind(e, "x", {"c": 0.5}).__code__ is bind(e, "x", {"c": Half()}).__code__
-    assert enclose(e, "x", {"c": Half()})(2.0, 2.0) == enclose(e, "x", {"c": 0.5})(2.0, 2.0)
-    unhashable = [bind(e, "x", {"c": [0.5]}) for _ in range(2)]  # uncached
+    halved = bind(e, "x", {"c": 0.5}), enclose(e, "x", {"c": 0.5})
+    size = len(_lower.cache)
+    assert bind(e, "x", {"c": Half()})(3.0) == halved[0](3.0) == 1.5
+    assert bind(e, "x", {"c": Half()}).__globals__ is halved[0].__globals__
+    assert enclose(e, "x", {"c": Half()})(2.0, 2.0) == halved[1](2.0, 2.0)
+    unhashable = [bind(e, "x", {"c": [0.5]}) for _ in range(2)]
+    assert len(_lower.cache) == size  # Half() hits 0.5's entries; a list skips
     for fn in unhashable:
         assert _outcome(fn, 1.0) == _outcome(evaluate, e, {"c": [0.5], "x": 1.0})
         assert _outcome(fn, 1.0)[0] is TypeError
