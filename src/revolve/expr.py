@@ -716,7 +716,7 @@ class _Compiler:
     In interval mode it lowers to ``def f(lo, hi): ...`` for :func:`enclose`."""
 
     def __init__(self, variable: str, params: dict[str, object],
-                 interval: bool = False):
+                 interval: bool):
         self.variable = variable
         self.params = params
         self.interval = interval
